@@ -6,14 +6,19 @@
 //!
 //! 1. **cold** — every job runs as a single-worker `Campaign` on a fresh
 //!    cache per pass, so every cell is simulated and inserted (cache
-//!    writes). Passes repeat until the phase's share is spent; a job's
-//!    time is the median over its passes. Jobs marked for the
-//!    cycle-accurate engine rerun right after their event-driven run.
+//!    writes). Jobs marked for the cycle-accurate engine rerun right after
+//!    their event-driven run.
 //! 2. **warm** — the first pass's cache is saved and loaded back, then
 //!    every job reruns against it in rounds, every cell a hit (cache
 //!    reads).
 //! 3. **serving** — the plan's serving operations rerun in rounds against
 //!    the cache set-up primed, so they do no engine work.
+//!
+//! After the first cold pass the phases interleave, one job or one sample
+//! at a time, with a calibration loop as a fourth phase, so every phase
+//! samples the whole run; the run moves from CPU to CPU every half second.
+//! Each host time is the lower quartile of its samples over the
+//! calibration loop's lower quartile.
 //!
 //! A traced run measures the same phases untraced, then makes one traced
 //! pass of each, in which every cold cell is also run alone and replayed
@@ -30,7 +35,10 @@ use dlrm_gpu_repro::perf_envelope::{
     ServingScenario, Workload,
 };
 
-use crate::clock::{calibrated, calibration_s, median, timed, Stopwatch, CALIBRATION_NOMINAL_S};
+use crate::clock::{
+    calibration_s, lower_quartile, median, peak_rss_mb, timed, Stopwatch, CALIBRATION_NOMINAL_S,
+};
+use crate::host::Rotation;
 use crate::metrics::Checks;
 use crate::replay::{replay_cell, ReplayCounts};
 use crate::trace::{self, Tracer};
@@ -321,6 +329,9 @@ pub struct Measured {
     pub digest: u64,
     /// Median seconds of one cache save plus one load.
     pub cache_round_trip_s: f64,
+    /// Peak resident MiB once set-up, the first cold pass and the cache
+    /// round trip are done, or NaN where it cannot be read.
+    pub peak_rss_mb: f64,
 }
 
 /// FNV-1a over `bytes`, continuing from `hash`.
@@ -334,55 +345,82 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Host seconds a warm or serving sample lasts at least: rounds that
-/// short repeat within one sample, after one calibration loop.
+/// short repeat within one sample.
 const SAMPLE_S: f64 = 0.05;
 
-/// Repeats `round` for at least [`SAMPLE_S`] and returns the calibrated
-/// seconds of one round.
+/// Host seconds the run stays on one CPU before it moves to the next.
+const ROTATE_S: f64 = 0.5;
+
+/// Share of the run given to calibration loops.
+const CALIBRATION_SHARE: f64 = 0.05;
+
+/// Repeats `round` for at least [`SAMPLE_S`] and returns the host seconds
+/// of one round.
 fn sample(mut round: impl FnMut()) -> f64 {
-    let (rounds, s) = calibrated(|| {
-        let watch = Stopwatch::start();
-        let mut rounds = 0u32;
-        while rounds == 0 || watch.seconds() < SAMPLE_S {
-            round();
-            rounds += 1;
-        }
-        rounds
-    });
-    s / f64::from(rounds)
+    let watch = Stopwatch::start();
+    let mut rounds = 0u32;
+    while rounds == 0 || watch.seconds() < SAMPLE_S {
+        round();
+        rounds += 1;
+    }
+    watch.seconds() / f64::from(rounds)
 }
 
-/// Per-job and per-phase samples of the untraced phases.
+/// What the run does next: one cold job, one warm or serving sample, or
+/// one calibration loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    Cold,
+    Warm,
+    Serving,
+    Calibration,
+}
+
+const UNITS: [Unit; 4] = [Unit::Cold, Unit::Warm, Unit::Serving, Unit::Calibration];
+
+/// Host-second samples of the timed phases: per cold job (and its
+/// cycle-accurate rerun), per warm and serving round, and per calibration
+/// loop.
+#[derive(Debug, Default)]
 struct Samples {
     cold: Vec<Vec<f64>>,
-    ca_ratios: Vec<f64>,
+    cycle_accurate: Vec<Vec<f64>>,
     warm: Vec<f64>,
     serving: Vec<f64>,
+    calibration: Vec<f64>,
+}
+
+impl Samples {
+    /// Samples `unit` has; for cold, those of the job with fewest.
+    fn count(&self, unit: Unit) -> usize {
+        match unit {
+            Unit::Cold => self.cold.iter().map(Vec::len).min().unwrap_or(0),
+            Unit::Warm => self.warm.len(),
+            Unit::Serving => self.serving.len(),
+            Unit::Calibration => self.calibration.len(),
+        }
+    }
+
+    /// `host_s` in calibrated seconds: over the calibration loop's lower
+    /// quartile, times the loop's nominal time.
+    fn calibrated(&self, host_s: f64) -> f64 {
+        host_s / lower_quartile(&self.calibration) * CALIBRATION_NOMINAL_S
+    }
 }
 
 /// Measures `plan` for `seconds`; with `traced`, adds one traced pass and
-/// the per-layer metrics. `scratch` is a directory for the cache file and the trace.
+/// the per-layer metrics. `scratch` is a directory for the cache file and
+/// the trace. The timed phases move from CPU to CPU along `rotation`.
 pub fn measure(
     plan: &Plan,
     seconds: f64,
     traced: bool,
     scratch: &Path,
+    rotation: &mut Rotation,
     checks: &mut Checks,
 ) -> Measured {
     let mut measured = Measured::default();
     let cells: usize = plan.jobs.iter().map(|j| j.cells.len()).sum();
-
-    // ---- cold ----
-    let mut samples = Samples {
-        cold: vec![Vec::new(); plan.jobs.len()],
-        ca_ratios: Vec::new(),
-        warm: Vec::new(),
-        serving: Vec::new(),
-    };
-    let mut first: Vec<Vec<RunReport>> = Vec::new();
-    let mut same_reports = vec![true; plan.jobs.len()];
-    let mut ed_equals_ca = vec![true; plan.jobs.len()];
-    let mut first_cache = None;
     let campaigns: Vec<(Campaign, Option<Campaign>)> = plan
         .jobs
         .iter()
@@ -393,35 +431,45 @@ pub fn measure(
             (job.campaign(EngineMode::EventDriven, 1), ca)
         })
         .collect();
-    let budget = seconds * plan.shares[0];
+    let mut samples = Samples {
+        cold: vec![Vec::new(); plan.jobs.len()],
+        cycle_accurate: vec![Vec::new(); plan.jobs.len()],
+        ..Samples::default()
+    };
+    let mut ed_equals_ca = vec![true; plan.jobs.len()];
+    // One cold job: its event-driven campaign on `cache`, then, if marked,
+    // its cycle-accurate one.
+    let mut run_cold = |j: usize, cache: &Arc<CampaignCache>, samples: &mut Samples| {
+        let (ed, ca) = &campaigns[j];
+        let (run, secs) = timed(|| ed.clone().with_cache(cache.clone()).run());
+        samples.cold[j].push(secs);
+        if let Some(ca) = ca {
+            let (ca_run, ca_secs) = timed(|| ca.run());
+            samples.cycle_accurate[j].push(ca_secs);
+            ed_equals_ca[j] &= same_stats(run.reports(), ca_run.reports());
+        }
+        run
+    };
     let watch = Stopwatch::start();
-    'passes: for pass in 0.. {
-        let cache = CampaignCache::new();
-        for (j, (ed, ca)) in campaigns.iter().enumerate() {
-            if pass > 0 && watch.seconds() >= budget {
-                break 'passes;
-            }
-            let (run, secs) = calibrated(|| ed.clone().with_cache(cache.clone()).run());
-            samples.cold[j].push(secs);
-            if pass == 0 {
-                first.push(run.reports().to_vec());
-            } else {
-                same_reports[j] &= run.reports() == first[j].as_slice();
-            }
-            if let Some(ca) = ca {
-                let (ca_run, ca_secs) = calibrated(|| ca.run());
-                samples.ca_ratios.push(ca_secs / secs);
-                ed_equals_ca[j] &= same_stats(run.reports(), ca_run.reports());
-            }
+
+    // ---- the first cold pass, whose cache the warm phase reloads ----
+    let first_cache = CampaignCache::new();
+    rotation.advance();
+    let mut on_cpu = Stopwatch::start();
+    let mut rotate = || {
+        if on_cpu.seconds() >= ROTATE_S {
+            rotation.advance();
+            on_cpu = Stopwatch::start();
         }
-        if pass == 0 {
-            first_cache = Some(cache);
-        }
-        if watch.seconds() >= budget {
-            break;
-        }
-    }
-    let first_cache = first_cache.expect("the cold phase makes at least one pass");
+    };
+    let first: Vec<Vec<RunReport>> = (0..plan.jobs.len())
+        .map(|j| {
+            rotate();
+            run_cold(j, &first_cache, &mut samples).reports().to_vec()
+        })
+        .collect();
+    let mut spent = [0.0f64; UNITS.len()];
+    spent[0] = watch.seconds();
     let cold_misses = first_cache.misses();
     let cold_hits = first_cache.hits();
     let mut digest = FNV_OFFSET;
@@ -450,6 +498,10 @@ pub fn measure(
     let _ = std::fs::remove_file(&path);
     let warm_cache = loaded.expect("the cache round trip runs at least once");
     measured.cache_round_trip_s = median(&save_s) + median(&load_s);
+    // Read before the phases interleave: the later passes run the same
+    // cells again, but between serving and warm rounds, and where the
+    // allocator then places them varies from run to run.
+    measured.peak_rss_mb = peak_rss_mb().unwrap_or(f64::NAN);
     checks.check(warm_cache.len() == first_cache.len(), || {
         format!(
             "the loaded cache holds {} of {} entries",
@@ -458,51 +510,67 @@ pub fn measure(
         )
     });
 
-    // ---- warm ----
+    // ---- the timed phases, interleaved ----
+    // Each step runs the unit furthest behind its share of the run, so
+    // every phase samples the whole run, not one stretch of it.
     let warm_campaigns: Vec<Campaign> = campaigns
         .iter()
         .map(|(ed, _)| ed.clone().with_cache(warm_cache.clone()))
         .collect();
-    let misses_before = warm_cache.misses();
-    let budget = seconds * plan.shares[1];
-    let watch = Stopwatch::start();
-    loop {
-        samples.warm.push(sample(|| {
-            for (j, campaign) in warm_campaigns.iter().enumerate() {
-                same_reports[j] &= campaign.run().reports() == first[j].as_slice();
-            }
-        }));
-        if watch.seconds() >= budget {
-            break;
-        }
-    }
-    checks.check(warm_cache.misses() == misses_before, || {
-        format!(
-            "{} warm lookups missed the loaded cache",
-            warm_cache.misses() - misses_before
-        )
-    });
-
-    // ---- serving ----
+    let warm_misses = warm_cache.misses();
     let serving_misses = plan.serving_cache.misses();
     let requests: u64 = plan.primed.iter().map(|o| o.requests).sum();
+    let mut same_reports = vec![true; plan.jobs.len()];
     let mut same_outcomes = vec![true; plan.serving.len()];
     let mut conserved: Vec<bool> = plan.primed.iter().map(|o| o.conserved).collect();
-    let budget = seconds * plan.shares[2];
-    let watch = Stopwatch::start();
     let mut off = Tracer::off();
-    loop {
-        samples.serving.push(sample(|| {
-            for (i, op) in plan.serving.iter().enumerate() {
-                let outcome = op.run(&mut off, i as u64);
-                same_outcomes[i] &= outcome == plan.primed[i];
-                conserved[i] &= outcome.conserved;
+    let work = 1.0 - CALIBRATION_SHARE;
+    let shares = [
+        plan.shares[0] * work,
+        plan.shares[1] * work,
+        plan.shares[2] * work,
+        CALIBRATION_SHARE,
+    ];
+    let mut pass_cache = CampaignCache::new();
+    let mut next_job = 0;
+    while watch.seconds() < seconds || UNITS.iter().any(|&u| samples.count(u) < 2) {
+        let u = (0..UNITS.len())
+            .min_by(|&a, &b| (spent[a] / shares[a]).total_cmp(&(spent[b] / shares[b])))
+            .expect("there are units");
+        rotate();
+        let step = Stopwatch::start();
+        match UNITS[u] {
+            Unit::Cold => {
+                if next_job == 0 {
+                    pass_cache = CampaignCache::new();
+                }
+                let run = run_cold(next_job, &pass_cache, &mut samples);
+                same_reports[next_job] &= run.reports() == first[next_job].as_slice();
+                next_job = (next_job + 1) % plan.jobs.len();
             }
-        }));
-        if watch.seconds() >= budget {
-            break;
+            Unit::Warm => samples.warm.push(sample(|| {
+                for (j, campaign) in warm_campaigns.iter().enumerate() {
+                    same_reports[j] &= campaign.run().reports() == first[j].as_slice();
+                }
+            })),
+            Unit::Serving => samples.serving.push(sample(|| {
+                for (i, op) in plan.serving.iter().enumerate() {
+                    let outcome = op.run(&mut off, i as u64);
+                    same_outcomes[i] &= outcome == plan.primed[i];
+                    conserved[i] &= outcome.conserved;
+                }
+            })),
+            Unit::Calibration => samples.calibration.push(calibration_s()),
         }
+        spent[u] += step.seconds();
     }
+    rotation.release();
+    checks.check(warm_cache.misses() == warm_misses, || {
+        format!(
+            "{} warm lookups missed the loaded cache",
+            warm_cache.misses() - warm_misses
+        )
+    });
     checks.check(plan.serving_cache.misses() == serving_misses, || {
         format!(
             "the serving phase simulated {} cells",
@@ -545,8 +613,23 @@ pub fn measure(
     }
 
     // ---- end-to-end metrics ----
-    let job_s: Vec<f64> = samples.cold.iter().map(|s| median(s)).collect();
-    let cold_s: f64 = job_s.iter().sum();
+    // A host time is the lower quartile of its samples, calibrated: a
+    // shared host has a floor and a long tail of contended samples, and
+    // the lower quartile sits near the floor, so it repeats from run to run
+    // where the median does not.
+    let cold_s = samples.calibrated(samples.cold.iter().map(|s| lower_quartile(s)).sum());
+    let warm_s = samples.calibrated(lower_quartile(&samples.warm));
+    let serving_s = samples.calibrated(lower_quartile(&samples.serving));
+    // The engines run the same job back to back, so their ratio needs no
+    // calibration; the marked jobs' ratios combine by geometric mean.
+    let log_ratios: Vec<f64> = samples
+        .cycle_accurate
+        .iter()
+        .zip(&samples.cold)
+        .filter(|(ca, _)| !ca.is_empty())
+        .map(|(ca, ed)| (lower_quartile(ca) / lower_quartile(ed)).ln())
+        .collect();
+    let ed_ca_ratio = (log_ratios.iter().sum::<f64>() / log_ratios.len() as f64).exp();
     let winst: u64 = first
         .iter()
         .flatten()
@@ -555,16 +638,17 @@ pub fn measure(
     let m = &mut measured.metrics;
     m.insert("cold_cells_per_s", cells as f64 / cold_s);
     m.insert("sim_winst_per_s", winst as f64 / cold_s);
-    m.insert("ed_ca_ratio", median(&samples.ca_ratios));
-    m.insert("warm_cells_per_s", cells as f64 / median(&samples.warm));
-    m.insert("sim_req_per_s", requests as f64 / median(&samples.serving));
+    m.insert("ed_ca_ratio", ed_ca_ratio);
+    m.insert("warm_cells_per_s", cells as f64 / warm_s);
+    m.insert("sim_req_per_s", requests as f64 / serving_s);
 
     if traced {
-        let untraced_s = cold_s + median(&samples.warm) + median(&samples.serving);
+        let untraced_s = cold_s + warm_s + serving_s;
         let layers = traced_pass(plan, &campaigns, &first, &warm_cache, checks);
         if let Err(err) = layers.tracer.write_to(&scratch.join("trace.json")) {
             eprintln!("could not write the trace: {err}");
         }
+        let pass_s = samples.calibrated(layers.pass_s);
         let m = &mut measured.metrics;
         m.extend(layers.metrics);
         m.insert("cache.save.s", median(&save_s));
@@ -575,10 +659,7 @@ pub fn measure(
         m.insert("cache.hits", hits as f64);
         m.insert("cache.misses", misses as f64);
         m.insert("cache.hit_ratio", hits as f64 / (hits + misses) as f64);
-        m.insert(
-            "trace.overhead_pct",
-            100.0 * (layers.pass_s / untraced_s - 1.0),
-        );
+        m.insert("trace.overhead_pct", 100.0 * (pass_s / untraced_s - 1.0));
     }
     measured
 }
@@ -611,8 +692,8 @@ struct Layers {
     metrics: BTreeMap<&'static str, f64>,
     hits: u64,
     misses: u64,
-    /// Calibrated seconds the traced pass spent in the operations the
-    /// untraced phases time: one of each job's cold and warm campaigns, and one
+    /// Host seconds the traced pass spent in the operations the untraced
+    /// phases time: one of each job's cold and warm campaigns, and one
     /// serving round.
     pass_s: f64,
     /// The pass's spans.
@@ -627,7 +708,6 @@ fn traced_pass(
     warm_cache: &Arc<CampaignCache>,
     checks: &mut Checks,
 ) -> Layers {
-    let calibration_before = calibration_s();
     let mut tracer = Tracer::on();
     let mut counts = ReplayCounts::default();
     let mut replayed = KernelStats::empty("replayed", plan.jobs[0].cells[0].experiment.gpu());
@@ -779,9 +859,7 @@ fn traced_pass(
     m.insert("replay.coverage", replay_s / run_s);
 
     let arrivals_s = total("serving.arrivals");
-    let pass_s = (total("campaign.run") + total("serving.round") - arrivals_s)
-        / ((calibration_before + calibration_s()) / 2.0)
-        * CALIBRATION_NOMINAL_S;
+    let pass_s = total("campaign.run") + total("serving.round") - arrivals_s;
     Layers {
         metrics: m,
         hits,

@@ -13,6 +13,7 @@
 
 mod bench;
 mod clock;
+mod host;
 mod metrics;
 mod replay;
 mod trace;
@@ -26,7 +27,7 @@ use clock::{median, timed};
 use metrics::{Checks, END_TO_END, PER_LAYER};
 
 /// Times set-up runs per process; `setup_s` is the median.
-const SETUP_REPETITIONS: usize = 3;
+const SETUP_REPETITIONS: usize = 5;
 
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -88,6 +89,7 @@ fn scratch_dir(args: &Args) -> PathBuf {
 }
 
 fn main() -> ExitCode {
+    host::single_malloc_arena();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
         Ok(args) => args,
@@ -104,9 +106,11 @@ fn main() -> ExitCode {
 
     // Set-up is everything before the first timed operation, including the
     // discarded warm-up cell; it repeats so that its median is steady.
+    let mut rotation = host::Rotation::new();
     let mut setup_s = Vec::new();
     let mut plan = None;
     for _ in 0..SETUP_REPETITIONS {
+        rotation.advance();
         let (built, s) = timed(|| workloads::set_up(&args.workload, args.seed));
         setup_s.push(s);
         plan = built;
@@ -114,7 +118,14 @@ fn main() -> ExitCode {
     let plan = plan.expect("the workload name was validated");
 
     let mut checks = Checks::default();
-    let measured = bench::measure(&plan, args.seconds, args.trace, &scratch, &mut checks);
+    let measured = bench::measure(
+        &plan,
+        args.seconds,
+        args.trace,
+        &scratch,
+        &mut rotation,
+        &mut checks,
+    );
     println!(
         "digest {} seed {} {:016x}",
         args.workload, args.seed, measured.digest
@@ -123,7 +134,7 @@ fn main() -> ExitCode {
     let registry = if args.trace { PER_LAYER } else { END_TO_END };
     let mut values: BTreeMap<&str, f64> = measured.metrics;
     values.insert("setup_s", median(&setup_s) + measured.cache_round_trip_s);
-    values.insert("peak_rss_mb", clock::peak_rss_mb().unwrap_or(f64::NAN));
+    values.insert("peak_rss_mb", measured.peak_rss_mb);
     values.insert("error_rate", checks.error_rate());
     println!("{}", metrics::result_line(&checks, registry, &values));
     ExitCode::SUCCESS

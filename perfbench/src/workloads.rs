@@ -131,10 +131,11 @@ fn a100_sweep(seed: u64) -> Plan {
     for pattern in AccessPattern::EVALUATED {
         for scheme in [Scheme::base(), Scheme::optmt(), Scheme::combined()] {
             let label = format!("a100 {:?} {}", pattern, scheme.paper_label());
-            let job = Job::cell(label, base.clone(), 2, Workload::stage(pattern), scheme);
-            // The cycle-accurate subset: one pattern under base and under
+            let job = Job::cell(label, base.clone(), 1, Workload::stage(pattern), scheme);
+            // The cycle-accurate subset: two patterns under base and under
             // the full combination.
-            let reference = pattern == AccessPattern::MedHot && scheme != Scheme::optmt();
+            let reference = matches!(pattern, AccessPattern::MedHot | AccessPattern::Random)
+                && scheme != Scheme::optmt();
             jobs.push(if reference {
                 job.with_cycle_accurate()
             } else {
@@ -145,7 +146,7 @@ fn a100_sweep(seed: u64) -> Plan {
     jobs.push(Job::cell(
         "a100 K=2 interleaved",
         base.with_streams(interleaved(2)),
-        2,
+        1,
         Workload::stage(AccessPattern::MedHot),
         Scheme::base(),
     ));
@@ -154,7 +155,7 @@ fn a100_sweep(seed: u64) -> Plan {
         serving: Vec::new(),
         serving_cache: CampaignCache::new(),
         primed: Vec::new(),
-        shares: [0.8, 0.1, 0.1],
+        shares: [0.9, 0.05, 0.05],
         check_workers: false,
     }
 }
@@ -175,19 +176,15 @@ fn campaign_rerun(seed: u64) -> Plan {
     let jobs = [1, 2, 4]
         .into_iter()
         .map(|devices| {
-            let job = Job::grid(
+            Job::grid(
                 format!("campaign on {devices} x test_small"),
                 small(seed).with_cluster(nvlink3(devices)),
                 1,
                 rerun_workloads(),
                 schemes.clone(),
                 seeds.clone(),
-            );
-            if devices == 2 {
-                job.with_cycle_accurate()
-            } else {
-                job
-            }
+            )
+            .with_cycle_accurate()
         })
         .collect();
     Plan {
@@ -195,7 +192,7 @@ fn campaign_rerun(seed: u64) -> Plan {
         serving: Vec::new(),
         serving_cache: CampaignCache::new(),
         primed: Vec::new(),
-        shares: [0.45, 0.45, 0.1],
+        shares: [0.7, 0.2, 0.1],
         check_workers: true,
     }
 }
@@ -234,33 +231,33 @@ fn serving_fleet(seed: u64) -> Plan {
             ));
         }
     }
-    // Cold cells: serving batch shapes priced from scratch.
-    let mut jobs: Vec<Job> = [16, 64, 256]
+    // Cold cells: serving batch shapes priced from scratch, each also
+    // under the cycle-accurate engine.
+    let mut jobs: Vec<Job> = [16, 32, 64, 128, 256]
         .into_iter()
         .map(|batch| {
-            let job = Job::cell(
+            Job::cell(
                 format!("test_small batch {batch}"),
                 small(seed).with_batch_size(batch),
                 1,
                 workload.clone(),
                 scheme,
-            );
-            if batch == 64 {
-                job.with_cycle_accurate()
-            } else {
-                job
-            }
+            )
+            .with_cycle_accurate()
         })
         .collect();
-    jobs.push(Job::cell(
-        "test_small batch 256 K=2 interleaved",
-        small(seed)
-            .with_batch_size(256)
-            .with_streams(interleaved(2)),
-        1,
-        workload,
-        scheme,
-    ));
+    jobs.push(
+        Job::cell(
+            "test_small batch 256 K=2 interleaved",
+            small(seed)
+                .with_batch_size(256)
+                .with_streams(interleaved(2)),
+            1,
+            workload,
+            scheme,
+        )
+        .with_cycle_accurate(),
+    );
     Plan {
         jobs,
         serving,
