@@ -251,10 +251,6 @@ pub const AUDITED_STRUCTS: &[StructSpec] = &[
         file: "crates/gpu-sim/src/config.rs",
     },
     StructSpec {
-        name: "EngineTuning",
-        file: "crates/gpu-sim/src/engine.rs",
-    },
-    StructSpec {
         name: "DlrmConfig",
         file: "crates/dlrm/src/model.rs",
     },

@@ -2,21 +2,25 @@
 //! run serially (one worker), in parallel (all cores), and with the result
 //! cache attached (steady-state re-runs are served from cache).
 //!
-//! The `wall_clock` binary (`cargo run --release -p bench --bin
-//! wall_clock`) measures this same grid against the cycle-accurate
-//! reference engine and emits machine-readable `BENCH_engine.json`.
+//! The grid is every evaluated access pattern as an embedding-stage
+//! workload × the base, OptMT and combined schemes, on the small test
+//! device. Engine-mode agreement on such grids is checked by
+//! `tests/engine_equivalence.rs`, thread-count invariance by
+//! `tests/campaign_determinism.rs`.
 
-use bench::options::campaign_bench_grid;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlrm::WorkloadScale;
+use dlrm_datasets::AccessPattern;
 use gpu_sim::GpuConfig;
-use perf_envelope::{Campaign, CampaignCache, Experiment};
+use perf_envelope::{Campaign, CampaignCache, Experiment, Scheme, Workload};
 
 fn grid() -> Campaign {
-    campaign_bench_grid(Experiment::new(
+    Campaign::new(Experiment::new(
         GpuConfig::test_small(),
         WorkloadScale::Test,
     ))
+    .workloads(AccessPattern::EVALUATED.map(Workload::stage))
+    .schemes([Scheme::base(), Scheme::optmt(), Scheme::combined()])
 }
 
 fn campaign_scaling(c: &mut Criterion) {
@@ -41,11 +45,7 @@ fn campaign_scaling(c: &mut Criterion) {
     }
     // Steady state with the campaign cache: every iteration after the first
     // is served entirely from cache, the regime of re-run sweeps.
-    let cached = campaign_bench_grid(
-        Experiment::new(GpuConfig::test_small(), WorkloadScale::Test)
-            .with_cache(CampaignCache::new()),
-    )
-    .threads(1);
+    let cached = grid().with_cache(CampaignCache::new()).threads(1);
     group.bench_with_input(
         BenchmarkId::from_parameter("serial_cached"),
         &(),

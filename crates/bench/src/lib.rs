@@ -10,15 +10,19 @@
 //!   of the paper's tables (1, 3, 4, 5, 8, 9).
 //!
 //! Both accept `--scale test|default|paper` (default: `default`) and
-//! `--device a100|h100` where applicable. Criterion benches under `benches/`
-//! measure the simulator, the kernels and the end-to-end pipeline themselves.
+//! `--device a100|h100` where applicable. The `sharding`, `serving`,
+//! `resilience` and `fleet` binaries run the scaling and serving studies
+//! and write their `BENCH_*.json` reports. Criterion benches under
+//! `benches/` time the simulator, the kernels, the campaign executor and
+//! the end-to-end pipeline. Host throughput of the simulator itself,
+//! layer by layer, is measured by the separate `perfbench` package at the
+//! repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
 pub mod options;
-pub mod report;
 pub mod tables;
 
 pub use options::HarnessOptions;

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::{Json, JsonError};
 use crate::report::RunReport;
@@ -60,11 +60,15 @@ pub const CAMPAIGN_CACHE_SCHEMA: &str = "perf-envelope/campaign-cache/v1";
 /// A thread-safe memo of [`RunReport`]s keyed by the canonical cell
 /// fingerprint (workload incl. sharding spec, scheme, seed, pooling factor,
 /// cluster topology and model configuration, scale, engine mode).
+///
+/// Each distinct cell runs exactly once at any thread count: workers that
+/// request a cell while another worker is simulating it wait for that
+/// result and count as hits, so `misses` counts distinct cells executed.
 #[derive(Debug, Default)]
 pub struct CampaignCache {
     // audit:allow(unordered_collection): keyed fingerprint lookups only;
     // to_json sorts cells by key before rendering
-    map: Mutex<HashMap<String, RunReport>>,
+    map: Mutex<HashMap<String, Arc<OnceLock<RunReport>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -77,8 +81,9 @@ impl CampaignCache {
     }
 
     /// Returns the cached report for the cell, or runs it and caches the
-    /// result. Two workers racing on the same cold cell both execute it;
-    /// determinism makes the duplicate insert harmless.
+    /// result. The map lock is held only to find or create the cell's slot;
+    /// the simulation runs outside it, and workers racing on the same cold
+    /// cell wait on its slot rather than simulating it twice.
     pub(crate) fn get_or_run(
         &self,
         experiment: &Experiment,
@@ -86,20 +91,23 @@ impl CampaignCache {
         scheme: &Scheme,
     ) -> RunReport {
         let key = experiment.cell_fingerprint(workload, scheme);
-        if let Some(report) = self.map.lock().expect("cache poisoned").get(&key) {
-            // audit:allow(thread_accumulation): monotonic counter; the total
-            // is order-insensitive and never feeds a simulated result
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return report.clone();
-        }
-        // audit:allow(thread_accumulation): monotonic counter, order-insensitive
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let report = experiment.run_uncached(workload, scheme);
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, report.clone());
-        report
+        let slot = Arc::clone(
+            self.map
+                .lock()
+                .expect("cache poisoned")
+                .entry(key)
+                .or_default(),
+        );
+        let mut ran = false;
+        let report = slot.get_or_init(|| {
+            ran = true;
+            experiment.run_uncached(workload, scheme)
+        });
+        let counter = if ran { &self.misses } else { &self.hits };
+        // audit:allow(thread_accumulation): monotonic counter; the total is
+        // order-insensitive and never feeds a simulated result
+        counter.fetch_add(1, Ordering::Relaxed);
+        report.clone()
     }
 
     /// Number of requests served from cache.
@@ -112,9 +120,15 @@ impl CampaignCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct cells currently cached.
+    /// Number of distinct cells currently cached (cells still being
+    /// simulated are not counted).
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache poisoned").len()
+        self.map
+            .lock()
+            .expect("cache poisoned")
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// Whether the cache holds no cells.
@@ -129,14 +143,15 @@ impl CampaignCache {
 
     /// Serializes the cache as a JSON document: every cell's canonical
     /// fingerprint key together with its report, sorted by key so the
-    /// rendering is stable for identical contents.
+    /// rendering is stable for identical contents. Cells still being
+    /// simulated are skipped.
     pub fn to_json(&self) -> String {
         let mut cells: Vec<(String, RunReport)> = self
             .map
             .lock()
             .expect("cache poisoned")
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter_map(|(k, slot)| Some((k.clone(), slot.get()?.clone())))
             .collect();
         cells.sort_by(|a, b| a.0.cmp(&b.0));
         let mut doc = Json::object();
@@ -189,7 +204,8 @@ impl CampaignCache {
             let report = cell
                 .get("report")
                 .ok_or_else(|| JsonError::schema("cell is missing its 'report'"))?;
-            map.insert(key.to_string(), RunReport::from_json_value(report)?);
+            let report = RunReport::from_json_value(report)?;
+            map.insert(key.to_string(), Arc::new(OnceLock::from(report)));
         }
         Ok(Arc::new(CampaignCache {
             map: Mutex::new(map),
@@ -357,6 +373,28 @@ mod tests {
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 2);
         assert_eq!(run.reports()[0], run.reports()[2]);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_cold_cell_simulate_it_once() {
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache);
+        let w = Workload::kernel(AccessPattern::MedHot);
+        let barrier = std::sync::Barrier::new(8);
+        let reports: Vec<RunReport> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        e.run(&w, &Scheme::base())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 7));
+        assert_eq!(cache.len(), 1);
+        assert!(reports.iter().all(|r| *r == reports[0]));
     }
 
     #[test]

@@ -67,7 +67,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::cache::CampaignCache;
-use crate::json::{Json, JsonError};
+use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
 use crate::runner::Experiment;
 use crate::scheme::Scheme;
 use crate::serving::TrafficModel;
@@ -1587,35 +1587,6 @@ pub fn pareto_frontier(points: &[(f64, f64)]) -> Vec<usize> {
             .then(a.cmp(&b))
     });
     frontier
-}
-
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    doc.get(key)
-        .ok_or_else(|| JsonError::schema(format!("missing field '{key}'")))
-}
-
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    req(doc, key)?
-        .as_str()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a string")))
-}
-
-fn req_f64(doc: &Json, key: &str) -> Result<f64, JsonError> {
-    req(doc, key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a number")))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, JsonError> {
-    req(doc, key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not an unsigned integer")))
-}
-
-fn req_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
-    req(doc, key)?
-        .as_u32()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a 32-bit unsigned integer")))
 }
 
 #[cfg(test)]

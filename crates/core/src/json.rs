@@ -211,6 +211,40 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The value of required field `key` of object `doc`.
+fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
+    doc.get(key)
+        .ok_or_else(|| JsonError::schema(format!("missing field '{key}'")))
+}
+
+/// Required string field `key` of `doc`.
+pub(crate) fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, JsonError> {
+    req(doc, key)?
+        .as_str()
+        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a string")))
+}
+
+/// Required numeric field `key` of `doc`.
+pub(crate) fn req_f64(doc: &Json, key: &str) -> Result<f64, JsonError> {
+    req(doc, key)?
+        .as_f64()
+        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a number")))
+}
+
+/// Required unsigned-integer field `key` of `doc`.
+pub(crate) fn req_u64(doc: &Json, key: &str) -> Result<u64, JsonError> {
+    req(doc, key)?
+        .as_u64()
+        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not an unsigned integer")))
+}
+
+/// Required 32-bit unsigned-integer field `key` of `doc`.
+pub(crate) fn req_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
+    req(doc, key)?
+        .as_u32()
+        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a 32-bit unsigned integer")))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -13,7 +13,7 @@ use dlrm::BatchLatency;
 use gpu_sim::stats::RawCounters;
 use gpu_sim::KernelStats;
 
-use crate::json::{Json, JsonError};
+use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
 use crate::workload::WorkloadKind;
 
 /// Identifier of the report JSON schema produced by this crate version.
@@ -417,35 +417,6 @@ fn stats_from_json(doc: &Json) -> Result<KernelStats, JsonError> {
         theoretical_occupancy_pct: req_f64(doc, "theoretical_occupancy_pct")?,
         allocated_regs_per_thread: req_u32(doc, "allocated_regs_per_thread")?,
     })
-}
-
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    doc.get(key)
-        .ok_or_else(|| JsonError::schema(format!("missing field '{key}'")))
-}
-
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    req(doc, key)?
-        .as_str()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a string")))
-}
-
-fn req_f64(doc: &Json, key: &str) -> Result<f64, JsonError> {
-    req(doc, key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a number")))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, JsonError> {
-    req(doc, key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not an unsigned integer")))
-}
-
-fn req_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
-    req(doc, key)?
-        .as_u32()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a 32-bit unsigned integer")))
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! ([`ServingReport::to_json`]) with the same canonical codec as run
 //! reports, so serving studies can be archived and diffed.
 
-use crate::json::{Json, JsonError};
+use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
 
 /// Identifier of the serving-report JSON schema produced by this crate
 /// version.
@@ -491,35 +491,6 @@ impl std::fmt::Display for ServingReport {
             self.sla_violation_rate * 100.0
         )
     }
-}
-
-fn req<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    doc.get(key)
-        .ok_or_else(|| JsonError::schema(format!("missing field '{key}'")))
-}
-
-fn req_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, JsonError> {
-    req(doc, key)?
-        .as_str()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a string")))
-}
-
-fn req_f64(doc: &Json, key: &str) -> Result<f64, JsonError> {
-    req(doc, key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a number")))
-}
-
-fn req_u64(doc: &Json, key: &str) -> Result<u64, JsonError> {
-    req(doc, key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not an unsigned integer")))
-}
-
-fn req_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
-    req(doc, key)?
-        .as_u32()
-        .ok_or_else(|| JsonError::schema(format!("field '{key}' is not a 32-bit unsigned integer")))
 }
 
 #[cfg(test)]

@@ -10,20 +10,19 @@
 //! each sub-partition, stored as a `(slot, warp id)` pair so that slot
 //! reuse can never be mistaken for the previously issued warp.
 //!
-//! [`Schedulers::select`] is **pure** (`&self`): selection at cycle `t`
-//! depends only on the sub-partition's own slots (`ready`, `seq`) and its
-//! greedy pointer, never on what other sub-partitions issue at `t` —
-//! dispatches triggered by an issue at `t` create warps that are ready at
-//! `t + 1` or later, so they cannot change any same-cycle selection. This
-//! is the property that lets the engine compute selections for a whole
-//! clock step in parallel and commit them serially in ascending
-//! `(sm, smsp)` order with bit-identical results (see `engine.rs`).
+//! [`Schedulers::select`] is **pure** (`&self`): it reads the
+//! sub-partition's own slots (`ready`, `seq`) and greedy pointer and
+//! changes nothing. The engine records the choice with
+//! [`Schedulers::commit`] only after the issue is applied, so selection
+//! and its side effects stay separate steps.
 //!
-//! [`Schedulers::select_and_min`] is the fused variant used by the serial
-//! engine path: the same selection plus the minimum `ready_at` over the
-//! sub-partition's *other* slots, from one pass — the engine folds the
-//! picked warp's post-issue readiness into that minimum to re-arm the
-//! deadline queue without a second scan.
+//! [`Schedulers::select_and_min`] is the fused variant the event-driven
+//! loop uses: the same selection plus the minimum `ready_at` over the
+//! sub-partition's *other* slots, from one pass. The engine calls it
+//! immediately before committing that sub-partition, so the minimum
+//! reflects every earlier commit of the same cycle; it folds the picked
+//! warp's post-issue readiness into that minimum to re-arm the deadline
+//! queue without a second scan (see `engine.rs`).
 
 use std::collections::HashMap;
 

@@ -6,7 +6,8 @@
 //! stall counters, cache counters and DRAM traffic on every kernel variant,
 //! access pattern and occupancy shape. This suite runs both engines over a
 //! deterministic grid of those axes and fails with the first differing
-//! field if they ever diverge.
+//! field if they ever diverge. Most cells use the small test device; one
+//! release-only test checks A100 Default-scale cells, the production shape.
 
 use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, TraceConfig};
@@ -18,7 +19,7 @@ use gpu_sim::programs::{PointerChaseKernel, StreamKernel};
 use gpu_sim::{
     EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, Simulator, StreamPartition,
 };
-use perf_envelope::{Experiment, Scheme, Workload};
+use perf_envelope::{Experiment, Scheme, StreamConfig, Workload};
 
 /// Panics with the first differing statistics field if `a` and `b` are not
 /// bit-identical.
@@ -236,26 +237,36 @@ fn l2_pinned_chained_kernels_match_under_two_interleaved_streams() {
 }
 
 #[test]
-fn sharded_selection_is_thread_count_invariant() {
-    // The sharded SM phase must produce byte-identical statistics at any
-    // worker count; 1 exercises the fused serial path, 2 and 8 the sharded
-    // path with fewer and more workers than sub-partition batches.
-    let embedding = EmbeddingConfig::new(TraceConfig::new(20_000, 64, 10), 64);
-    let workload = EmbeddingWorkload::generate(embedding, AccessPattern::Random, 0, 0xE5);
-    let spec = EmbeddingKernelSpec::base().with_max_registers(48);
-    let cfg = GpuConfig::test_small();
-    let launch = spec.launch(&workload);
-    let kernel = spec.kernel(&workload);
-
-    let reference = Simulator::new(cfg.clone())
-        .with_mode(EngineMode::CycleAccurate)
-        .run(&launch, &kernel);
-    for workers in [1usize, 2, 8] {
-        let event = Simulator::new(cfg.clone())
-            .with_mode(EngineMode::EventDriven)
-            .with_sm_workers(workers)
-            .run(&launch, &kernel);
-        assert_equivalent(&reference, &event, &format!("workers={workers}"));
+#[cfg_attr(
+    debug_assertions,
+    ignore = "A100 Default-scale cells take minutes unoptimized; CI runs this in release"
+)]
+fn a100_default_scale_cells_match_the_oracle() {
+    // The oracle at production shape: the full A100 preset at Default
+    // scale, where thousands of warps contend across 108 SMs and same-cycle
+    // replacement dispatches are common. One cell per scheme family, plus
+    // a K=2 interleaved cell.
+    let experiment = Experiment::new(GpuConfig::a100(), WorkloadScale::Default);
+    let interleaved = experiment
+        .clone()
+        .with_streams(StreamConfig::new(2, StreamPartition::Interleaved));
+    let cells = [
+        (&experiment, AccessPattern::MedHot, Scheme::base()),
+        (&experiment, AccessPattern::Random, Scheme::base()),
+        (&experiment, AccessPattern::HighHot, Scheme::optmt()),
+        (&experiment, AccessPattern::LowHot, Scheme::rpf_optmt()),
+        (&experiment, AccessPattern::MedHot, Scheme::combined()),
+        (&interleaved, AccessPattern::MedHot, Scheme::base()),
+    ];
+    for (base, pattern, scheme) in cells {
+        let workload = Workload::kernel(pattern);
+        let reference = base.clone().with_engine_mode(EngineMode::CycleAccurate);
+        let a = reference.run(&workload, &scheme);
+        let b = base.run(&workload, &scheme);
+        let label = format!("A100 {workload}/{scheme} streams={}", base.streams());
+        assert!(a.stats.counters.insts_issued > 0, "{label} ran nothing");
+        assert_eq!(a.stats.first_difference(&b.stats), None, "{label}");
+        assert_eq!(a, b, "reports diverged on {label}");
     }
 }
 
