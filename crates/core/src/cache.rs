@@ -17,12 +17,15 @@
 //! originals, so cached campaigns remain deterministic and
 //! thread-count-independent.
 //!
-//! Keys are a canonical fingerprint encoding (a JSON rendering with sorted
-//! keys and shortest-round-trip floats, replacing the seed's `Debug`-string
-//! keys) — byte-identical across processes — so a cache can be persisted with
+//! Keys are a canonical fingerprint encoding: a JSON object whose fields are
+//! streamed straight into the key string in sorted order, through the same
+//! scalar formatters (shortest-round-trip floats) as [`Json`] rendering, so
+//! no document tree is built per lookup (see `crate::fingerprint`). Keys are
+//! byte-identical across processes, so a cache can be persisted with
 //! [`CampaignCache::save_to`] and reloaded with [`CampaignCache::load_from`]
 //! for incremental re-runs across processes: a sweep that overlaps an
-//! earlier archived sweep only executes its genuinely new cells.
+//! earlier archived sweep only executes its genuinely new cells. Loading
+//! rejects malformed files, however deeply nested, with an error.
 //!
 //! ```
 //! use dlrm::WorkloadScale;
@@ -446,6 +449,23 @@ mod tests {
         assert!(CampaignCache::from_json("{\"cells\":[]}").is_err());
         let missing = CampaignCache::load_from("/nonexistent/path/cache.json");
         assert!(matches!(missing, Err(CacheLoadError::Io(_))));
+    }
+
+    #[test]
+    fn load_rejects_deeply_nested_documents_without_overflowing() {
+        let nested = format!(
+            "{{\"schema\":\"{CAMPAIGN_CACHE_SCHEMA}\",\"cells\":[{}",
+            "[".repeat(1_000_000)
+        );
+        assert!(CampaignCache::from_json(&nested).is_err());
+        let path = std::env::temp_dir().join(format!(
+            "perf-envelope-nested-cache-test-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, &nested).unwrap();
+        let loaded = CampaignCache::load_from(&path);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(loaded, Err(CacheLoadError::Json(_))));
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! function of: the full cluster topology (device configurations and
 //! interconnect), the model configuration (which embeds the pooling
 //! factor), scale, seed, tables-to-simulate, engine mode, workload
-//! (including its sharding spec) and scheme. The previous in-memory cache
-//! leaned on `Debug` formatting; this module replaces that with a canonical
-//! JSON encoding rendered through [`crate::json`] — objects keep their keys
-//! sorted and floats render with shortest-round-trip formatting, so the
-//! same cell produces byte-identical keys in every process, which is what
-//! makes [`crate::CampaignCache::save_to`] / [`load_from`] usable for
+//! (including its sharding spec) and scheme. The key is a canonical JSON
+//! object streamed straight into one `String` by [`crate::json`]'s writer:
+//! every object's fields are written in ascending key order (the order a
+//! sorted `Json` object renders in), and numbers and strings go through the
+//! same scalar formatters as [`crate::json::Json::render`] (shortest
+//! round-trip floats). No document tree is built. The same cell therefore
+//! produces byte-identical keys in every process and in every build since
+//! the tree-rendered encoding, which is what makes
+//! [`crate::CampaignCache::save_to`] / [`load_from`] usable for
 //! cross-process incremental re-runs.
 //!
 //! The [`crate::serving`] layer's batch shapes ride on this encoding for
@@ -23,7 +26,8 @@
 use dlrm::DlrmConfig;
 use gpu_sim::{CacheConfig, EngineMode, GpuConfig};
 
-use crate::json::Json;
+use crate::fleet::{AutoscalePolicy, ReplicaGroup, RoutingPolicy};
+use crate::json::{array, object, write_object, ArrayWriter, ObjectWriter};
 use crate::scheme::{Multithreading, Scheme};
 use crate::serving::FaultPlan;
 use crate::topology::{Cluster, StreamConfig};
@@ -33,11 +37,13 @@ use crate::workload::{Dataset, Workload, WorkloadTarget};
 /// so persisted caches from older encodings are not silently misread.
 pub(crate) const FINGERPRINT_SCHEMA: &str = "perf-envelope/cell-fingerprint/v1";
 
-/// Builds the canonical cell document of one experiment cell (rendering it
-/// yields the cell key). The fleet layer extends this document with a
-/// `fleet` axis, so the builder is shared rather than re-parsed.
+/// Writes the fields of a `fleet` axis (see [`fleet_axis`]).
+pub(crate) type FleetAxis<'a> = &'a dyn Fn(&mut ObjectWriter<'_>);
+
+/// The canonical key of one experiment cell. `fleet`, when given, writes
+/// the fields of a `fleet` axis extending the cell (see [`fleet_axis`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn cell_doc(
+pub(crate) fn cell_key(
     cluster: &Cluster,
     model: &DlrmConfig,
     scale_name: &str,
@@ -48,350 +54,271 @@ pub(crate) fn cell_doc(
     faults: &FaultPlan,
     workload: &Workload,
     scheme: &Scheme,
-) -> Json {
-    let mut doc = Json::object();
-    doc.set("schema", Json::Str(FINGERPRINT_SCHEMA.to_string()));
-    doc.set("gpu", gpu_to_json(cluster.root()));
-    // Single-device clusters are canonically equivalent to a plain device:
-    // the interconnect is never exercised, so two experiments that differ
-    // only in how the lone device was wrapped share their cells.
-    doc.set(
+    fleet: Option<FleetAxis<'_>>,
+) -> String {
+    let mut key = String::with_capacity(2048);
+    write_object(&mut key, |w| {
+        write_placement(w, cluster);
+        w.set("engine_mode", mode.name());
+        // The empty fault plan is canonically the fault-free experiment: the
+        // key omits the axis entirely, keeping pre-fault keys byte-identical
+        // and persisted caches warm. A non-empty plan partitions cells
+        // conservatively — the plan shapes serving-layer dispatch rather than
+        // the priced kernels, but a resilience study must never alias a
+        // fault-free study's cells in a persisted cache.
+        if !faults.is_empty() {
+            w.set("faults", array(|a| write_faults(a, faults)));
+        }
+        if let Some(fleet) = fleet {
+            w.set("fleet", object(fleet));
+        }
+        w.set("gpu", object(|g| write_gpu(g, cluster.root())));
+        w.set("model", object(|m| write_model(m, model)));
+        w.set("scale", scale_name);
+        w.set("schema", FINGERPRINT_SCHEMA);
+        w.set("scheme", object(|s| write_scheme(s, scheme)));
+        w.set("seed", seed);
+        // A single stream is canonically the pre-stream experiment: the key
+        // omits the axis entirely, so K=1 keys stay byte-identical with the
+        // earlier encoding and persisted caches remain loadable.
+        if !streams.is_single() {
+            w.set("streams", object(|s| write_streams(s, streams)));
+        }
+        w.set("tables_to_simulate", tables_to_simulate);
+        w.set("workload", object(|o| write_workload(o, workload)));
+    });
+    key
+}
+
+/// Writes the `cluster` field. Single-device clusters are canonically
+/// equivalent to a plain device: the interconnect is never exercised, so
+/// two experiments that differ only in how the lone device was wrapped
+/// share their cells.
+fn write_placement(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
+    w.set(
         "cluster",
-        if cluster.is_single() {
-            Json::Null
-        } else {
-            cluster_to_json(cluster)
-        },
+        (!cluster.is_single()).then(|| object(|c| write_cluster(c, cluster))),
     );
-    doc.set("model", model_to_json(model));
-    doc.set("scale", Json::Str(scale_name.to_string()));
-    doc.set("seed", Json::UInt(seed));
-    doc.set("tables_to_simulate", Json::UInt(tables_to_simulate as u64));
-    doc.set("engine_mode", Json::Str(mode.name().to_string()));
-    // A single stream is canonically the pre-stream experiment: the key
-    // omits the axis entirely, so K=1 keys stay byte-identical with the
-    // earlier encoding and persisted caches remain loadable.
-    if !streams.is_single() {
-        doc.set("streams", streams_to_json(streams));
+}
+
+fn write_streams(w: &mut ObjectWriter<'_>, streams: StreamConfig) {
+    w.set("partition", streams.partition().name());
+    w.set("streams", streams.streams());
+}
+
+fn write_faults(a: &mut ArrayWriter<'_>, faults: &FaultPlan) {
+    for event in faults.events() {
+        a.push(object(|e| {
+            e.set("device", event.device());
+            e.set("end_us", event.end_us());
+            e.set("factor", event.factor());
+            e.set("kind", event.kind().name());
+            e.set("start_us", event.start_us());
+        }));
     }
-    // The empty fault plan is canonically the fault-free experiment: the
-    // key omits the axis entirely, keeping pre-fault keys byte-identical
-    // and persisted caches warm. A non-empty plan partitions cells
-    // conservatively — the plan shapes serving-layer dispatch rather than
-    // the priced kernels, but a resilience study must never alias a
-    // fault-free study's cells in a persisted cache.
-    if !faults.is_empty() {
-        doc.set("faults", faults_to_json(faults));
-    }
-    doc.set("workload", workload_to_json(workload));
-    doc.set("scheme", scheme_to_json(scheme));
-    doc
 }
 
-fn streams_to_json(streams: StreamConfig) -> Json {
-    let mut s = Json::object();
-    s.set("streams", Json::UInt(streams.streams() as u64));
-    s.set(
-        "partition",
-        Json::Str(streams.partition().name().to_string()),
-    );
-    s
-}
-
-fn faults_to_json(faults: &FaultPlan) -> Json {
-    Json::Arr(
-        faults
-            .events()
-            .iter()
-            .map(|event| {
-                let mut e = Json::object();
-                e.set("device", Json::UInt(event.device() as u64));
-                e.set("kind", Json::Str(event.kind().name().to_string()));
-                e.set("start_us", Json::Num(event.start_us()));
-                e.set("end_us", Json::Num(event.end_us()));
-                e.set("factor", Json::Num(event.factor()));
-                e
-            })
-            .collect(),
-    )
-}
-
-/// Renders the canonical key of one fleet cell: the replica-0 cell document
-/// (`replica0`, built by [`cell_doc`] from the first replica group's axes)
-/// extended with a `fleet` axis describing routing, autoscaling and the
-/// replica groups.
+/// Writes the `fleet` axis that extends the replica-0 cell of a fleet:
+/// routing, autoscaling, the autoscale interval and the replica groups.
 ///
 /// The identity fleet — one replica, round-robin routing, no autoscaling —
-/// omits the `fleet` axis entirely, so its key is **byte-identical** to the
-/// plain serving cell key of its one replica: a degenerate fleet shares
-/// cells with the scenario it wraps, exactly like K=1 streams and the
-/// empty fault plan omit their axes. Any other spec partitions cells
-/// conservatively: distinct routing policies, autoscale rules or replica
-/// mixes never alias each other.
-pub(crate) fn fleet_key(
-    mut replica0: Json,
-    routing: &crate::fleet::RoutingPolicy,
-    autoscale: &crate::fleet::AutoscalePolicy,
+/// omits the axis entirely, so its key is **byte-identical** to the plain
+/// serving cell key of its one replica: a degenerate fleet shares cells
+/// with the scenario it wraps, exactly like K=1 streams and the empty fault
+/// plan omit their axes. Any other spec partitions cells conservatively:
+/// distinct routing policies, autoscale rules or replica mixes never alias
+/// each other.
+pub(crate) fn fleet_axis(
+    w: &mut ObjectWriter<'_>,
+    routing: &RoutingPolicy,
+    autoscale: &AutoscalePolicy,
     interval_us: f64,
-    groups: &[(Cluster, StreamConfig, FaultPlan, u32)],
-    identity: bool,
-) -> String {
-    if identity {
-        return replica0.render();
-    }
-    let mut fleet = Json::object();
-    let mut r = Json::object();
-    r.set("kind", Json::Str(routing.kind().name().to_string()));
-    r.set("ewma_alpha", Json::Num(routing.ewma_alpha()));
-    fleet.set("routing", r);
-    let mut a = Json::object();
-    a.set("kind", Json::Str(autoscale.kind().name().to_string()));
-    a.set(
-        "scale_out_threshold",
-        Json::Num(autoscale.scale_out_threshold()),
-    );
-    a.set(
-        "scale_in_threshold",
-        Json::Num(autoscale.scale_in_threshold()),
-    );
-    a.set(
-        "cooldown_intervals",
-        Json::UInt(autoscale.cooldown_intervals() as u64),
-    );
-    a.set("min_replicas", Json::UInt(autoscale.min_replicas() as u64));
-    a.set("max_replicas", Json::UInt(autoscale.max_replicas() as u64));
-    fleet.set("autoscale", a);
-    fleet.set("interval_us", Json::Num(interval_us));
-    fleet.set(
-        "replicas",
-        Json::Arr(
-            groups
-                .iter()
-                .map(|(cluster, streams, faults, count)| {
-                    let mut g = Json::object();
-                    g.set("gpu", gpu_to_json(cluster.root()));
-                    g.set(
-                        "cluster",
-                        if cluster.is_single() {
-                            Json::Null
-                        } else {
-                            cluster_to_json(cluster)
-                        },
-                    );
-                    if !streams.is_single() {
-                        g.set("streams", streams_to_json(*streams));
-                    }
-                    if !faults.is_empty() {
-                        g.set("faults", faults_to_json(faults));
-                    }
-                    g.set("count", Json::UInt(*count as u64));
-                    g
-                })
-                .collect(),
-        ),
-    );
-    replica0.set("fleet", fleet);
-    replica0.render()
-}
-
-fn cache_to_json(cache: &CacheConfig) -> Json {
-    let mut doc = Json::object();
-    doc.set("capacity_bytes", Json::UInt(cache.capacity_bytes));
-    doc.set("line_bytes", Json::UInt(cache.line_bytes));
-    doc.set("associativity", Json::UInt(cache.associativity as u64));
-    doc.set("hit_latency", Json::UInt(cache.hit_latency));
-    doc
-}
-
-fn gpu_to_json(gpu: &GpuConfig) -> Json {
-    let mut doc = Json::object();
-    doc.set("name", Json::Str(gpu.name.clone()));
-    doc.set("num_sms", Json::UInt(gpu.num_sms as u64));
-    doc.set("smsps_per_sm", Json::UInt(gpu.smsps_per_sm as u64));
-    doc.set("max_warps_per_sm", Json::UInt(gpu.max_warps_per_sm as u64));
-    doc.set(
-        "max_blocks_per_sm",
-        Json::UInt(gpu.max_blocks_per_sm as u64),
-    );
-    doc.set("registers_per_sm", Json::UInt(gpu.registers_per_sm as u64));
-    doc.set(
-        "register_alloc_granularity",
-        Json::UInt(gpu.register_alloc_granularity as u64),
-    );
-    doc.set("warp_size", Json::UInt(gpu.warp_size as u64));
-    doc.set("clock_ghz", Json::Num(gpu.clock_ghz));
-    doc.set("shared_mem_per_sm", Json::UInt(gpu.shared_mem_per_sm));
-    doc.set("shared_mem_latency", Json::UInt(gpu.shared_mem_latency));
-    doc.set("register_latency", Json::UInt(gpu.register_latency));
-    doc.set("l1", cache_to_json(&gpu.l1));
-    doc.set("l2", cache_to_json(&gpu.l2));
-    doc.set(
-        "l2_max_persisting_fraction",
-        Json::Num(gpu.l2_max_persisting_fraction),
-    );
-    let mut dram = Json::object();
-    dram.set("capacity_bytes", Json::UInt(gpu.dram.capacity_bytes));
-    dram.set("latency", Json::UInt(gpu.dram.latency));
-    dram.set(
-        "peak_bandwidth_gbps",
-        Json::Num(gpu.dram.peak_bandwidth_gbps),
-    );
-    doc.set("dram", dram);
-    doc.set("alu_latency", Json::UInt(gpu.alu_latency));
-    doc
-}
-
-fn cluster_to_json(cluster: &Cluster) -> Json {
-    let mut doc = Json::object();
-    doc.set(
-        "devices",
-        Json::Arr(cluster.devices().iter().map(gpu_to_json).collect()),
-    );
-    let ic = cluster.interconnect();
-    let mut fabric = Json::object();
-    fabric.set("name", Json::Str(ic.name.clone()));
-    fabric.set("link_latency_us", Json::Num(ic.link_latency_us));
-    fabric.set("link_bandwidth_gbps", Json::Num(ic.link_bandwidth_gbps));
-    doc.set("interconnect", fabric);
-    doc
-}
-
-fn model_to_json(model: &DlrmConfig) -> Json {
-    let mut doc = Json::object();
-    doc.set(
-        "bottom_mlp",
-        Json::Arr(
-            model
-                .bottom_mlp
-                .iter()
-                .map(|&n| Json::UInt(n as u64))
-                .collect(),
-        ),
-    );
-    doc.set(
-        "top_mlp",
-        Json::Arr(
-            model
-                .top_mlp
-                .iter()
-                .map(|&n| Json::UInt(n as u64))
-                .collect(),
-        ),
-    );
-    doc.set("num_tables", Json::UInt(model.num_tables as u64));
-    let mut emb = Json::object();
-    emb.set("num_rows", Json::UInt(model.embedding.trace.num_rows));
-    emb.set(
-        "batch_size",
-        Json::UInt(model.embedding.trace.batch_size as u64),
-    );
-    emb.set(
-        "pooling_factor",
-        Json::UInt(model.embedding.trace.pooling_factor as u64),
-    );
-    emb.set(
-        "embedding_dim",
-        Json::UInt(model.embedding.embedding_dim as u64),
-    );
-    doc.set("embedding", emb);
-    doc
-}
-
-fn dataset_to_json(dataset: &Dataset) -> Json {
-    let mut doc = Json::object();
-    match dataset {
-        Dataset::Homogeneous(pattern) => {
-            doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
-        }
-        Dataset::Mix(mix) => {
-            let mut m = Json::object();
-            m.set("name", Json::Str(mix.name().to_string()));
-            m.set(
-                "composition",
-                Json::Arr(
-                    mix.composition()
-                        .iter()
-                        .map(|&(pattern, count)| {
-                            Json::Arr(vec![
-                                Json::Str(pattern.paper_name().to_string()),
-                                Json::UInt(count as u64),
-                            ])
-                        })
-                        .collect(),
-                ),
-            );
-            doc.set("mix", m);
-        }
-    }
-    doc
-}
-
-fn workload_to_json(workload: &Workload) -> Json {
-    let mut doc = Json::object();
-    doc.set("kind", Json::Str(workload.kind().name().to_string()));
-    match workload.target() {
-        WorkloadTarget::Kernel(pattern) => {
-            doc.set("pattern", Json::Str(pattern.paper_name().to_string()));
-        }
-        WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
-            doc.set("dataset", dataset_to_json(dataset));
-        }
-    }
-    doc.set(
-        "sharding",
-        match workload.sharding() {
-            Some(spec) => Json::Str(spec.name().to_string()),
-            None => Json::Null,
-        },
-    );
-    doc
-}
-
-fn scheme_to_json(scheme: &Scheme) -> Json {
-    let mut doc = Json::object();
-    doc.set(
-        "multithreading",
-        Json::Str(match scheme.multithreading() {
-            Multithreading::Default => "default".to_string(),
-            Multithreading::OptMt => "optmt".to_string(),
-            Multithreading::MaxRegisters(r) => format!("maxrreg{r}"),
+    groups: &[ReplicaGroup],
+) {
+    w.set(
+        "autoscale",
+        object(|a| {
+            a.set("cooldown_intervals", autoscale.cooldown_intervals());
+            a.set("kind", autoscale.kind().name());
+            a.set("max_replicas", autoscale.max_replicas());
+            a.set("min_replicas", autoscale.min_replicas());
+            a.set("scale_in_threshold", autoscale.scale_in_threshold());
+            a.set("scale_out_threshold", autoscale.scale_out_threshold());
         }),
     );
-    doc.set(
-        "prefetch",
-        match scheme.prefetch() {
-            Some(p) => {
-                let mut obj = Json::object();
-                obj.set("station", Json::Str(p.station.abbreviation().to_string()));
-                obj.set("distance", Json::UInt(p.distance as u64));
-                obj
+    w.set("interval_us", interval_us);
+    w.set(
+        "replicas",
+        array(|a| {
+            for group in groups {
+                let cluster = group.experiment().cluster();
+                let streams = group.experiment().streams();
+                let faults = group.scenario().faults();
+                a.push(object(|g| {
+                    write_placement(g, cluster);
+                    g.set("count", group.replicas());
+                    if !faults.is_empty() {
+                        g.set("faults", array(|f| write_faults(f, faults)));
+                    }
+                    g.set("gpu", object(|d| write_gpu(d, cluster.root())));
+                    if !streams.is_single() {
+                        g.set("streams", object(|s| write_streams(s, streams)));
+                    }
+                }));
             }
-            None => Json::Null,
-        },
+        }),
     );
-    doc.set(
-        "l2_pinning",
-        match scheme.l2_pinning() {
-            Some(p) => {
-                let mut obj = Json::object();
-                obj.set(
-                    "carveout_bytes",
-                    match p.carveout_bytes {
-                        Some(b) => Json::UInt(b),
-                        None => Json::Null,
-                    },
+    w.set(
+        "routing",
+        object(|r| {
+            r.set("ewma_alpha", routing.ewma_alpha());
+            r.set("kind", routing.kind().name());
+        }),
+    );
+}
+
+fn write_cache(w: &mut ObjectWriter<'_>, cache: &CacheConfig) {
+    w.set("associativity", cache.associativity);
+    w.set("capacity_bytes", cache.capacity_bytes);
+    w.set("hit_latency", cache.hit_latency);
+    w.set("line_bytes", cache.line_bytes);
+}
+
+fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
+    w.set("alu_latency", gpu.alu_latency);
+    w.set("clock_ghz", gpu.clock_ghz);
+    w.set(
+        "dram",
+        object(|d| {
+            d.set("capacity_bytes", gpu.dram.capacity_bytes);
+            d.set("latency", gpu.dram.latency);
+            d.set("peak_bandwidth_gbps", gpu.dram.peak_bandwidth_gbps);
+        }),
+    );
+    w.set("l1", object(|c| write_cache(c, &gpu.l1)));
+    w.set("l2", object(|c| write_cache(c, &gpu.l2)));
+    w.set("l2_max_persisting_fraction", gpu.l2_max_persisting_fraction);
+    w.set("max_blocks_per_sm", gpu.max_blocks_per_sm);
+    w.set("max_warps_per_sm", gpu.max_warps_per_sm);
+    w.set("name", gpu.name.as_str());
+    w.set("num_sms", gpu.num_sms);
+    w.set("register_alloc_granularity", gpu.register_alloc_granularity);
+    w.set("register_latency", gpu.register_latency);
+    w.set("registers_per_sm", gpu.registers_per_sm);
+    w.set("shared_mem_latency", gpu.shared_mem_latency);
+    w.set("shared_mem_per_sm", gpu.shared_mem_per_sm);
+    w.set("smsps_per_sm", gpu.smsps_per_sm);
+    w.set("warp_size", gpu.warp_size);
+}
+
+fn write_cluster(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
+    w.set(
+        "devices",
+        array(|a| {
+            for gpu in cluster.devices() {
+                a.push(object(|g| write_gpu(g, gpu)));
+            }
+        }),
+    );
+    let ic = cluster.interconnect();
+    w.set(
+        "interconnect",
+        object(|f| {
+            f.set("link_bandwidth_gbps", ic.link_bandwidth_gbps);
+            f.set("link_latency_us", ic.link_latency_us);
+            f.set("name", ic.name.as_str());
+        }),
+    );
+}
+
+fn write_model(w: &mut ObjectWriter<'_>, model: &DlrmConfig) {
+    w.set(
+        "bottom_mlp",
+        array(|a| model.bottom_mlp.iter().for_each(|&n| a.push(n))),
+    );
+    let emb = &model.embedding;
+    w.set(
+        "embedding",
+        object(|e| {
+            e.set("batch_size", emb.trace.batch_size);
+            e.set("embedding_dim", emb.embedding_dim);
+            e.set("num_rows", emb.trace.num_rows);
+            e.set("pooling_factor", emb.trace.pooling_factor);
+        }),
+    );
+    w.set("num_tables", model.num_tables);
+    w.set(
+        "top_mlp",
+        array(|a| model.top_mlp.iter().for_each(|&n| a.push(n))),
+    );
+}
+
+fn write_dataset(w: &mut ObjectWriter<'_>, dataset: &Dataset) {
+    match dataset {
+        Dataset::Homogeneous(pattern) => w.set("pattern", pattern.paper_name()),
+        Dataset::Mix(mix) => w.set(
+            "mix",
+            object(|m| {
+                m.set(
+                    "composition",
+                    array(|a| {
+                        for &(pattern, count) in mix.composition() {
+                            a.push(array(|pair| {
+                                pair.push(pattern.paper_name());
+                                pair.push(count);
+                            }));
+                        }
+                    }),
                 );
-                obj
-            }
-            None => Json::Null,
-        },
+                m.set("name", mix.name());
+            }),
+        ),
+    }
+}
+
+fn write_workload(w: &mut ObjectWriter<'_>, workload: &Workload) {
+    // `dataset` sorts before `kind` and `pattern` after it.
+    let kernel_pattern = match workload.target() {
+        WorkloadTarget::Kernel(pattern) => Some(pattern),
+        WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
+            w.set("dataset", object(|d| write_dataset(d, dataset)));
+            None
+        }
+    };
+    w.set("kind", workload.kind().name());
+    if let Some(pattern) = kernel_pattern {
+        w.set("pattern", pattern.paper_name());
+    }
+    w.set("sharding", workload.sharding().map(|spec| spec.name()));
+}
+
+fn write_scheme(w: &mut ObjectWriter<'_>, scheme: &Scheme) {
+    w.set(
+        "l2_pinning",
+        scheme
+            .l2_pinning()
+            .map(|p| object(move |o| o.set("carveout_bytes", p.carveout_bytes))),
     );
-    doc
+    match scheme.multithreading() {
+        Multithreading::Default => w.set("multithreading", "default"),
+        Multithreading::OptMt => w.set("multithreading", "optmt"),
+        Multithreading::MaxRegisters(r) => w.set("multithreading", format!("maxrreg{r}").as_str()),
+    }
+    w.set(
+        "prefetch",
+        scheme.prefetch().map(|p| {
+            object(move |o| {
+                o.set("distance", p.distance);
+                o.set("station", p.station.abbreviation());
+            })
+        }),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use dlrm::WorkloadScale;
     use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
 
@@ -410,7 +337,7 @@ mod tests {
         workload: &Workload,
         scheme: &Scheme,
     ) -> String {
-        cell_doc(
+        super::cell_key(
             cluster,
             model,
             scale_name,
@@ -421,8 +348,8 @@ mod tests {
             faults,
             workload,
             scheme,
+            None,
         )
-        .render()
     }
 
     fn key(workload: &Workload, scheme: &Scheme) -> String {

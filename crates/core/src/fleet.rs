@@ -864,8 +864,8 @@ impl Fleet {
         self.pool_size() == 1 && self.spec.is_identity()
     }
 
-    /// The canonical fleet cell key: the replica-0 cell document extended
-    /// with a `fleet` axis — except for the identity fleet, whose key is
+    /// The canonical fleet cell key: the replica-0 cell key extended with a
+    /// `fleet` axis — except for the identity fleet, whose key is
     /// **byte-identical** to its replica's plain
     /// [`Experiment::fingerprint`] cell key (with the scenario's fault
     /// plan folded in the way serving pricing folds it), so a degenerate
@@ -878,27 +878,18 @@ impl Fleet {
             .groups
             .first()
             .expect("a fleet needs at least one replica group");
-        let replica0 = pricing_experiment(g0).cell_doc(workload, scheme);
-        let groups: Vec<_> = self
-            .groups
-            .iter()
-            .map(|g| {
-                (
-                    g.experiment.cluster().clone(),
-                    g.experiment.streams(),
-                    g.scenario.faults().clone(),
-                    g.replicas,
-                )
-            })
-            .collect();
-        crate::fingerprint::fleet_key(
-            replica0,
-            &self.spec.routing,
-            &self.spec.autoscale,
-            self.spec.interval_us,
-            &groups,
-            self.is_identity(),
-        )
+        let fleet = |w: &mut crate::json::ObjectWriter<'_>| {
+            crate::fingerprint::fleet_axis(
+                w,
+                &self.spec.routing,
+                &self.spec.autoscale,
+                self.spec.interval_us,
+                &self.groups,
+            )
+        };
+        let axis: Option<crate::fingerprint::FleetAxis<'_>> =
+            (!self.is_identity()).then_some(&fleet);
+        pricing_experiment(g0).cell_key(workload, scheme, axis)
     }
 
     /// Routes the fleet-wide arrival trace across replicas, applies the

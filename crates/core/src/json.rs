@@ -6,9 +6,25 @@
 //! Numbers keep their integer/float distinction so that `u64` fields (seeds,
 //! cycle counters) round-trip exactly, and floats are rendered with Rust's
 //! shortest-round-trip formatting so `f64` fields round-trip exactly too.
+//!
+//! Next to the [`Json`] tree sits a streaming writer, `write_object`: it
+//! emits `{"k":v,...}` straight into a `String`, with nested objects and
+//! arrays written through closures, and never builds a tree. Cache keys
+//! (`crate::fingerprint`) are written this way. The writer checks in debug
+//! builds that keys arrive in strictly ascending byte order, which is the
+//! order a [`Json::Obj`] renders in, and both share one set of scalar
+//! formatters. Streaming a document therefore yields exactly the bytes that
+//! rendering the equivalent tree would.
+//!
+//! [`Json::parse`] accepts arrays and objects nested at most 128 deep and
+//! returns an error beyond that, so hostile input cannot overflow the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,21 +123,10 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => out.push_str(&u.to_string()),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    let s = format!("{n}");
-                    out.push_str(&s);
-                    // Keep floats recognisable as floats on re-parse.
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(s, out),
+            Json::UInt(u) => write_u64(*u, out),
+            Json::Int(i) => write_i64(*i, out),
+            Json::Num(n) => write_f64(*n, out),
+            Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -138,7 +143,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(k, out);
                     out.push(':');
                     v.write(out);
                 }
@@ -150,11 +155,13 @@ impl Json {
     /// Parses a JSON document.
     ///
     /// # Errors
-    /// Returns a [`JsonError`] describing the first syntax error.
+    /// Returns a [`JsonError`] describing the first syntax error, or
+    /// reporting arrays and objects nested more than 128 deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -166,22 +173,210 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `u` in decimal without a temporary `String`.
+fn write_u64(mut u: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| d as char));
+}
+
+fn write_i64(i: i64, out: &mut String) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(i.unsigned_abs(), out);
+}
+
+/// Writes `n` in shortest round-trip form, with `.0` appended to whole
+/// values so they re-parse as floats; non-finite values become `null`.
+fn write_f64(n: f64, out: &mut String) {
+    if !n.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+    // Keep floats recognisable as floats on re-parse.
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Writes `s` as a quoted JSON string, escaping only what must be escaped.
+fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    out.push_str("\\u00");
+                    out.push(HEX[c as usize >> 4] as char);
+                    out.push(HEX[c as usize & 0xF] as char);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// A value the streaming writer can emit. Scalars share their formatting
+/// with [`Json::render`]; [`object()`] and [`array()`] wrap closures that write
+/// nested documents.
+pub(crate) trait WriteJson {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(self, out: &mut String);
+}
+
+impl WriteJson for u64 {
+    fn write_json(self, out: &mut String) {
+        write_u64(self, out);
+    }
+}
+
+impl WriteJson for u32 {
+    fn write_json(self, out: &mut String) {
+        write_u64(self.into(), out);
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(self, out: &mut String) {
+        write_u64(self as u64, out);
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(self, out: &mut String) {
+        write_f64(self, out);
+    }
+}
+
+impl WriteJson for &str {
+    fn write_json(self, out: &mut String) {
+        write_str(self, out);
+    }
+}
+
+/// `None` is written as `null`.
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(self, out: &mut String) {
+        match self {
+            Some(value) => value.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+/// A nested object whose fields a closure writes; see [`object()`].
+pub(crate) struct Object<F>(F);
+
+/// A nested array whose items a closure writes; see [`array()`].
+pub(crate) struct Array<F>(F);
+
+/// A nested object value: `fields` writes its fields.
+pub(crate) fn object<F: FnOnce(&mut ObjectWriter<'_>)>(fields: F) -> Object<F> {
+    Object(fields)
+}
+
+/// A nested array value: `items` writes its items.
+pub(crate) fn array<F: FnOnce(&mut ArrayWriter<'_>)>(items: F) -> Array<F> {
+    Array(items)
+}
+
+impl<F: FnOnce(&mut ObjectWriter<'_>)> WriteJson for Object<F> {
+    fn write_json(self, out: &mut String) {
+        write_object(out, self.0);
+    }
+}
+
+impl<F: FnOnce(&mut ArrayWriter<'_>)> WriteJson for Array<F> {
+    fn write_json(self, out: &mut String) {
+        out.push('[');
+        (self.0)(&mut ArrayWriter { out, first: true });
+        out.push(']');
+    }
+}
+
+/// Appends the object whose fields `fields` writes to `out`. Fields must be
+/// set in strictly ascending key order (checked in debug builds), so the
+/// output is byte-identical to rendering the equivalent [`Json::Obj`].
+pub(crate) fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    fields(&mut ObjectWriter {
+        out,
+        first: true,
+        #[cfg(debug_assertions)]
+        last_key: String::new(),
+    });
+    out.push('}');
+}
+
+/// Writes the fields of one object in canonical (ascending key) order.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+    #[cfg(debug_assertions)]
+    last_key: String,
+}
+
+impl ObjectWriter<'_> {
+    /// Writes the field `key: value`.
+    ///
+    /// # Panics
+    /// In debug builds, panics unless `key` sorts strictly after the
+    /// previous key of this object.
+    pub(crate) fn set(&mut self, key: &str, value: impl WriteJson) {
+        #[cfg(debug_assertions)]
+        {
+            assert!(
+                self.first || self.last_key.as_str() < key,
+                "object keys must arrive in strictly ascending order: {key:?} after {:?}",
+                self.last_key
+            );
+            self.last_key.clear();
+            self.last_key.push_str(key);
+        }
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        write_str(key, self.out);
+        self.out.push(':');
+        value.write_json(self.out);
+    }
+}
+
+/// Writes the items of one array in order.
+pub(crate) struct ArrayWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ArrayWriter<'_> {
+    /// Appends `value` as the next item.
+    pub(crate) fn push(&mut self, value: impl WriteJson) {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        value.write_json(self.out);
+    }
 }
 
 /// A JSON syntax or schema error.
@@ -248,6 +443,8 @@ pub(crate) fn req_u32(doc: &Json, key: &str) -> Result<u32, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -292,11 +489,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] so deeply nested input cannot exhaust the stack.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("arrays and objects nest too deeply"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -536,5 +748,133 @@ mod tests {
     fn whitespace_is_tolerated() {
         let doc = " { \"a\" : [ 1 , null , { } ] } ";
         assert!(Json::parse(doc).is_ok());
+    }
+
+    /// The object `{"v": value}` streamed through the writer.
+    fn streamed(value: impl WriteJson) -> String {
+        let mut out = String::new();
+        write_object(&mut out, |w| w.set("v", value));
+        out
+    }
+
+    /// The object `{"v": value}` rendered from a tree.
+    fn rendered(value: Json) -> String {
+        let mut doc = Json::object();
+        doc.set("v", value);
+        doc.render()
+    }
+
+    #[test]
+    fn the_writer_formats_scalars_like_render() {
+        for f in [
+            0.0,
+            -0.0,
+            5e-324,
+            -2.225_073_858_507_201e-308,
+            f64::MIN_POSITIVE,
+            1e21,
+            1e-7,
+            3.0,
+            -42.0,
+            2.5e20,
+            0.1,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(streamed(f), rendered(Json::Num(f)), "{f:?}");
+        }
+        assert_eq!(streamed(f64::NAN), "{\"v\":null}");
+        for u in [0, 9, 10, 1_234_567_890, u64::MAX] {
+            assert_eq!(streamed(u), rendered(Json::UInt(u)), "{u}");
+        }
+        assert_eq!(streamed(u64::MAX), format!("{{\"v\":{}}}", u64::MAX));
+        assert_eq!(streamed(u32::MAX), rendered(Json::UInt(u32::MAX.into())));
+        for i in [-1, -10, i64::MIN] {
+            assert_eq!(rendered(Json::Int(i)), format!("{{\"v\":{i}}}"));
+        }
+        for text in [
+            "",
+            "plain",
+            "quote \" and backslash \\",
+            "tab\tnewline\ncr\r",
+            "\u{0}\u{1f}\u{7f}",
+            "é 😀",
+        ] {
+            assert_eq!(
+                streamed(text),
+                rendered(Json::Str(text.to_string())),
+                "{text:?}"
+            );
+            let back = Json::parse(&streamed(text)).unwrap();
+            assert_eq!(back.get("v").and_then(Json::as_str), Some(text));
+        }
+        assert_eq!(streamed(None::<u64>), rendered(Json::Null));
+    }
+
+    #[test]
+    fn streamed_documents_match_rendered_trees() {
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.set(
+                "a",
+                array(|a| {
+                    a.push(1u64);
+                    a.push(array(|_| {}));
+                    a.push(object(|o| o.set("x", 0.5)));
+                }),
+            );
+            w.set("b", object(|_| {}));
+            w.set("b_c", "s");
+            w.set("bc", Some(2u32));
+        });
+        let mut inner = Json::object();
+        inner.set("x", Json::Num(0.5));
+        let mut tree = Json::object();
+        tree.set("bc", Json::UInt(2));
+        tree.set("b_c", Json::Str("s".into()));
+        tree.set("b", Json::object());
+        tree.set(
+            "a",
+            Json::Arr(vec![Json::UInt(1), Json::Arr(vec![]), inner]),
+        );
+        assert_eq!(out, tree.render());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn out_of_order_keys_trip_the_debug_assertion() {
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.set("b", 1u64);
+            w.set("a", 2u64);
+        });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn repeated_keys_trip_the_debug_assertion() {
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.set("a", 1u64);
+            w.set("a", 2u64);
+        });
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.message.contains("nest"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(1_000_000);
+        assert!(Json::parse(&objects).is_err());
+        // The limit itself is accepted.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(Json::parse(&too_deep).is_err());
     }
 }

@@ -293,18 +293,23 @@ impl Experiment {
     /// the pooling factor), scale, seed, tables-to-simulate, engine mode,
     /// workload (including its sharding spec) and scheme. Execution knobs
     /// that cannot change results (worker threads, the attached cache
-    /// itself) are excluded. The encoding is a canonical JSON rendering
-    /// (sorted keys, shortest-round-trip floats), stable across processes,
-    /// which is what lets [`CampaignCache::save_to`] /
+    /// itself) are excluded. The encoding is canonical JSON (sorted keys,
+    /// shortest-round-trip floats) streamed straight into the key, stable
+    /// across processes, which is what lets [`CampaignCache::save_to`] /
     /// [`CampaignCache::load_from`] reuse results between runs.
     pub(crate) fn cell_fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
-        self.cell_doc(workload, scheme).render()
+        self.cell_key(workload, scheme, None)
     }
 
-    /// The cell fingerprint as a [`Json`](crate::json::Json) document; the
-    /// fleet layer extends it with a `fleet` axis before rendering.
-    pub(crate) fn cell_doc(&self, workload: &Workload, scheme: &Scheme) -> crate::json::Json {
-        crate::fingerprint::cell_doc(
+    /// The cell key extended with an optional `fleet` axis (the fleet layer
+    /// keys its cells on replica 0's experiment plus that axis).
+    pub(crate) fn cell_key(
+        &self,
+        workload: &Workload,
+        scheme: &Scheme,
+        fleet: Option<crate::fingerprint::FleetAxis<'_>>,
+    ) -> String {
+        crate::fingerprint::cell_key(
             &self.cluster,
             &self.model,
             self.scale.name(),
@@ -315,6 +320,7 @@ impl Experiment {
             &self.faults,
             workload,
             scheme,
+            fleet,
         )
     }
 

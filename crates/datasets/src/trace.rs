@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::coverage::CoverageCurve;
 use crate::pattern::AccessPattern;
-use crate::zipf::ZipfSampler;
+use crate::zipf::{RowPermutation, ZipfSampler};
 
 /// Shape of the trace for one embedding table: how many rows the table has
 /// and how much work one inference batch performs against it.
@@ -104,14 +104,10 @@ impl TraceConfig {
                 // `count` rows of the table.
                 (0..count.min(self.num_rows as usize) as u64).collect()
             }
+            // Popularity order is the sampler's rank->row permutation,
+            // which needs no CDF (and so no per-row `powf`).
             AccessPattern::HighHot | AccessPattern::MedHot | AccessPattern::LowHot => {
-                let sampler = ZipfSampler::new(
-                    self.num_rows,
-                    pattern
-                        .zipf_exponent()
-                        .expect("hot patterns have a Zipf exponent"),
-                );
-                sampler.hottest_rows(count)
+                RowPermutation::new(self.num_rows).hottest_rows(count)
             }
         }
     }
@@ -301,6 +297,27 @@ mod tests {
             fraction > 0.5,
             "offline hot candidates should cover most accesses, got {fraction:.2}"
         );
+    }
+
+    #[test]
+    fn hot_candidates_are_the_samplers_hottest_rows() {
+        for pattern in [
+            AccessPattern::HighHot,
+            AccessPattern::MedHot,
+            AccessPattern::LowHot,
+        ] {
+            let exponent = pattern.zipf_exponent().unwrap();
+            for rows in [1, 7, 1_000, 250_000] {
+                let cfg = TraceConfig::new(rows, 8, 4);
+                for count in [0, 1, 64, 4096] {
+                    assert_eq!(
+                        cfg.hot_row_candidates(pattern, count, 3),
+                        ZipfSampler::new(rows, exponent).hottest_rows(count),
+                        "{pattern:?} rows={rows} count={count}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,10 @@ use rand::Rng;
 /// distribution over `num_rows` rows.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
-    num_rows: u64,
     exponent: f64,
     /// Cumulative distribution over ranks, normalised to 1.0.
     cdf: Vec<f64>,
-    /// Multiplicative constant of the rank->row permutation.
-    perm_mult: u64,
+    perm: RowPermutation,
 }
 
 impl ZipfSampler {
@@ -44,16 +42,15 @@ impl ZipfSampler {
             *v /= total;
         }
         ZipfSampler {
-            num_rows,
             exponent,
             cdf,
-            perm_mult: largest_coprime_multiplier(num_rows),
+            perm: RowPermutation::new(num_rows),
         }
     }
 
     /// Number of rows this sampler draws from.
     pub fn num_rows(&self) -> u64 {
-        self.num_rows
+        self.perm.num_rows
     }
 
     /// The configured exponent.
@@ -75,22 +72,20 @@ impl ZipfSampler {
     /// Maps a popularity rank (0 = most popular) to a row id via a fixed
     /// pseudo-random permutation of the table.
     pub fn rank_to_row(&self, rank: u64) -> u64 {
-        (rank.wrapping_mul(self.perm_mult).wrapping_add(0x9E37_79B9)) % self.num_rows
+        self.perm.rank_to_row(rank)
     }
 
     /// Returns the `count` most popular row ids (in popularity order), i.e.
     /// the candidates the paper's L2-pinning scheme identifies by offline
     /// profiling (Figure 10, step 1).
     pub fn hottest_rows(&self, count: usize) -> Vec<u64> {
-        (0..count.min(self.num_rows as usize) as u64)
-            .map(|r| self.rank_to_row(r))
-            .collect()
+        self.perm.hottest_rows(count)
     }
 
     /// The analytical probability of drawing popularity rank `rank`
     /// (0-based).
     pub fn rank_probability(&self, rank: u64) -> f64 {
-        if rank >= self.num_rows {
+        if rank >= self.perm.num_rows {
             return 0.0;
         }
         let prev = if rank == 0 {
@@ -99,6 +94,34 @@ impl ZipfSampler {
             self.cdf[rank as usize - 1]
         };
         self.cdf[rank as usize] - prev
+    }
+}
+
+/// The fixed pseudo-random rank->row permutation of a [`ZipfSampler`]. It
+/// depends only on the table size, so the hottest rows can be listed
+/// without building the sampler's CDF.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowPermutation {
+    num_rows: u64,
+    mult: u64,
+}
+
+impl RowPermutation {
+    pub(crate) fn new(num_rows: u64) -> Self {
+        RowPermutation {
+            num_rows,
+            mult: largest_coprime_multiplier(num_rows),
+        }
+    }
+
+    pub(crate) fn rank_to_row(&self, rank: u64) -> u64 {
+        (rank.wrapping_mul(self.mult).wrapping_add(0x9E37_79B9)) % self.num_rows
+    }
+
+    pub(crate) fn hottest_rows(&self, count: usize) -> Vec<u64> {
+        (0..count.min(self.num_rows as usize) as u64)
+            .map(|r| self.rank_to_row(r))
+            .collect()
     }
 }
 

@@ -735,6 +735,11 @@ fn fleet_fingerprints_partition_the_campaign_cache() {
             outstanding, aware,
             "distinct routing policies must key distinct cells"
         );
+        // Streamed keys are canonical JSON: parsing and re-rendering them
+        // reproduces every byte.
+        for key in [&plain, &outstanding, &aware] {
+            assert_eq!(&Json::parse(key).expect("keys parse").render(), key);
+        }
     });
 }
 
