@@ -26,24 +26,13 @@ pub struct AllowDirective {
     pub line: usize,
 }
 
-/// What to erase when masking a source file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaskMode {
-    /// Erase comments only (string literals survive — used when rule logic
-    /// needs literal values, e.g. fingerprint key extraction).
-    Comments,
-    /// Erase comments and string/char literal contents (used by token
-    /// rules, so `"HashMap"` in a message never trips a rule).
-    CommentsAndStrings,
-}
-
-/// Returns `source` with comments (and optionally literal contents)
-/// replaced by spaces. Newlines inside erased regions are preserved so the
-/// result has identical line structure.
-pub fn mask(source: &str, mode: MaskMode) -> String {
+/// Returns `source` with comments and string/char literal contents
+/// replaced by spaces, so `"HashMap"` in a message never trips a rule.
+/// Newlines inside erased regions are preserved so the result has
+/// identical line structure.
+pub fn mask(source: &str) -> String {
     let bytes = source.as_bytes();
     let mut out: Vec<u8> = bytes.to_vec();
-    let erase_strings = mode == MaskMode::CommentsAndStrings;
     let mut i = 0usize;
 
     // Blanks `out[from..to]`, preserving newlines.
@@ -84,31 +73,23 @@ pub fn mask(source: &str, mode: MaskMode) -> String {
             b'r' | b'b' if is_raw_string_start(bytes, i) => {
                 let start = i;
                 i = skip_raw_string(bytes, i);
-                if erase_strings {
-                    blank(&mut out, start, i);
-                }
+                blank(&mut out, start, i);
             }
             b'b' if i + 1 < bytes.len() && bytes[i + 1] == b'"' => {
                 let start = i;
                 i = skip_quoted(bytes, i + 1);
-                if erase_strings {
-                    blank(&mut out, start, i);
-                }
+                blank(&mut out, start, i);
             }
             b'"' => {
                 let start = i;
                 i = skip_quoted(bytes, i);
-                if erase_strings {
-                    blank(&mut out, start, i);
-                }
+                blank(&mut out, start, i);
             }
             b'\'' => {
                 // Distinguish a char literal from a lifetime: a lifetime is
                 // `'ident` NOT followed by a closing quote.
                 if let Some(end) = char_literal_end(bytes, i) {
-                    if erase_strings {
-                        blank(&mut out, i, end);
-                    }
+                    blank(&mut out, i, end);
                     i = end;
                 } else {
                     i += 1; // lifetime: skip just the quote
@@ -213,10 +194,14 @@ fn utf8_len(first: u8) -> usize {
 
 /// Extracts every `audit:allow(rule): reason` directive from the raw
 /// source. Directives must live in a `//` line comment; the reason is
-/// whatever follows the first colon after the closing parenthesis.
+/// whatever follows the first colon after the closing parenthesis. A
+/// directive that opens a standalone comment continues onto the non-empty
+/// plain `//` comment lines right below it, which are appended to the
+/// reason.
 pub fn allow_directives(source: &str) -> Vec<AllowDirective> {
+    let lines: Vec<&str> = source.lines().collect();
     let mut out = Vec::new();
-    for (idx, raw) in source.lines().enumerate() {
+    for (idx, raw) in lines.iter().enumerate() {
         let Some(comment_at) = raw.find("//") else {
             continue;
         };
@@ -235,10 +220,24 @@ pub fn allow_directives(source: &str) -> Vec<AllowDirective> {
         };
         let rule = rest[..close].trim().to_string();
         let after = &rest[close + 1..];
-        let reason = after
+        let mut reason = after
             .strip_prefix(':')
             .map(|r| r.trim().to_string())
             .unwrap_or_default();
+        if !reason.is_empty() && raw[..comment_at].trim().is_empty() {
+            for next in &lines[idx + 1..] {
+                let Some(text) = next.trim_start().strip_prefix("//") else {
+                    break;
+                };
+                let text = text.trim();
+                if text.is_empty() || text.starts_with(['/', '!']) || text.contains("audit:allow(")
+                {
+                    break;
+                }
+                reason.push(' ');
+                reason.push_str(text);
+            }
+        }
         out.push(AllowDirective {
             rule,
             reason,
@@ -280,7 +279,7 @@ mod tests {
     #[test]
     fn comments_and_strings_are_blanked() {
         let src = "let a = 1; // HashMap here\nlet b = \"HashMap\"; /* SystemTime */ let c = 2;";
-        let masked = mask(src, MaskMode::CommentsAndStrings);
+        let masked = mask(src);
         assert!(!masked.contains("HashMap"));
         assert!(!masked.contains("SystemTime"));
         assert!(masked.contains("let a = 1;"));
@@ -289,17 +288,9 @@ mod tests {
     }
 
     #[test]
-    fn comment_only_mode_keeps_strings() {
-        let src = "doc.set(\"num_sms\", x); // trailing";
-        let masked = mask(src, MaskMode::Comments);
-        assert!(masked.contains("\"num_sms\""));
-        assert!(!masked.contains("trailing"));
-    }
-
-    #[test]
     fn nested_block_comments_and_raw_strings() {
         let src = "/* a /* b */ HashMap */ let r = r#\"HashSet\"#;";
-        let masked = mask(src, MaskMode::CommentsAndStrings);
+        let masked = mask(src);
         assert!(!masked.contains("HashMap"));
         assert!(!masked.contains("HashSet"));
         assert!(masked.contains("let r ="));
@@ -308,7 +299,7 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> char { 'x' }";
-        let masked = mask(src, MaskMode::CommentsAndStrings);
+        let masked = mask(src);
         assert!(masked.contains("&'a str"));
         assert!(!masked.contains("'x'"));
     }
@@ -323,6 +314,23 @@ mod tests {
         assert_eq!(ds[0].line, 1);
         assert_eq!(ds[1].rule, "wall_clock");
         assert_eq!(ds[1].reason, "");
+    }
+
+    #[test]
+    fn standalone_directives_continue_onto_following_comment_lines() {
+        let src = "    // audit:allow(unordered_collection): drained via sort_by with an\n    \
+                   // explicit tie-break below\n    let m = HashMap::new();\n\
+                   let s = HashSet::new(); // audit:allow(unordered_collection): cardinality\n\
+                   // unrelated note\n";
+        let ds = allow_directives(src);
+        assert_eq!(ds.len(), 2);
+        assert_eq!(
+            ds[0].reason,
+            "drained via sort_by with an explicit tie-break below"
+        );
+        assert_eq!(ds[0].line, 1);
+        // A trailing directive ends on its own line.
+        assert_eq!(ds[1].reason, "cardinality");
     }
 
     #[test]

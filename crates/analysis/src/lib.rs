@@ -1,4 +1,4 @@
-//! Workspace determinism & cache-soundness auditor.
+//! Workspace determinism auditor.
 //!
 //! `cargo run -p analysis` scans the workspace sources, writes a
 //! machine-readable `AUDIT.json` at the workspace root, and exits nonzero
@@ -15,7 +15,6 @@
 //! | `unordered_collection` | `HashMap`/`HashSet` use sites — iteration order is randomized per process, so any iteration feeding a result breaks run-to-run determinism | result-producing crates: `gpu-sim`, `core` (perf-envelope), `kernels`, `datasets` |
 //! | `wall_clock` | `Instant`/`SystemTime` — host timing must never reach a simulated result | everywhere except `crates/bench` (the one crate allowed to time things) |
 //! | `thread_accumulation` | shared-state accumulation shapes (`Mutex<Vec`, `RwLock<Vec`, `fetch_add(`, `fetch_sub(`, locked `push`) whose value or order depends on thread interleaving | result-producing crates (same set as `unordered_collection`) |
-//! | `fingerprint_coverage` | a field of a result-affecting config struct (see [`rules::AUDITED_STRUCTS`]) that is neither emitted as a key in `crates/core/src/fingerprint.rs` nor declared in the manifest | config structs vs. the fingerprint module |
 //! | `malformed_allow` | an `audit:allow` directive naming an unknown rule or missing its justification | anywhere directives appear |
 //!
 //! `use` statements are exempt from the token rules: the hazard lives at
@@ -33,27 +32,20 @@
 //! below it (blank and comment-only lines are skipped, so a standalone
 //! comment may run to several lines before the declaration it annotates).
 //! The justification after the colon is mandatory — an empty reason is
-//! reported as `malformed_allow`, as is an unknown rule name. Suppressed
+//! reported as `malformed_allow`, as is an unknown rule name. A standalone
+//! directive's reason continues onto the non-empty plain `//` lines right
+//! below it. Suppressed
 //! findings are still recorded in `AUDIT.json` under `"suppressed"`, so
 //! the allow-list is reviewable in one place.
 //!
-//! # The fingerprint manifest
+//! # Fingerprint coverage is the compiler's job
 //!
-//! `crates/analysis/fingerprint_manifest.txt` declares how struct fields
-//! that do not match an emitted key verbatim are covered. Two entry
-//! forms (one per line, `#` comments allowed):
-//!
-//! ```text
-//! GpuConfig.max_concurrent_streams => exempt: validation cap only; actual stream count is fingerprinted via the streams key
-//! Workload.target => keys: kind pattern dataset
-//! ```
-//!
-//! `keys:` entries are verified against the keys actually emitted by
-//! `fingerprint.rs`; stale entries (field renamed away, field now
-//! fingerprinted directly, key no longer emitted) are findings. Every
-//! field of every audited struct is enumerated in the `"coverage"`
-//! section of `AUDIT.json` with its resolution
-//! (`fingerprinted` / `via_keys` / `exempt`).
+//! Whether every field of a result-affecting config struct reaches the
+//! cache-cell key is not checked here. Each such struct has one key writer
+//! that destructures it without a `..` rest pattern (see
+//! `perf_envelope`'s `fingerprint` module), so a new field does not compile
+//! until it is written or bound to `_` with a reason, and a deleted write
+//! leaves an unused binding that `clippy -D warnings` rejects.
 //!
 //! # Adding a rule
 //!
@@ -66,10 +58,6 @@
 //! 3. Add a seeded-violation fixture under `tests/fixtures/` and a case
 //!    in `tests/analyzer.rs` proving the rule fires and suppresses.
 //! 4. Document it in the table above.
-//!
-//! Non-token rules (like `fingerprint_coverage`) are plain functions in
-//! `rules.rs` invoked from [`audit_workspace`]; follow the same fixture
-//! discipline.
 
 pub mod jsonw;
 pub mod lexer;
@@ -78,10 +66,7 @@ pub mod rules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rules::{
-    coverage_from_sources, scan_tokens, FieldStatus, StructCoverage, AUDITED_STRUCTS,
-    THREAD_ACCUMULATION, UNORDERED_COLLECTION, WALL_CLOCK,
-};
+use rules::{scan_tokens, THREAD_ACCUMULATION, UNORDERED_COLLECTION, WALL_CLOCK};
 
 /// One unsuppressed rule violation.
 #[derive(Debug, Clone)]
@@ -111,16 +96,13 @@ pub struct Suppression {
     pub reason: String,
 }
 
-/// Full audit outcome: findings, the reviewable allow-list, and the
-/// fingerprint-coverage enumeration.
+/// Full audit outcome: findings and the reviewable allow-list.
 #[derive(Debug)]
 pub struct Audit {
     /// Unsuppressed violations; nonempty ⇒ the binary exits nonzero.
     pub findings: Vec<Finding>,
     /// Violations silenced by `audit:allow`, with their justifications.
     pub suppressed: Vec<Suppression>,
-    /// Per-struct field coverage from the fingerprint rule.
-    pub coverage: Vec<StructCoverage>,
     /// Number of `.rs` files scanned by the token rules.
     pub files_scanned: usize,
 }
@@ -144,12 +126,6 @@ const SKIP_DIRS: &[&str] = &[
     "crates/analysis",
     ".git",
 ];
-
-/// Workspace-relative path of the fingerprint module.
-pub const FINGERPRINT_FILE: &str = "crates/core/src/fingerprint.rs";
-
-/// Workspace-relative path of the coverage manifest.
-pub const MANIFEST_FILE: &str = "crates/analysis/fingerprint_manifest.txt";
 
 /// Recursively collects `.rs` files under `dir`, sorted, as
 /// workspace-relative paths. Sorted traversal keeps the audit output (and
@@ -178,7 +154,7 @@ fn rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Audits the workspace rooted at `root`: token rules over every in-scope
-/// `.rs` file plus the fingerprint-coverage cross-check.
+/// `.rs` file.
 pub fn audit_workspace(root: &Path) -> Audit {
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
@@ -209,46 +185,12 @@ pub fn audit_workspace(root: &Path) -> Audit {
         suppressed.extend(result.suppressed);
     }
 
-    // Fingerprint coverage: load each audited struct's file, the
-    // fingerprint module and the manifest.
-    let mut struct_sources: Vec<(&str, &str, String)> = Vec::new();
-    for spec in AUDITED_STRUCTS {
-        match fs::read_to_string(root.join(spec.file)) {
-            Ok(src) => struct_sources.push((spec.name, spec.file, src)),
-            Err(_) => findings.push(Finding {
-                rule: rules::FINGERPRINT_COVERAGE.to_string(),
-                file: spec.file.to_string(),
-                line: 1,
-                snippet: String::new(),
-                message: format!(
-                    "cannot read {} (audited struct '{}'); update AUDITED_STRUCTS if the file moved",
-                    spec.file, spec.name
-                ),
-            }),
-        }
-    }
-    let fingerprint_source = fs::read_to_string(root.join(FINGERPRINT_FILE)).unwrap_or_default();
-    let manifest_source = fs::read_to_string(root.join(MANIFEST_FILE)).unwrap_or_default();
-    let borrowed: Vec<(&str, &str, &str)> = struct_sources
-        .iter()
-        .map(|(n, f, s)| (*n, *f, s.as_str()))
-        .collect();
-    let (cov_findings, coverage) = coverage_from_sources(
-        &borrowed,
-        &fingerprint_source,
-        FINGERPRINT_FILE,
-        &manifest_source,
-        MANIFEST_FILE,
-    );
-    findings.extend(cov_findings);
-
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     suppressed.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
 
     Audit {
         findings,
         suppressed,
-        coverage,
         files_scanned,
     }
 }
@@ -284,49 +226,11 @@ impl Audit {
                 )
             })
             .collect();
-        let coverage: Vec<String> = self
-            .coverage
-            .iter()
-            .map(|sc| {
-                let fields: Vec<String> = sc
-                    .fields
-                    .iter()
-                    .map(|f| {
-                        let (status, detail) = match &f.status {
-                            Some(FieldStatus::Fingerprinted) => {
-                                ("fingerprinted".to_string(), String::new())
-                            }
-                            Some(FieldStatus::ViaKeys(ks)) => {
-                                ("via_keys".to_string(), ks.join(" "))
-                            }
-                            Some(FieldStatus::Exempt(reason)) => {
-                                ("exempt".to_string(), reason.clone())
-                            }
-                            None => ("UNCOVERED".to_string(), String::new()),
-                        };
-                        format!(
-                            "{{\"field\": {}, \"line\": {}, \"status\": {}, \"detail\": {}}}",
-                            str_lit(&f.name),
-                            f.line,
-                            str_lit(&status),
-                            str_lit(&detail)
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"struct\": {}, \"file\": {}, \"fields\": {}}}",
-                    str_lit(&sc.name),
-                    str_lit(&sc.file),
-                    array(&fields, 4)
-                )
-            })
-            .collect();
         format!(
-            "{{\n  \"schema\": \"perf-envelope/audit/v1\",\n  \"files_scanned\": {},\n  \"findings\": {},\n  \"suppressed\": {},\n  \"coverage\": {}\n}}\n",
+            "{{\n  \"schema\": \"perf-envelope/audit/v2\",\n  \"files_scanned\": {},\n  \"findings\": {},\n  \"suppressed\": {}\n}}\n",
             self.files_scanned,
             array(&findings, 2),
-            array(&suppressed, 2),
-            array(&coverage, 2)
+            array(&suppressed, 2)
         )
     }
 }

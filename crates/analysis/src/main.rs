@@ -21,10 +21,9 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "audit: {} files scanned, {} suppression(s), {} struct(s) fingerprint-checked -> {}",
+        "audit: {} files scanned, {} suppression(s) -> {}",
         audit.files_scanned,
         audit.suppressed.len(),
-        audit.coverage.len(),
         out.display()
     );
     if audit.findings.is_empty() {

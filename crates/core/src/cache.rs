@@ -93,7 +93,7 @@ impl CampaignCache {
         workload: &Workload,
         scheme: &Scheme,
     ) -> RunReport {
-        let key = experiment.cell_fingerprint(workload, scheme);
+        let key = experiment.fingerprint(workload, scheme);
         let slot = Arc::clone(
             self.map
                 .lock()

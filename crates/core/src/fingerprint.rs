@@ -15,6 +15,20 @@
 //! [`crate::CampaignCache::save_to`] / [`load_from`] usable for
 //! cross-process incremental re-runs.
 //!
+//! # Coverage by destructuring
+//!
+//! Every config struct that reaches a key has exactly one writer, and the
+//! writer opens by destructuring the struct **without** a `..` rest
+//! pattern. The writers for the foreign configuration structs (device,
+//! caches, DRAM, model, embedding, trace, prefetch, interconnect) live
+//! here; each struct of this crate writes itself with a `write_fields`
+//! method next to its definition, and the key is assembled from one
+//! exhaustive destructuring of [`crate::Experiment`]. A new field therefore
+//! does not compile until its writer writes it or binds it to `_` with a
+//! one-line reason, and a deleted write leaves an unused binding that
+//! `clippy -D warnings` rejects. The same writers serve the `to_json` of the
+//! configs that have one.
+//!
 //! The [`crate::serving`] layer's batch shapes ride on this encoding for
 //! free: a priced batch is an experiment whose model carries the shape as
 //! its batch size (`Experiment::with_batch_size`), and the batch size is
@@ -24,360 +38,178 @@
 //! [`load_from`]: crate::CampaignCache::load_from
 
 use dlrm::DlrmConfig;
-use gpu_sim::{CacheConfig, EngineMode, GpuConfig};
+use dlrm_datasets::TraceConfig;
+use embedding_kernels::{EmbeddingConfig, PrefetchConfig};
+use gpu_sim::{CacheConfig, DramConfig, GpuConfig};
 
-use crate::fleet::{AutoscalePolicy, ReplicaGroup, RoutingPolicy};
-use crate::json::{array, object, write_object, ArrayWriter, ObjectWriter};
-use crate::scheme::{Multithreading, Scheme};
-use crate::serving::FaultPlan;
-use crate::topology::{Cluster, StreamConfig};
-use crate::workload::{Dataset, Workload, WorkloadTarget};
+use crate::json::{array, object, ObjectWriter};
+use crate::topology::{Cluster, InterconnectConfig};
 
 /// Identifier of the fingerprint encoding; bump when the encoding changes
 /// so persisted caches from older encodings are not silently misread.
 pub(crate) const FINGERPRINT_SCHEMA: &str = "perf-envelope/cell-fingerprint/v1";
 
-/// Writes the fields of a `fleet` axis (see [`fleet_axis`]).
-pub(crate) type FleetAxis<'a> = &'a dyn Fn(&mut ObjectWriter<'_>);
-
-/// The canonical key of one experiment cell. `fleet`, when given, writes
-/// the fields of a `fleet` axis extending the cell (see [`fleet_axis`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cell_key(
-    cluster: &Cluster,
-    model: &DlrmConfig,
-    scale_name: &str,
-    seed: u64,
-    tables_to_simulate: u32,
-    mode: EngineMode,
-    streams: StreamConfig,
-    faults: &FaultPlan,
-    workload: &Workload,
-    scheme: &Scheme,
-    fleet: Option<FleetAxis<'_>>,
-) -> String {
-    let mut key = String::with_capacity(2048);
-    write_object(&mut key, |w| {
-        write_placement(w, cluster);
-        w.set("engine_mode", mode.name());
-        // The empty fault plan is canonically the fault-free experiment: the
-        // key omits the axis entirely, keeping pre-fault keys byte-identical
-        // and persisted caches warm. A non-empty plan partitions cells
-        // conservatively — the plan shapes serving-layer dispatch rather than
-        // the priced kernels, but a resilience study must never alias a
-        // fault-free study's cells in a persisted cache.
-        if !faults.is_empty() {
-            w.set("faults", array(|a| write_faults(a, faults)));
-        }
-        if let Some(fleet) = fleet {
-            w.set("fleet", object(fleet));
-        }
-        w.set("gpu", object(|g| write_gpu(g, cluster.root())));
-        w.set("model", object(|m| write_model(m, model)));
-        w.set("scale", scale_name);
-        w.set("schema", FINGERPRINT_SCHEMA);
-        w.set("scheme", object(|s| write_scheme(s, scheme)));
-        w.set("seed", seed);
-        // A single stream is canonically the pre-stream experiment: the key
-        // omits the axis entirely, so K=1 keys stay byte-identical with the
-        // earlier encoding and persisted caches remain loadable.
-        if !streams.is_single() {
-            w.set("streams", object(|s| write_streams(s, streams)));
-        }
-        w.set("tables_to_simulate", tables_to_simulate);
-        w.set("workload", object(|o| write_workload(o, workload)));
-    });
-    key
-}
-
 /// Writes the `cluster` field. Single-device clusters are canonically
 /// equivalent to a plain device: the interconnect is never exercised, so
 /// two experiments that differ only in how the lone device was wrapped
 /// share their cells.
-fn write_placement(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
+pub(crate) fn write_placement(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
     w.set(
         "cluster",
-        (!cluster.is_single()).then(|| object(|c| write_cluster(c, cluster))),
+        (!cluster.is_single()).then(|| object(|c| cluster.write_fields(c))),
     );
 }
 
-fn write_streams(w: &mut ObjectWriter<'_>, streams: StreamConfig) {
-    w.set("partition", streams.partition().name());
-    w.set("streams", streams.streams());
-}
-
-fn write_faults(a: &mut ArrayWriter<'_>, faults: &FaultPlan) {
-    for event in faults.events() {
-        a.push(object(|e| {
-            e.set("device", event.device());
-            e.set("end_us", event.end_us());
-            e.set("factor", event.factor());
-            e.set("kind", event.kind().name());
-            e.set("start_us", event.start_us());
-        }));
-    }
-}
-
-/// Writes the `fleet` axis that extends the replica-0 cell of a fleet:
-/// routing, autoscaling, the autoscale interval and the replica groups.
-///
-/// The identity fleet — one replica, round-robin routing, no autoscaling —
-/// omits the axis entirely, so its key is **byte-identical** to the plain
-/// serving cell key of its one replica: a degenerate fleet shares cells
-/// with the scenario it wraps, exactly like K=1 streams and the empty fault
-/// plan omit their axes. Any other spec partitions cells conservatively:
-/// distinct routing policies, autoscale rules or replica mixes never alias
-/// each other.
-pub(crate) fn fleet_axis(
-    w: &mut ObjectWriter<'_>,
-    routing: &RoutingPolicy,
-    autoscale: &AutoscalePolicy,
-    interval_us: f64,
-    groups: &[ReplicaGroup],
-) {
-    w.set(
-        "autoscale",
-        object(|a| {
-            a.set("cooldown_intervals", autoscale.cooldown_intervals());
-            a.set("kind", autoscale.kind().name());
-            a.set("max_replicas", autoscale.max_replicas());
-            a.set("min_replicas", autoscale.min_replicas());
-            a.set("scale_in_threshold", autoscale.scale_in_threshold());
-            a.set("scale_out_threshold", autoscale.scale_out_threshold());
-        }),
-    );
-    w.set("interval_us", interval_us);
-    w.set(
-        "replicas",
-        array(|a| {
-            for group in groups {
-                let cluster = group.experiment().cluster();
-                let streams = group.experiment().streams();
-                let faults = group.scenario().faults();
-                a.push(object(|g| {
-                    write_placement(g, cluster);
-                    g.set("count", group.replicas());
-                    if !faults.is_empty() {
-                        g.set("faults", array(|f| write_faults(f, faults)));
-                    }
-                    g.set("gpu", object(|d| write_gpu(d, cluster.root())));
-                    if !streams.is_single() {
-                        g.set("streams", object(|s| write_streams(s, streams)));
-                    }
-                }));
-            }
-        }),
-    );
-    w.set(
-        "routing",
-        object(|r| {
-            r.set("ewma_alpha", routing.ewma_alpha());
-            r.set("kind", routing.kind().name());
-        }),
-    );
+pub(crate) fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
+    let GpuConfig {
+        name,
+        num_sms,
+        smsps_per_sm,
+        max_warps_per_sm,
+        max_blocks_per_sm,
+        registers_per_sm,
+        register_alloc_granularity,
+        warp_size,
+        clock_ghz,
+        shared_mem_per_sm,
+        shared_mem_latency,
+        register_latency,
+        l1,
+        l2,
+        l2_max_persisting_fraction,
+        dram,
+        alu_latency,
+        // A validation cap only: the co-residency that runs is encoded by
+        // the experiment's `streams` key.
+        max_concurrent_streams: _,
+    } = gpu;
+    w.set("alu_latency", *alu_latency);
+    w.set("clock_ghz", *clock_ghz);
+    w.set("dram", object(|d| write_dram(d, dram)));
+    w.set("l1", object(|c| write_cache(c, l1)));
+    w.set("l2", object(|c| write_cache(c, l2)));
+    w.set("l2_max_persisting_fraction", *l2_max_persisting_fraction);
+    w.set("max_blocks_per_sm", *max_blocks_per_sm);
+    w.set("max_warps_per_sm", *max_warps_per_sm);
+    w.set("name", name.as_str());
+    w.set("num_sms", *num_sms);
+    w.set("register_alloc_granularity", *register_alloc_granularity);
+    w.set("register_latency", *register_latency);
+    w.set("registers_per_sm", *registers_per_sm);
+    w.set("shared_mem_latency", *shared_mem_latency);
+    w.set("shared_mem_per_sm", *shared_mem_per_sm);
+    w.set("smsps_per_sm", *smsps_per_sm);
+    w.set("warp_size", *warp_size);
 }
 
 fn write_cache(w: &mut ObjectWriter<'_>, cache: &CacheConfig) {
-    w.set("associativity", cache.associativity);
-    w.set("capacity_bytes", cache.capacity_bytes);
-    w.set("hit_latency", cache.hit_latency);
-    w.set("line_bytes", cache.line_bytes);
+    let CacheConfig {
+        capacity_bytes,
+        line_bytes,
+        associativity,
+        hit_latency,
+    } = *cache;
+    w.set("associativity", associativity);
+    w.set("capacity_bytes", capacity_bytes);
+    w.set("hit_latency", hit_latency);
+    w.set("line_bytes", line_bytes);
 }
 
-fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
-    w.set("alu_latency", gpu.alu_latency);
-    w.set("clock_ghz", gpu.clock_ghz);
-    w.set(
-        "dram",
-        object(|d| {
-            d.set("capacity_bytes", gpu.dram.capacity_bytes);
-            d.set("latency", gpu.dram.latency);
-            d.set("peak_bandwidth_gbps", gpu.dram.peak_bandwidth_gbps);
-        }),
-    );
-    w.set("l1", object(|c| write_cache(c, &gpu.l1)));
-    w.set("l2", object(|c| write_cache(c, &gpu.l2)));
-    w.set("l2_max_persisting_fraction", gpu.l2_max_persisting_fraction);
-    w.set("max_blocks_per_sm", gpu.max_blocks_per_sm);
-    w.set("max_warps_per_sm", gpu.max_warps_per_sm);
-    w.set("name", gpu.name.as_str());
-    w.set("num_sms", gpu.num_sms);
-    w.set("register_alloc_granularity", gpu.register_alloc_granularity);
-    w.set("register_latency", gpu.register_latency);
-    w.set("registers_per_sm", gpu.registers_per_sm);
-    w.set("shared_mem_latency", gpu.shared_mem_latency);
-    w.set("shared_mem_per_sm", gpu.shared_mem_per_sm);
-    w.set("smsps_per_sm", gpu.smsps_per_sm);
-    w.set("warp_size", gpu.warp_size);
+fn write_dram(w: &mut ObjectWriter<'_>, dram: &DramConfig) {
+    let DramConfig {
+        capacity_bytes,
+        latency,
+        peak_bandwidth_gbps,
+    } = *dram;
+    w.set("capacity_bytes", capacity_bytes);
+    w.set("latency", latency);
+    w.set("peak_bandwidth_gbps", peak_bandwidth_gbps);
 }
 
-fn write_cluster(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
-    w.set(
-        "devices",
-        array(|a| {
-            for gpu in cluster.devices() {
-                a.push(object(|g| write_gpu(g, gpu)));
-            }
-        }),
-    );
-    let ic = cluster.interconnect();
-    w.set(
-        "interconnect",
-        object(|f| {
-            f.set("link_bandwidth_gbps", ic.link_bandwidth_gbps);
-            f.set("link_latency_us", ic.link_latency_us);
-            f.set("name", ic.name.as_str());
-        }),
-    );
-}
-
-fn write_model(w: &mut ObjectWriter<'_>, model: &DlrmConfig) {
+pub(crate) fn write_model(w: &mut ObjectWriter<'_>, model: &DlrmConfig) {
+    let DlrmConfig {
+        bottom_mlp,
+        top_mlp,
+        num_tables,
+        embedding,
+    } = model;
     w.set(
         "bottom_mlp",
-        array(|a| model.bottom_mlp.iter().for_each(|&n| a.push(n))),
+        array(|a| bottom_mlp.iter().for_each(|&n| a.push(n))),
     );
-    let emb = &model.embedding;
-    w.set(
-        "embedding",
-        object(|e| {
-            e.set("batch_size", emb.trace.batch_size);
-            e.set("embedding_dim", emb.embedding_dim);
-            e.set("num_rows", emb.trace.num_rows);
-            e.set("pooling_factor", emb.trace.pooling_factor);
-        }),
-    );
-    w.set("num_tables", model.num_tables);
+    w.set("embedding", object(|e| write_embedding(e, embedding)));
+    w.set("num_tables", *num_tables);
     w.set(
         "top_mlp",
-        array(|a| model.top_mlp.iter().for_each(|&n| a.push(n))),
+        array(|a| top_mlp.iter().for_each(|&n| a.push(n))),
     );
 }
 
-fn write_dataset(w: &mut ObjectWriter<'_>, dataset: &Dataset) {
-    match dataset {
-        Dataset::Homogeneous(pattern) => w.set("pattern", pattern.paper_name()),
-        Dataset::Mix(mix) => w.set(
-            "mix",
-            object(|m| {
-                m.set(
-                    "composition",
-                    array(|a| {
-                        for &(pattern, count) in mix.composition() {
-                            a.push(array(|pair| {
-                                pair.push(pattern.paper_name());
-                                pair.push(count);
-                            }));
-                        }
-                    }),
-                );
-                m.set("name", mix.name());
-            }),
-        ),
-    }
+/// The embedding object flattens the trace shape into its own fields.
+fn write_embedding(w: &mut ObjectWriter<'_>, embedding: &EmbeddingConfig) {
+    let EmbeddingConfig {
+        trace:
+            TraceConfig {
+                num_rows,
+                batch_size,
+                pooling_factor,
+            },
+        embedding_dim,
+    } = *embedding;
+    w.set("batch_size", batch_size);
+    w.set("embedding_dim", embedding_dim);
+    w.set("num_rows", num_rows);
+    w.set("pooling_factor", pooling_factor);
 }
 
-fn write_workload(w: &mut ObjectWriter<'_>, workload: &Workload) {
-    // `dataset` sorts before `kind` and `pattern` after it.
-    let kernel_pattern = match workload.target() {
-        WorkloadTarget::Kernel(pattern) => Some(pattern),
-        WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
-            w.set("dataset", object(|d| write_dataset(d, dataset)));
-            None
-        }
-    };
-    w.set("kind", workload.kind().name());
-    if let Some(pattern) = kernel_pattern {
-        w.set("pattern", pattern.paper_name());
-    }
-    w.set("sharding", workload.sharding().map(|spec| spec.name()));
+pub(crate) fn write_prefetch(w: &mut ObjectWriter<'_>, prefetch: &PrefetchConfig) {
+    let PrefetchConfig { station, distance } = *prefetch;
+    w.set("distance", distance);
+    w.set("station", station.abbreviation());
 }
 
-fn write_scheme(w: &mut ObjectWriter<'_>, scheme: &Scheme) {
-    w.set(
-        "l2_pinning",
-        scheme
-            .l2_pinning()
-            .map(|p| object(move |o| o.set("carveout_bytes", p.carveout_bytes))),
-    );
-    match scheme.multithreading() {
-        Multithreading::Default => w.set("multithreading", "default"),
-        Multithreading::OptMt => w.set("multithreading", "optmt"),
-        Multithreading::MaxRegisters(r) => w.set("multithreading", format!("maxrreg{r}").as_str()),
-    }
-    w.set(
-        "prefetch",
-        scheme.prefetch().map(|p| {
-            object(move |o| {
-                o.set("distance", p.distance);
-                o.set("station", p.station.abbreviation());
-            })
-        }),
-    );
+pub(crate) fn write_interconnect(w: &mut ObjectWriter<'_>, interconnect: &InterconnectConfig) {
+    let InterconnectConfig {
+        name,
+        link_latency_us,
+        link_bandwidth_gbps,
+    } = interconnect;
+    w.set("link_bandwidth_gbps", *link_bandwidth_gbps);
+    w.set("link_latency_us", *link_latency_us);
+    w.set("name", name.as_str());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::runner::Experiment;
+    use crate::scheme::Scheme;
+    use crate::serving::{FaultEvent, FaultPlan};
+    use crate::topology::{ShardingSpec, StreamConfig};
+    use crate::workload::Workload;
     use dlrm::WorkloadScale;
     use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
+    use gpu_sim::StreamPartition;
 
-    use crate::topology::{InterconnectConfig, ShardingSpec};
-
-    #[allow(clippy::too_many_arguments)]
-    fn cell_key(
-        cluster: &Cluster,
-        model: &DlrmConfig,
-        scale_name: &str,
-        seed: u64,
-        tables_to_simulate: u32,
-        mode: EngineMode,
-        streams: StreamConfig,
-        faults: &FaultPlan,
-        workload: &Workload,
-        scheme: &Scheme,
-    ) -> String {
-        super::cell_key(
-            cluster,
-            model,
-            scale_name,
-            seed,
-            tables_to_simulate,
-            mode,
-            streams,
-            faults,
-            workload,
-            scheme,
-            None,
-        )
+    fn exp() -> Experiment {
+        Experiment::new(GpuConfig::test_small(), WorkloadScale::Test)
     }
 
     fn key(workload: &Workload, scheme: &Scheme) -> String {
-        key_with_streams(StreamConfig::single(), workload, scheme)
+        exp().fingerprint(workload, scheme)
     }
 
-    fn key_with_streams(streams: StreamConfig, workload: &Workload, scheme: &Scheme) -> String {
-        key_with_faults(streams, &FaultPlan::empty(), workload, scheme)
+    fn key_with_streams(streams: StreamConfig, workload: &Workload) -> String {
+        exp()
+            .with_streams(streams)
+            .fingerprint(workload, &Scheme::base())
     }
 
-    fn key_with_faults(
-        streams: StreamConfig,
-        faults: &FaultPlan,
-        workload: &Workload,
-        scheme: &Scheme,
-    ) -> String {
-        cell_key(
-            &Cluster::single(GpuConfig::test_small()),
-            &DlrmConfig::at_scale(WorkloadScale::Test),
-            "test",
-            0x5EED,
-            1,
-            EngineMode::EventDriven,
-            streams,
-            faults,
-            workload,
-            scheme,
-        )
+    fn key_with_faults(faults: FaultPlan, workload: &Workload) -> String {
+        exp()
+            .with_faults(faults)
+            .fingerprint(workload, &Scheme::base())
     }
 
     #[test]
@@ -432,9 +264,9 @@ mod tests {
         // the shape must (and does) reach the key through the model encoding.
         let workload = Workload::stage(AccessPattern::MedHot);
         let key_at = |batch: u32| {
-            crate::runner::Experiment::new(GpuConfig::test_small(), WorkloadScale::Test)
+            exp()
                 .with_batch_size(batch)
-                .cell_fingerprint(&workload, &Scheme::base())
+                .fingerprint(&workload, &Scheme::base())
         };
         assert_ne!(key_at(64), key_at(256));
         assert_eq!(key_at(128), key_at(128));
@@ -444,51 +276,29 @@ mod tests {
     fn single_device_clusters_encode_like_plain_devices() {
         let gpu = GpuConfig::test_small();
         let workload = Workload::kernel(AccessPattern::MedHot);
-        let model = DlrmConfig::at_scale(WorkloadScale::Test);
-        let plain = cell_key(
-            &Cluster::single(gpu.clone()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
+        let key_on = |cluster: Cluster| {
+            exp()
+                .with_seed(1)
+                .with_cluster(cluster)
+                .fingerprint(&workload, &Scheme::base())
+        };
+        let plain = exp().with_seed(1).fingerprint(&workload, &Scheme::base());
+        assert_eq!(plain, key_on(Cluster::single(gpu.clone())));
+        assert_eq!(
+            plain,
+            key_on(Cluster::new(
+                vec![gpu.clone()],
+                InterconnectConfig::pcie_gen4()
+            ))
         );
-        let wrapped = cell_key(
-            &Cluster::new(vec![gpu.clone()], InterconnectConfig::pcie_gen4()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
+        assert_ne!(
+            plain,
+            key_on(Cluster::homogeneous(gpu, 2, InterconnectConfig::nvlink3()))
         );
-        assert_eq!(plain, wrapped);
-        let multi = cell_key(
-            &Cluster::homogeneous(gpu, 2, InterconnectConfig::nvlink3()),
-            &model,
-            "test",
-            1,
-            1,
-            EngineMode::EventDriven,
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
-        assert_ne!(plain, multi);
     }
 
     #[test]
     fn stream_configs_distinguish_keys_except_the_single_stream() {
-        use gpu_sim::StreamPartition;
-
         let workload = Workload::stage(AccessPattern::MedHot);
         let base = key(&workload, &Scheme::base());
         // K=1 is canonically the pre-stream cell: no `streams` key at all,
@@ -496,7 +306,6 @@ mod tests {
         let single = key_with_streams(
             StreamConfig::new(1, StreamPartition::Interleaved),
             &workload,
-            &Scheme::base(),
         );
         assert_eq!(base, single);
         assert!(!base.contains("\"streams\""));
@@ -504,7 +313,6 @@ mod tests {
         let dual = key_with_streams(
             StreamConfig::new(2, StreamPartition::Interleaved),
             &workload,
-            &Scheme::base(),
         );
         assert_ne!(base, dual);
         assert!(dual.contains("\"streams\""));
@@ -513,7 +321,6 @@ mod tests {
             key_with_streams(
                 StreamConfig::new(2, StreamPartition::SmPartitioned),
                 &workload,
-                &Scheme::base(),
             )
         );
         assert_ne!(
@@ -521,52 +328,37 @@ mod tests {
             key_with_streams(
                 StreamConfig::new(4, StreamPartition::Interleaved),
                 &workload,
-                &Scheme::base(),
             )
         );
     }
 
     #[test]
     fn fault_plans_distinguish_keys_except_the_empty_plan() {
-        use crate::serving::FaultEvent;
-
         let workload = Workload::stage(AccessPattern::MedHot);
         let base = key(&workload, &Scheme::base());
         // The empty plan is canonically the fault-free cell: no `faults`
         // key at all, byte-identical with the v1 encoding.
-        let empty = key_with_faults(
-            StreamConfig::single(),
-            &FaultPlan::empty(),
-            &workload,
-            &Scheme::base(),
-        );
-        assert_eq!(base, empty);
+        assert_eq!(base, key_with_faults(FaultPlan::empty(), &workload));
         assert!(!base.contains("\"faults\""));
         // Non-empty plans are distinct cells, per plan.
         let crashed = key_with_faults(
-            StreamConfig::single(),
-            &FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 2_000.0)]),
+            FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 2_000.0)]),
             &workload,
-            &Scheme::base(),
         );
         assert_ne!(base, crashed);
         assert!(crashed.contains("\"faults\""));
         assert_ne!(
             crashed,
             key_with_faults(
-                StreamConfig::single(),
-                &FaultPlan::new(vec![FaultEvent::drain(0, 1_000.0, 2_000.0)]),
+                FaultPlan::new(vec![FaultEvent::drain(0, 1_000.0, 2_000.0)]),
                 &workload,
-                &Scheme::base(),
             )
         );
         assert_ne!(
             crashed,
             key_with_faults(
-                StreamConfig::single(),
-                &FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 3_000.0)]),
+                FaultPlan::new(vec![FaultEvent::crash(0, 1_000.0, 3_000.0)]),
                 &workload,
-                &Scheme::base(),
             )
         );
     }

@@ -54,10 +54,10 @@
 //! 3. Implement the decision in [`RoutingPolicy::route`] using only the
 //!    cursor and the views. Break ties toward the lowest replica index so
 //!    the decision stays deterministic.
-//! 4. Extend `label` (and the JSON round trip) and register any new
-//!    config fields with the `analysis` auditor — routing partitions the
-//!    fleet fingerprint, so new knobs must appear in
-//!    `crates/core/src/fingerprint.rs` or the manifest.
+//! 4. Extend `label` and `write_fields`, and the JSON parser. Routing
+//!    partitions the fleet fingerprint, and `write_fields` destructures the
+//!    policy without a `..` rest pattern, so the compiler refuses to build
+//!    until a new field is written or bound to `_` with its reason.
 //!
 //! Autoscaling follows the same pattern: [`AutoscalePolicy::decide`] is a
 //! pure function from (offered rate, live capacity, live/pool counts,
@@ -67,7 +67,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::cache::CampaignCache;
-use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
+use crate::json::{
+    array, object, render_object, req_f64, req_str, req_u32, req_u64, Json, JsonError, ObjectWriter,
+};
 use crate::runner::Experiment;
 use crate::scheme::Scheme;
 use crate::serving::TrafficModel;
@@ -215,20 +217,20 @@ impl RoutingPolicy {
         }
     }
 
-    /// The policy as a [`Json`] document.
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("ewma_alpha", Json::Num(self.ewma_alpha));
-        doc
+    /// Writes the policy's fields: its JSON encoding and its part of the
+    /// fleet fingerprint.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let RoutingPolicy { kind, ewma_alpha } = *self;
+        w.set("ewma_alpha", ewma_alpha);
+        w.set("kind", kind.name());
     }
 
-    /// Serializes the policy to compact JSON.
+    /// Serializes the policy to compact canonical JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        render_object(|w| self.write_fields(w))
     }
 
-    /// Parses a policy from a [`RoutingPolicy::to_json_value`] document.
+    /// Parses a policy from a parsed [`RoutingPolicy::to_json`] document.
     ///
     /// # Errors
     /// Returns a [`JsonError`] on unknown kinds or invalid parameters.
@@ -472,27 +474,31 @@ impl AutoscalePolicy {
         }
     }
 
-    /// The policy as a [`Json`] document.
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("scale_out_threshold", Json::Num(self.scale_out_threshold));
-        doc.set("scale_in_threshold", Json::Num(self.scale_in_threshold));
-        doc.set(
-            "cooldown_intervals",
-            Json::UInt(self.cooldown_intervals as u64),
-        );
-        doc.set("min_replicas", Json::UInt(self.min_replicas as u64));
-        doc.set("max_replicas", Json::UInt(self.max_replicas as u64));
-        doc
+    /// Writes the policy's fields: its JSON encoding and its part of the
+    /// fleet fingerprint.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let AutoscalePolicy {
+            kind,
+            scale_out_threshold,
+            scale_in_threshold,
+            cooldown_intervals,
+            min_replicas,
+            max_replicas,
+        } = *self;
+        w.set("cooldown_intervals", cooldown_intervals);
+        w.set("kind", kind.name());
+        w.set("max_replicas", max_replicas);
+        w.set("min_replicas", min_replicas);
+        w.set("scale_in_threshold", scale_in_threshold);
+        w.set("scale_out_threshold", scale_out_threshold);
     }
 
-    /// Serializes the policy to compact JSON.
+    /// Serializes the policy to compact canonical JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        render_object(|w| self.write_fields(w))
     }
 
-    /// Parses a policy from an [`AutoscalePolicy::to_json_value`] document.
+    /// Parses a policy from a parsed [`AutoscalePolicy::to_json`] document.
     ///
     /// # Errors
     /// Returns a [`JsonError`] on unknown kinds or invalid parameters.
@@ -631,21 +637,41 @@ impl FleetSpec {
         self.routing.is_identity() && self.autoscale.is_none()
     }
 
-    /// The spec as a [`Json`] document.
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("routing", self.routing.to_json_value());
-        doc.set("autoscale", self.autoscale.to_json_value());
-        doc.set("interval_us", Json::Num(self.interval_us));
-        doc
+    /// Writes the spec's fields: its JSON encoding and, with the fleet's
+    /// replica groups and the experiment the fleet key is built on, the
+    /// `fleet` axis of [`Fleet::fingerprint`] (whose `replicas` array sorts
+    /// between the interval and the routing policy).
+    pub(crate) fn write_fields(
+        &self,
+        w: &mut ObjectWriter<'_>,
+        replicas: Option<(&[ReplicaGroup], &Experiment)>,
+    ) {
+        let FleetSpec {
+            routing,
+            autoscale,
+            interval_us,
+        } = self;
+        w.set("autoscale", object(|a| autoscale.write_fields(a)));
+        w.set("interval_us", *interval_us);
+        if let Some((groups, base)) = replicas {
+            w.set(
+                "replicas",
+                array(|a| {
+                    for group in groups {
+                        a.push(object(|g| group.write_fields(g, base)));
+                    }
+                }),
+            );
+        }
+        w.set("routing", object(|r| routing.write_fields(r)));
     }
 
-    /// Serializes the spec to compact JSON.
+    /// Serializes the spec to compact canonical JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        render_object(|w| self.write_fields(w, None))
     }
 
-    /// Parses a spec from a [`FleetSpec::to_json_value`] document.
+    /// Parses a spec from a parsed [`FleetSpec::to_json`] document.
     ///
     /// # Errors
     /// Returns a [`JsonError`] on invalid policies or intervals.
@@ -741,6 +767,21 @@ impl ReplicaGroup {
     /// Number of replica instances the group expands into.
     pub fn replicas(&self) -> u32 {
         self.replicas
+    }
+
+    /// Writes the group's entry in the fleet key's `replicas` array; `base`
+    /// is the experiment the fleet key is built on (replica 0's pricing
+    /// experiment).
+    fn write_fields(&self, w: &mut ObjectWriter<'_>, base: &Experiment) {
+        // The scenario reaches the key only through its fault plan, which
+        // the pricing experiment folds in; its batching, SLA, retry and
+        // admission policies shape serving reports, never a priced cell.
+        let ReplicaGroup {
+            experiment,
+            scenario,
+            replicas,
+        } = self;
+        pricing_experiment_parts(experiment, scenario).write_replica_fields(w, base, *replicas);
     }
 }
 
@@ -865,11 +906,15 @@ impl Fleet {
     }
 
     /// The canonical fleet cell key: the replica-0 cell key extended with a
-    /// `fleet` axis — except for the identity fleet, whose key is
+    /// `fleet` axis (routing, autoscaling, the autoscale interval and the
+    /// replica groups) — except for the identity fleet, whose key is
     /// **byte-identical** to its replica's plain
     /// [`Experiment::fingerprint`] cell key (with the scenario's fault
     /// plan folded in the way serving pricing folds it), so a degenerate
-    /// fleet shares cells with the scenario it wraps.
+    /// fleet shares cells with the scenario it wraps, exactly like K=1
+    /// streams and the empty fault plan omit their axes. Any other fleet
+    /// partitions cells conservatively: distinct routing policies,
+    /// autoscale rules or replica mixes never alias each other.
     ///
     /// # Panics
     /// Panics if the fleet has no replica groups.
@@ -878,18 +923,8 @@ impl Fleet {
             .groups
             .first()
             .expect("a fleet needs at least one replica group");
-        let fleet = |w: &mut crate::json::ObjectWriter<'_>| {
-            crate::fingerprint::fleet_axis(
-                w,
-                &self.spec.routing,
-                &self.spec.autoscale,
-                self.spec.interval_us,
-                &self.groups,
-            )
-        };
-        let axis: Option<crate::fingerprint::FleetAxis<'_>> =
-            (!self.is_identity()).then_some(&fleet);
-        pricing_experiment(g0).cell_key(workload, scheme, axis)
+        let fleet = (!self.is_identity()).then_some(self);
+        pricing_experiment(g0).cell_key(workload, scheme, fleet)
     }
 
     /// Routes the fleet-wide arrival trace across replicas, applies the
@@ -1739,6 +1774,53 @@ mod tests {
             .with_autoscale(AutoscalePolicy::reactive(0.8, 0.3, 1, 1, 2))
             .is_identity());
         assert!(!test_fleet(1).is_identity()); // two groups -> two replicas
+    }
+
+    #[test]
+    fn later_groups_differing_from_group_zero_key_distinct_cells() {
+        let scenario = ServingScenario::new(
+            TrafficModel::poisson(5_000.0),
+            BatchingPolicy::fixed_size(64),
+        )
+        .with_requests(64);
+        let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+        let fleet_with_seed = |seed: u64| {
+            Fleet::single(experiment.clone(), scenario.clone()).with_group(ReplicaGroup::new(
+                experiment.clone().with_seed(seed),
+                scenario.clone(),
+            ))
+        };
+        let (workload, scheme) = (test_workload(), Scheme::base());
+        let (a, b) = (fleet_with_seed(1), fleet_with_seed(2));
+        // The second group's seed changes the fleet day, so it must change
+        // the key too.
+        assert_ne!(
+            a.simulate(&workload, &scheme),
+            b.simulate(&workload, &scheme)
+        );
+        assert_ne!(
+            a.fingerprint(&workload, &scheme),
+            b.fingerprint(&workload, &scheme)
+        );
+        // A group sharing group 0's values writes none of them, so such
+        // fleets keep their earlier keys.
+        let same = fleet_with_seed(experiment.seed()).fingerprint(&workload, &scheme);
+        let replicas = Json::parse(&same).unwrap();
+        let replicas = replicas
+            .get("fleet")
+            .and_then(|f| f.get("replicas"))
+            .and_then(Json::as_array)
+            .unwrap();
+        assert_eq!(replicas.len(), 2);
+        for field in [
+            "engine_mode",
+            "model",
+            "scale",
+            "seed",
+            "tables_to_simulate",
+        ] {
+            assert!(replicas.iter().all(|r| r.get(field).is_none()), "{field}");
+        }
     }
 
     #[test]

@@ -329,6 +329,13 @@ pub(crate) fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWrit
     out.push('}');
 }
 
+/// The object whose fields `fields` writes, streamed into a new `String`.
+pub(crate) fn render_object(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, fields);
+    out
+}
+
 /// Writes the fields of one object in canonical (ascending key) order.
 pub(crate) struct ObjectWriter<'a> {
     out: &'a mut String,

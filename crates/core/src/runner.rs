@@ -28,6 +28,9 @@ use gpu_sim::mem::MemorySystem;
 use gpu_sim::{EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, Simulator};
 
 use crate::cache::CampaignCache;
+use crate::fingerprint;
+use crate::fleet::Fleet;
+use crate::json::{array, object, write_object, ObjectWriter};
 use crate::report::{
     ClusterBreakdown, DeviceBreakdown, EndToEndBreakdown, RunReport, TableBreakdown,
 };
@@ -288,49 +291,133 @@ impl Experiment {
     }
 
     /// The canonical fingerprint that identifies one experiment cell for
-    /// caching: everything the resulting [`RunReport`] is a pure function
-    /// of — the full cluster topology and model configuration (which embeds
-    /// the pooling factor), scale, seed, tables-to-simulate, engine mode,
-    /// workload (including its sharding spec) and scheme. Execution knobs
-    /// that cannot change results (worker threads, the attached cache
-    /// itself) are excluded. The encoding is canonical JSON (sorted keys,
+    /// caching: the same string [`CampaignCache`] keys cells by and
+    /// [`CampaignCache::save_to`] persists. It covers everything the
+    /// resulting [`RunReport`] is a pure function of — the full cluster
+    /// topology and model configuration (which embeds the pooling factor),
+    /// scale, seed, tables-to-simulate, engine mode, streams, fault plan,
+    /// workload (including its sharding spec) and scheme — and excludes the
+    /// execution knobs that cannot change results (worker threads, the
+    /// attached cache itself). The encoding is canonical JSON (sorted keys,
     /// shortest-round-trip floats) streamed straight into the key, stable
     /// across processes, which is what lets [`CampaignCache::save_to`] /
-    /// [`CampaignCache::load_from`] reuse results between runs.
-    pub(crate) fn cell_fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
+    /// [`CampaignCache::load_from`] reuse results between runs. Public so
+    /// studies layered on experiments (the fleet layer, cache-partitioning
+    /// tests) can reason about cell identity without running anything.
+    pub fn fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
         self.cell_key(workload, scheme, None)
     }
 
-    /// The cell key extended with an optional `fleet` axis (the fleet layer
-    /// keys its cells on replica 0's experiment plus that axis).
+    /// The cell key, extended with the `fleet` axis of `fleet` when given
+    /// (the fleet layer keys its cells on replica 0's pricing experiment
+    /// plus that axis).
     pub(crate) fn cell_key(
         &self,
         workload: &Workload,
         scheme: &Scheme,
-        fleet: Option<crate::fingerprint::FleetAxis<'_>>,
+        fleet: Option<&Fleet>,
     ) -> String {
-        crate::fingerprint::cell_key(
-            &self.cluster,
-            &self.model,
-            self.scale.name(),
-            self.seed,
-            self.tables_to_simulate,
-            self.sim.mode(),
-            self.streams,
-            &self.faults,
-            workload,
-            scheme,
-            fleet,
-        )
+        let Experiment {
+            cluster,
+            // Built from `cluster.root()`; only its engine mode is free.
+            sim,
+            model,
+            scale,
+            tables_to_simulate,
+            seed,
+            // Worker threads never change a result.
+            threads: _,
+            streams,
+            faults,
+            // The cache memoizes results; it is not one of their inputs.
+            cache: _,
+        } = self;
+        let mut key = String::with_capacity(2048);
+        write_object(&mut key, |w| {
+            fingerprint::write_placement(w, cluster);
+            w.set("engine_mode", sim.mode().name());
+            // The empty fault plan is canonically the fault-free experiment:
+            // the key omits the axis entirely, keeping pre-fault keys
+            // byte-identical and persisted caches warm. A non-empty plan
+            // partitions cells conservatively — the plan shapes serving-layer
+            // dispatch rather than the priced kernels, but a resilience study
+            // must never alias a fault-free study's cells in a persisted cache.
+            if !faults.is_empty() {
+                w.set("faults", array(|a| faults.write_events(a)));
+            }
+            if let Some(fleet) = fleet {
+                let groups = Some((fleet.groups(), self));
+                w.set("fleet", object(|f| fleet.spec().write_fields(f, groups)));
+            }
+            w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
+            w.set("model", object(|m| fingerprint::write_model(m, model)));
+            w.set("scale", scale.name());
+            w.set("schema", fingerprint::FINGERPRINT_SCHEMA);
+            w.set("scheme", object(|s| scheme.write_fields(s)));
+            w.set("seed", *seed);
+            // A single stream is canonically the pre-stream experiment: the
+            // key omits the axis entirely, so K=1 keys stay byte-identical
+            // with the earlier encoding and persisted caches remain loadable.
+            if !streams.is_single() {
+                w.set("streams", object(|s| streams.write_fields(s)));
+            }
+            w.set("tables_to_simulate", *tables_to_simulate);
+            w.set("workload", object(|o| workload.write_fields(o)));
+        });
+        key
     }
 
-    /// The canonical cache-cell key of this experiment for `workload` under
-    /// `scheme` — the same string [`CampaignCache`] keys cells by and
-    /// [`CampaignCache::save_to`] persists. Public so studies layered on
-    /// experiments (the fleet layer, cache-partitioning tests) can reason
-    /// about cell identity without running anything.
-    pub fn fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
-        self.cell_fingerprint(workload, scheme)
+    /// Writes this deployment as one entry of a fleet key's `replicas`
+    /// array: `count` replicas of it. Placement, device and the canonical
+    /// stream and fault axes are always written; the fields the fleet key
+    /// otherwise takes from `base` (replica 0's pricing experiment) are
+    /// written only where this deployment differs from it, so groups that
+    /// share replica 0's values keep their earlier keys byte-identical.
+    pub(crate) fn write_replica_fields(
+        &self,
+        w: &mut ObjectWriter<'_>,
+        base: &Experiment,
+        count: u32,
+    ) {
+        let Experiment {
+            cluster,
+            // Built from `cluster.root()`; only its engine mode is free.
+            sim,
+            model,
+            scale,
+            tables_to_simulate,
+            seed,
+            // Worker threads never change a result.
+            threads: _,
+            streams,
+            faults,
+            // The cache memoizes results; it is not one of their inputs.
+            cache: _,
+        } = self;
+        fingerprint::write_placement(w, cluster);
+        w.set("count", count);
+        if sim.mode() != base.sim.mode() {
+            w.set("engine_mode", sim.mode().name());
+        }
+        if !faults.is_empty() {
+            w.set("faults", array(|a| faults.write_events(a)));
+        }
+        w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
+        if *model != base.model {
+            w.set("model", object(|m| fingerprint::write_model(m, model)));
+        }
+        if *scale != base.scale {
+            w.set("scale", scale.name());
+        }
+        if *seed != base.seed {
+            w.set("seed", *seed);
+        }
+        if !streams.is_single() {
+            w.set("streams", object(|s| streams.write_fields(s)));
+        }
+        if *tables_to_simulate != base.tables_to_simulate {
+            w.set("tables_to_simulate", *tables_to_simulate);
+        }
     }
 
     /// Executes the cell unconditionally (the non-memoized path behind

@@ -15,6 +15,9 @@
 use embedding_kernels::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
 use gpu_sim::GpuConfig;
 
+use crate::fingerprint;
+use crate::json::{object, ObjectWriter};
+
 /// How warp-level parallelism is configured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Multithreading {
@@ -33,6 +36,14 @@ pub struct L2Pinning {
     /// Carve-out size in bytes; `None` uses the device maximum (30 MB on the
     /// A100, i.e. 75% of the 40 MB L2).
     pub carveout_bytes: Option<u64>,
+}
+
+impl L2Pinning {
+    /// Writes the pinning configuration's fields into a cell key.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let L2Pinning { carveout_bytes } = *self;
+        w.set("carveout_bytes", carveout_bytes);
+    }
 }
 
 /// One optimization scheme: a combination of multithreading, prefetching and
@@ -140,6 +151,30 @@ impl Scheme {
     /// The L2 pinning configuration, if any.
     pub fn l2_pinning(&self) -> Option<L2Pinning> {
         self.l2_pinning
+    }
+
+    /// Writes the scheme's fields into a cell key.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let Scheme {
+            multithreading,
+            prefetch,
+            l2_pinning,
+        } = *self;
+        w.set(
+            "l2_pinning",
+            l2_pinning.map(|p| object(move |o| p.write_fields(o))),
+        );
+        match multithreading {
+            Multithreading::Default => w.set("multithreading", "default"),
+            Multithreading::OptMt => w.set("multithreading", "optmt"),
+            Multithreading::MaxRegisters(r) => {
+                w.set("multithreading", format!("maxrreg{r}").as_str())
+            }
+        }
+        w.set(
+            "prefetch",
+            prefetch.map(|p| object(move |o| fingerprint::write_prefetch(o, &p))),
+        );
     }
 
     /// The L2 carve-out in bytes this scheme uses on `cfg`, if pinning is

@@ -52,7 +52,7 @@
 
 use std::cmp::Ordering;
 
-use crate::json::{Json, JsonError};
+use crate::json::{array, object, render_object, ArrayWriter, Json, JsonError, ObjectWriter};
 use crate::topology::DeviceHealth;
 
 /// Identifier of the fault-plan JSON schema produced by this crate version.
@@ -112,12 +112,43 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    fn assert_window(start_us: f64, end_us: f64) {
-        assert!(
-            start_us.is_finite() && end_us.is_finite() && start_us >= 0.0 && end_us > start_us,
-            "a fault window needs finite times with 0 <= start < end \
-             (got {start_us}..{end_us})"
-        );
+    /// Returns the event if it is one the constructors build, or why not:
+    /// a finite window with `0 <= start < end`, a factor of exactly 1 for
+    /// crashes and drains and a finite factor `>= 1` otherwise, and the
+    /// fabric's device index 0 for interconnect degradations.
+    fn check(self) -> Result<FaultEvent, String> {
+        let (start_us, end_us, factor) = (self.start_us, self.end_us, self.factor);
+        if !(start_us.is_finite() && end_us.is_finite() && start_us >= 0.0 && end_us > start_us) {
+            return Err(format!(
+                "a fault window needs finite times with 0 <= start < end \
+                 (got {start_us}..{end_us})"
+            ));
+        }
+        match self.kind {
+            FaultKind::Crash | FaultKind::Drain if factor != 1.0 => Err(format!(
+                "a {} event has factor 1 (got {factor})",
+                self.kind.name()
+            )),
+            FaultKind::Straggler | FaultKind::InterconnectDegradation
+                if !(factor.is_finite() && factor >= 1.0) =>
+            {
+                Err(format!(
+                    "the {} factor must be finite and >= 1 (got {factor})",
+                    self.kind.name()
+                ))
+            }
+            FaultKind::InterconnectDegradation if self.device != 0 => Err(format!(
+                "an interconnect degradation is attributed to the fabric, device 0 \
+                 (got device {})",
+                self.device
+            )),
+            _ => Ok(self),
+        }
+    }
+
+    /// [`FaultEvent::check`] for the constructors.
+    fn checked(self) -> FaultEvent {
+        self.check().unwrap_or_else(|message| panic!("{message}"))
     }
 
     /// A device crash at `at_us` recovering at `recovery_us`: in-flight
@@ -126,7 +157,6 @@ impl FaultEvent {
     /// # Panics
     /// Panics unless `0 <= at_us < recovery_us` and both are finite.
     pub fn crash(device: u32, at_us: f64, recovery_us: f64) -> FaultEvent {
-        Self::assert_window(at_us, recovery_us);
         FaultEvent {
             device,
             kind: FaultKind::Crash,
@@ -134,6 +164,7 @@ impl FaultEvent {
             end_us: recovery_us,
             factor: 1.0,
         }
+        .checked()
     }
 
     /// A drain window on `device`: in-flight work finishes, new dispatch is
@@ -142,7 +173,6 @@ impl FaultEvent {
     /// # Panics
     /// Panics unless `0 <= start_us < end_us` and both are finite.
     pub fn drain(device: u32, start_us: f64, end_us: f64) -> FaultEvent {
-        Self::assert_window(start_us, end_us);
         FaultEvent {
             device,
             kind: FaultKind::Drain,
@@ -150,6 +180,7 @@ impl FaultEvent {
             end_us,
             factor: 1.0,
         }
+        .checked()
     }
 
     /// A straggling device: batches starting in the window run `factor`
@@ -158,11 +189,6 @@ impl FaultEvent {
     /// # Panics
     /// Panics unless the window is valid and `factor` is finite and `>= 1`.
     pub fn straggler(device: u32, start_us: f64, end_us: f64, factor: f64) -> FaultEvent {
-        Self::assert_window(start_us, end_us);
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "a straggler factor must be finite and >= 1 (got {factor})"
-        );
         FaultEvent {
             device,
             kind: FaultKind::Straggler,
@@ -170,6 +196,7 @@ impl FaultEvent {
             end_us,
             factor,
         }
+        .checked()
     }
 
     /// Interconnect degradation: batches starting in the window pay
@@ -181,11 +208,6 @@ impl FaultEvent {
     /// Panics unless the window is valid and `multiplier` is finite and
     /// `>= 1`.
     pub fn interconnect_degradation(start_us: f64, end_us: f64, multiplier: f64) -> FaultEvent {
-        Self::assert_window(start_us, end_us);
-        assert!(
-            multiplier.is_finite() && multiplier >= 1.0,
-            "a degradation multiplier must be finite and >= 1 (got {multiplier})"
-        );
         FaultEvent {
             device: 0,
             kind: FaultKind::InterconnectDegradation,
@@ -193,6 +215,7 @@ impl FaultEvent {
             end_us,
             factor: multiplier,
         }
+        .checked()
     }
 
     /// The device the event is scoped to (the fabric convention index 0
@@ -243,14 +266,21 @@ impl FaultEvent {
         }
     }
 
-    fn to_json_value(self) -> Json {
-        let mut doc = Json::object();
-        doc.set("device", Json::UInt(self.device as u64));
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("start_us", Json::Num(self.start_us));
-        doc.set("end_us", Json::Num(self.end_us));
-        doc.set("factor", Json::Num(self.factor));
-        doc
+    /// Writes the event's fields: its JSON encoding and its entry in a
+    /// cell key's `faults` array.
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let FaultEvent {
+            device,
+            kind,
+            start_us,
+            end_us,
+            factor,
+        } = *self;
+        w.set("device", device);
+        w.set("end_us", end_us);
+        w.set("factor", factor);
+        w.set("kind", kind.name());
+        w.set("start_us", start_us);
     }
 
     fn from_json_value(doc: &Json) -> Result<FaultEvent, JsonError> {
@@ -269,15 +299,15 @@ impl FaultEvent {
                 JsonError::schema(format!("fault event field '{key}' is not a number"))
             })
         };
-        let (start_us, end_us, factor) = (num("start_us")?, num("end_us")?, num("factor")?);
-        Ok(match kind {
-            FaultKind::Crash => FaultEvent::crash(device, start_us, end_us),
-            FaultKind::Drain => FaultEvent::drain(device, start_us, end_us),
-            FaultKind::Straggler => FaultEvent::straggler(device, start_us, end_us, factor),
-            FaultKind::InterconnectDegradation => {
-                FaultEvent::interconnect_degradation(start_us, end_us, factor)
-            }
-        })
+        FaultEvent {
+            device,
+            kind,
+            start_us: num("start_us")?,
+            end_us: num("end_us")?,
+            factor: num("factor")?,
+        }
+        .check()
+        .map_err(JsonError::schema)
     }
 }
 
@@ -462,20 +492,21 @@ impl FaultPlan {
         factor
     }
 
-    /// Serializes the plan to compact canonical JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+    /// Writes the events in canonical order: the `events` of the plan's
+    /// JSON encoding and a cell key's `faults` array.
+    pub(crate) fn write_events(&self, a: &mut ArrayWriter<'_>) {
+        let FaultPlan { events } = self;
+        for event in events {
+            a.push(object(|e| event.write_fields(e)));
+        }
     }
 
-    /// The plan as a [`Json`] document.
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("schema", Json::Str(FAULT_PLAN_SCHEMA.to_string()));
-        doc.set(
-            "events",
-            Json::Arr(self.events.iter().map(|e| e.to_json_value()).collect()),
-        );
-        doc
+    /// Serializes the plan to compact canonical JSON.
+    pub fn to_json(&self) -> String {
+        render_object(|w| {
+            w.set("events", array(|a| self.write_events(a)));
+            w.set("schema", FAULT_PLAN_SCHEMA);
+        })
     }
 
     /// Parses a plan back from [`FaultPlan::to_json`] output.
@@ -659,6 +690,59 @@ mod tests {
             .unwrap_err()
             .message
             .contains("unknown fault kind"));
+    }
+
+    /// A one-event plan document, for the parser's rejection tests.
+    fn plan_text(kind: &str, device: u32, start_us: &str, end_us: &str, factor: &str) -> String {
+        format!(
+            "{{\"events\":[{{\"device\":{device},\"end_us\":{end_us},\"factor\":{factor},\
+             \"kind\":\"{kind}\",\"start_us\":{start_us}}}],\"schema\":\"{FAULT_PLAN_SCHEMA}\"}}"
+        )
+    }
+
+    fn rejection(text: &str) -> String {
+        FaultPlan::from_json(text)
+            .expect_err("the parser must reject the event")
+            .message
+    }
+
+    #[test]
+    fn the_parser_accepts_what_the_constructors_build() {
+        let text = plan_text("crash", 0, "1.0", "5.0", "1.0");
+        assert_eq!(
+            FaultPlan::from_json(&text).unwrap(),
+            FaultPlan::new(vec![FaultEvent::crash(0, 1.0, 5.0)])
+        );
+    }
+
+    #[test]
+    fn the_parser_rejects_inverted_windows() {
+        let text = plan_text("crash", 0, "5.0", "1.0", "1.0");
+        assert!(rejection(&text).contains("0 <= start < end"));
+    }
+
+    #[test]
+    fn the_parser_rejects_sub_unit_straggler_factors() {
+        let text = plan_text("straggler", 0, "1.0", "5.0", "0.5");
+        assert!(rejection(&text).contains("finite and >= 1"));
+    }
+
+    #[test]
+    fn the_parser_rejects_infinite_window_ends() {
+        let text = plan_text("drain", 0, "1.0", "1e999", "1.0");
+        assert!(rejection(&text).contains("finite times"));
+    }
+
+    #[test]
+    fn the_parser_rejects_crash_factors_other_than_one() {
+        let text = plan_text("crash", 0, "1.0", "5.0", "7.0");
+        assert!(rejection(&text).contains("has factor 1"));
+    }
+
+    #[test]
+    fn the_parser_rejects_interconnect_degradations_off_the_fabric_device() {
+        let text = plan_text("interconnect_degradation", 3, "1.0", "5.0", "2.0");
+        assert!(rejection(&text).contains("device 0"));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! Both are pure dispatch-time decision rules — they never touch the
 //! priced kernel cells, so they are *not* part of the cache-cell
-//! fingerprint (declared in `fingerprint_manifest.txt`); they shape the
-//! [`crate::ServingReport`] only. Their degenerate configurations
+//! fingerprint; they shape the [`crate::ServingReport`] only. Their degenerate configurations
 //! ([`RetryPolicy::none`], [`AdmissionPolicy::none`]) are exact no-ops:
 //! a scenario using them is bit-identical to one that never heard of
 //! resilience (held by `tests/resilience_equivalence.rs`).

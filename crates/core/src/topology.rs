@@ -49,6 +49,9 @@
 use dlrm_datasets::{pattern_coverage_skew, AccessPattern, HeterogeneousMix};
 use gpu_sim::{GpuConfig, StreamPartition};
 
+use crate::fingerprint;
+use crate::json::{array, object, ObjectWriter};
+
 /// The inter-device fabric: one full-duplex link per device with a fixed
 /// per-collective latency. See the [module docs](self) for the model's
 /// assumptions.
@@ -234,6 +237,26 @@ impl Cluster {
         self.devices.len() == 1
     }
 
+    /// Writes the cluster's fields into a cell key.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let Cluster {
+            devices,
+            interconnect,
+        } = self;
+        w.set(
+            "devices",
+            array(|a| {
+                for gpu in devices {
+                    a.push(object(|g| fingerprint::write_gpu(g, gpu)));
+                }
+            }),
+        );
+        w.set(
+            "interconnect",
+            object(|f| fingerprint::write_interconnect(f, interconnect)),
+        );
+    }
+
     /// Whether every device has the same configuration.
     pub fn is_homogeneous(&self) -> bool {
         self.devices.iter().all(|d| *d == self.devices[0])
@@ -308,6 +331,13 @@ impl StreamConfig {
     /// Whether this is the degenerate single-stream configuration.
     pub fn is_single(&self) -> bool {
         self.streams == 1
+    }
+
+    /// Writes the configuration's fields into a cell key.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let StreamConfig { streams, partition } = *self;
+        w.set("partition", partition.name());
+        w.set("streams", streams);
     }
 
     /// Stable machine-readable name: `"single"`, or

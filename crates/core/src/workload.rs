@@ -16,6 +16,7 @@
 
 use dlrm_datasets::{AccessPattern, HeterogeneousMix};
 
+use crate::json::{array, object, ObjectWriter};
 use crate::topology::ShardingSpec;
 
 /// The dataset an embedding-stage or end-to-end workload runs over: either
@@ -44,6 +45,30 @@ impl Dataset {
         match self {
             Dataset::Homogeneous(pattern) => HeterogeneousMix::homogeneous(*pattern, num_tables),
             Dataset::Mix(mix) => mix.clone(),
+        }
+    }
+
+    /// Writes the dataset's fields into a cell key.
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        match self {
+            Dataset::Homogeneous(pattern) => w.set("pattern", pattern.paper_name()),
+            Dataset::Mix(mix) => w.set(
+                "mix",
+                object(|m| {
+                    m.set(
+                        "composition",
+                        array(|a| {
+                            for &(pattern, count) in mix.composition() {
+                                a.push(array(|pair| {
+                                    pair.push(pattern.paper_name());
+                                    pair.push(count);
+                                }));
+                            }
+                        }),
+                    );
+                    m.set("name", mix.name());
+                }),
+            ),
         }
     }
 }
@@ -140,6 +165,24 @@ impl Workload {
     /// The sharding spec, if the workload is sharded.
     pub fn sharding(&self) -> Option<ShardingSpec> {
         self.sharding
+    }
+
+    /// Writes the workload's fields into a cell key.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let Workload { target, sharding } = self;
+        // `dataset` sorts before `kind` and `pattern` after it.
+        let kernel_pattern = match target {
+            WorkloadTarget::Kernel(pattern) => Some(pattern),
+            WorkloadTarget::EmbeddingStage(dataset) | WorkloadTarget::EndToEnd(dataset) => {
+                w.set("dataset", object(|d| dataset.write_fields(d)));
+                None
+            }
+        };
+        w.set("kind", self.kind().name());
+        if let Some(pattern) = kernel_pattern {
+            w.set("pattern", pattern.paper_name());
+        }
+        w.set("sharding", sharding.map(|spec| spec.name()));
     }
 
     /// The workload kind, as recorded in [`crate::RunReport`]s.

@@ -456,6 +456,11 @@ fn fault_plans_round_trip_canonically() {
         let back = FaultPlan::from_json(&text).expect("fault-plan JSON parses back");
         assert_eq!(back, plan, "round trip must be lossless");
         assert_eq!(back.to_json(), text, "rendering must be canonical");
+        assert_eq!(
+            Json::parse(&text).unwrap().render(),
+            text,
+            "the streamed encoding must be the tree rendering's bytes"
+        );
     });
 }
 
@@ -655,6 +660,11 @@ fn routing_policies_round_trip_canonically() {
         let back = RoutingPolicy::from_json(&text).expect("routing JSON parses back");
         assert_eq!(back, policy, "round trip must be lossless");
         assert_eq!(back.to_json(), text, "rendering must be canonical");
+        assert_eq!(
+            Json::parse(&text).unwrap().render(),
+            text,
+            "the streamed encoding must be the tree rendering's bytes"
+        );
         assert_eq!(back.label(), policy.label());
         assert_eq!(back.is_identity(), policy.is_identity());
     });
@@ -671,6 +681,11 @@ fn autoscale_policies_round_trip_canonically() {
         let back = AutoscalePolicy::from_json(&text).expect("autoscale JSON parses back");
         assert_eq!(back, policy, "round trip must be lossless");
         assert_eq!(back.to_json(), text, "rendering must be canonical");
+        assert_eq!(
+            Json::parse(&text).unwrap().render(),
+            text,
+            "the streamed encoding must be the tree rendering's bytes"
+        );
         assert_eq!(back.is_none(), policy.is_none());
         assert_eq!(back.label(), policy.label());
     });
@@ -690,6 +705,11 @@ fn fleet_specs_round_trip_canonically() {
         let back = FleetSpec::from_json(&text).expect("fleet-spec JSON parses back");
         assert_eq!(back, spec, "round trip must be lossless");
         assert_eq!(back.to_json(), text, "rendering must be canonical");
+        assert_eq!(
+            Json::parse(&text).unwrap().render(),
+            text,
+            "the streamed encoding must be the tree rendering's bytes"
+        );
         assert_eq!(back.is_identity(), spec.is_identity());
     });
 }
