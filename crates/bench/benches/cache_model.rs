@@ -15,9 +15,7 @@ fn cache_operations(c: &mut Criterion) {
         let mut i = 0u64;
         b.iter(|| {
             let line = (i % 100_000) * 128;
-            if !cache.access(line, i) {
-                cache.fill(line, false, i);
-            }
+            cache.access_or_fill(line, i);
             i += 1;
         });
     });

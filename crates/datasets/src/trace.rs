@@ -14,7 +14,8 @@ use crate::zipf::{RowPermutation, ZipfSampler};
 /// and how much work one inference batch performs against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Number of rows in the embedding table.
+    /// Number of rows in the embedding table, at most 2^32: trace indices
+    /// are stored as `u32` row ids.
     pub num_rows: u64,
     /// Samples per batch (the paper uses 2048).
     pub batch_size: u32,
@@ -26,9 +27,15 @@ impl TraceConfig {
     /// Creates a trace configuration.
     ///
     /// # Panics
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if `num_rows` exceeds 2^32 (the
+    /// trace stores row ids as `u32`, so larger tables could not be
+    /// indexed past row 2^32 - 1).
     pub fn new(num_rows: u64, batch_size: u32, pooling_factor: u32) -> Self {
         assert!(num_rows > 0, "a table must have at least one row");
+        assert!(
+            num_rows <= 1 << 32,
+            "a table may have at most 2^32 rows (row ids are u32), got {num_rows}"
+        );
         assert!(batch_size > 0, "the batch must contain at least one sample");
         assert!(
             pooling_factor > 0,
@@ -351,5 +358,17 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn zero_batch_rejected() {
         let _ = TraceConfig::new(10, 0, 1);
+    }
+
+    #[test]
+    fn largest_u32_indexable_table_is_accepted() {
+        let t = TraceConfig::new(1 << 32, 1, 4).generate(AccessPattern::Random, 3);
+        assert!(t.indices.iter().all(|&i| (i as u64) < 1 << 32));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32 rows")]
+    fn rows_beyond_u32_ids_rejected() {
+        let _ = TraceConfig::new((1 << 32) + 1, 1, 1);
     }
 }

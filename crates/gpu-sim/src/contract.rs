@@ -20,6 +20,13 @@
 //!    side effects in the same order in both loops (the event-driven
 //!    loop's serial walk over a drained wheel row must reproduce it).
 //! 5. **Monotone clock** — the engine clock never moves backwards.
+//! 6. **Exact cached minimum** — at every event-driven select, the
+//!    `(pick, min_others)` pair
+//!    [`select_and_min`](crate::sm::Schedulers::select_and_min) returns
+//!    (possibly from its cached other-slot minimum, without a scan) equals
+//!    a full [`scan_with_min`](crate::sm::Schedulers::scan_with_min) pass
+//!    over the same slots. A missed spawn fold or a stale cache trips this
+//!    before it can skew a deadline.
 //!
 //! The checker reads the same struct-of-arrays slot state the schedulers
 //! read ([`WarpSlots::min_ready_at`] over the sub-partition's fixed slot
@@ -137,6 +144,25 @@ impl EngineContract {
         );
         self.clock = cycle;
     }
+
+    /// The event-driven loop selected `got` (`(pick, min_others)`) for
+    /// flat sub-partition `idx` at `now`; it must equal a full scan.
+    pub(crate) fn on_select(
+        &mut self,
+        idx: usize,
+        now: u64,
+        got: (u32, u64),
+        sched: &crate::sm::Schedulers,
+        slots: &WarpSlots,
+    ) {
+        let want = sched.scan_with_min(slots, idx, now);
+        assert!(
+            got == want,
+            "scheduler contract: cached select of flat smsp {idx} at cycle \
+             {now} returned (pick, min_others) = {got:?}, but a full scan \
+             gives {want:?}"
+        );
+    }
 }
 
 /// No-op stand-in when `contract-checks` is off: every hook compiles to
@@ -172,4 +198,15 @@ impl EngineContract {
 
     #[inline(always)]
     pub(crate) fn on_clock(&mut self, _cycle: u64) {}
+
+    #[inline(always)]
+    pub(crate) fn on_select(
+        &mut self,
+        _idx: usize,
+        _now: u64,
+        _got: (u32, u64),
+        _sched: &crate::sm::Schedulers,
+        _slots: &crate::warp::WarpSlots,
+    ) {
+    }
 }

@@ -82,6 +82,15 @@
 //! sub-partition into the scan's minimum, so re-arming needs no second
 //! pass over the slot range.
 //!
+//! The commit also records the pick with its other-slot minimum
+//! ([`Schedulers::commit_with_min`]), so the sub-partition's next greedy
+//! re-issue needs no scan at all. Only a spawn can change another slot's
+//! `ready_at` before that re-issue, so `Run::dispatch_block` folds every
+//! spawned warp's ready cycle into its sub-partition's recorded minimum
+//! ([`Schedulers::note_spawn`]); that fold is the one piece of upkeep the
+//! cached minimum needs. The cycle-accurate loop uses the plain
+//! `select`/`commit` pair and shares none of this.
+//!
 //! # Concurrent kernel streams
 //!
 //! [`Simulator::run_concurrent`] runs K kernels as co-resident streams on
@@ -201,6 +210,11 @@ pub struct Simulator {
     /// trips (see `contract_checker_trips_on_double_issue`).
     #[cfg(all(test, feature = "contract-checks"))]
     double_issue_sabotage: bool,
+    /// Test-only fault injection: skip folding spawned warps into the
+    /// cached other-slot minimum (see
+    /// `contract_checker_trips_on_a_stale_cached_minimum`).
+    #[cfg(all(test, feature = "contract-checks"))]
+    spawn_fold_sabotage: bool,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -221,6 +235,8 @@ impl Clone for Simulator {
             ws: Mutex::new(None),
             #[cfg(all(test, feature = "contract-checks"))]
             double_issue_sabotage: self.double_issue_sabotage,
+            #[cfg(all(test, feature = "contract-checks"))]
+            spawn_fold_sabotage: self.spawn_fold_sabotage,
         }
     }
 }
@@ -235,6 +251,8 @@ impl Simulator {
             ws: Mutex::new(None),
             #[cfg(all(test, feature = "contract-checks"))]
             double_issue_sabotage: false,
+            #[cfg(all(test, feature = "contract-checks"))]
+            spawn_fold_sabotage: false,
         }
     }
 
@@ -243,6 +261,14 @@ impl Simulator {
     #[cfg(all(test, feature = "contract-checks"))]
     fn with_double_issue_sabotage(mut self) -> Self {
         self.double_issue_sabotage = true;
+        self
+    }
+
+    /// Enables the deliberately stale cached minimum used to test the
+    /// contract checker.
+    #[cfg(all(test, feature = "contract-checks"))]
+    fn with_spawn_fold_sabotage(mut self) -> Self {
+        self.spawn_fold_sabotage = true;
         self
     }
 
@@ -350,6 +376,7 @@ impl Simulator {
         #[cfg(all(test, feature = "contract-checks"))]
         {
             run.double_issue = self.double_issue_sabotage;
+            run.skip_spawn_fold = self.spawn_fold_sabotage;
         }
         let end_cycle = match self.mode {
             EngineMode::CycleAccurate => run.run_cycle_accurate(mem, start_cycle),
@@ -528,6 +555,9 @@ struct Run<'a> {
     /// Test-only fault injection (see [`Simulator`]).
     #[cfg(all(test, feature = "contract-checks"))]
     double_issue: bool,
+    /// Test-only fault injection (see [`Simulator`]).
+    #[cfg(all(test, feature = "contract-checks"))]
+    skip_spawn_fold: bool,
 }
 
 impl<'a> Run<'a> {
@@ -619,6 +649,8 @@ impl<'a> Run<'a> {
             contract: EngineContract::new(cfg.num_sms, cfg.smsps_per_sm, start_cycle),
             #[cfg(all(test, feature = "contract-checks"))]
             double_issue: false,
+            #[cfg(all(test, feature = "contract-checks"))]
+            skip_spawn_fold: false,
         };
 
         // Initial wave: fill every SM of each stream up to the stream's
@@ -677,7 +709,8 @@ impl<'a> Run<'a> {
 
     /// Dispatches one thread block of `stream` onto `sm_id` at `cycle`,
     /// recording the placements of its warps in the workspace's
-    /// `placements` buffer.
+    /// `placements` buffer and folding each spawned warp into its
+    /// sub-partition's cached other-slot minimum.
     fn dispatch_block(&mut self, stream: usize, sm_id: usize, block_id: u32, cycle: u64) {
         let warps_per_block = self.streams[stream].warps_per_block;
         let threads_per_block = self.streams[stream].launch.threads_per_block;
@@ -710,6 +743,13 @@ impl<'a> Run<'a> {
                 .slots
                 .spawn(flat, wid as u32, stream as u32, &mut ctx, cycle);
             let ready = slot.map_or(u64::MAX, |s| self.ws.slots.ready_at(s as usize));
+            #[cfg(all(test, feature = "contract-checks"))]
+            let fold = !self.skip_spawn_fold;
+            #[cfg(not(all(test, feature = "contract-checks")))]
+            let fold = true;
+            if fold {
+                self.ws.sched_state.note_spawn(flat, ready);
+            }
             self.ws.warps.push(ctx);
             self.ws.warp_home.push((sm_id, stream, block_id));
             self.contract
@@ -932,6 +972,13 @@ impl<'a> Run<'a> {
                     debug_assert_eq!(self.ws.sched[idx], t, "stale bit in drained wheel row");
                     let (pick, min_others) =
                         self.ws.sched_state.select_and_min(&self.ws.slots, idx, t);
+                    self.contract.on_select(
+                        idx,
+                        t,
+                        (pick, min_others),
+                        &self.ws.sched_state,
+                        &self.ws.slots,
+                    );
                     self.commit_candidate(idx, pick, min_others, t, mem);
                 }
             }
@@ -977,7 +1024,11 @@ impl<'a> Run<'a> {
 
         if pick != u32::MAX {
             let wid = self.ws.slots.wid(pick as usize);
-            self.ws.sched_state.commit(idx, pick, wid);
+            // Recorded before the issue, so the spawns of a replacement
+            // block it dispatches fold into the recorded minimum.
+            self.ws
+                .sched_state
+                .commit_with_min(idx, pick, wid, min_others);
             let retired = self.issue_selected(pick as usize, sm, smsp, t, mem);
             // A released slot reports `u64::MAX`, so retirement needs no
             // special case here.
@@ -1296,6 +1347,40 @@ mod tests {
         let sim = Simulator::new(cfg).with_double_issue_sabotage();
         let launch = KernelLaunch::new("sabotaged", 8, 128).with_regs_per_thread(32);
         let _ = sim.run(&launch, &StreamKernel::new(16));
+    }
+
+    /// Invariant 6 must catch a cached other-slot minimum that misses a
+    /// spawn. One SM with two sub-partitions and two resident one-warp
+    /// blocks: block 0's warp re-issues greedily on sub-partition 0 every
+    /// cycle, alone there, while block 1 finishes on sub-partition 1 and
+    /// its replacement lands on sub-partition 0. With the spawn fold
+    /// skipped, the next greedy re-issue reports no other ready warp while
+    /// a full scan sees the replacement, so the checker has to trip.
+    #[test]
+    #[cfg(feature = "contract-checks")]
+    #[should_panic(expected = "cached select")]
+    fn contract_checker_trips_on_a_stale_cached_minimum() {
+        use crate::isa::{Instruction, SrcSet};
+        use crate::launch::{VecProgram, WarpProgram};
+
+        struct LongFirstBlock;
+        impl KernelProgram for LongFirstBlock {
+            fn warp_program(&self, info: WarpInfo) -> Box<dyn WarpProgram> {
+                let n = if info.block_id == 0 { 64 } else { 2 };
+                let alu = Instruction::Alu {
+                    dst: 1,
+                    srcs: SrcSet::none(),
+                    latency: 1,
+                };
+                Box::new(VecProgram::new(vec![alu; n]))
+            }
+        }
+
+        let mut cfg = GpuConfig::test_small().with_num_sms(1).with_smsps_per_sm(2);
+        cfg.max_blocks_per_sm = 2;
+        let launch = KernelLaunch::new("sabotaged", 4, 32);
+        let sim = Simulator::new(cfg).with_spawn_fold_sabotage();
+        let _ = sim.run(&launch, &LongFirstBlock);
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! behaviour: within a set, non-persistent victims are chosen before
 //! persistent ones, and the total number of persistent lines is capped at the
 //! configured carve-out.
+//!
+//! Demand traffic goes through [`Cache::access_or_fill`], which behaves
+//! exactly like [`Cache::access`] followed, on a miss, by a normal
+//! [`Cache::fill`], but locates the set once and finds the hit and the
+//! first invalid way in one pass over its tags; it reads LRU stamps only
+//! when every way is valid. Persistent fills (L2 pinning) still go through
+//! `fill`, which also promotes resident lines.
 
 use crate::config::CacheConfig;
 
@@ -194,6 +201,68 @@ impl Cache {
                 self.last_use[i] = now;
                 self.stats.hits += 1;
                 return true;
+            }
+        }
+        false
+    }
+
+    /// [`Cache::access`] followed, on a miss, by `fill(line_addr, false,
+    /// now)`, with the same statistics, victim order and return value (a
+    /// hit), from one set lookup: the tag pass that looks for the line also
+    /// records the first invalid way, so only a full set reads its LRU
+    /// stamps.
+    #[inline]
+    pub fn access_or_fill(&mut self, line_addr: u64, now: u64) -> bool {
+        self.stats.accesses += 1;
+        let (set_idx, tag) = self.locate(line_addr);
+        debug_assert!(tag & !TAG_MASK == 0, "tag overflows the packing");
+        let want = tag | VALID;
+        let span = self.span(set_idx);
+        let mut invalid = usize::MAX;
+        for i in span.clone() {
+            let w = self.tags[i];
+            if w & (VALID | TAG_MASK) == want {
+                self.last_use[i] = now;
+                self.stats.hits += 1;
+                return true;
+            }
+            if w & VALID == 0 && invalid == usize::MAX {
+                invalid = i;
+            }
+        }
+        self.stats.fills += 1;
+        let victim = if invalid != usize::MAX {
+            invalid
+        } else {
+            // Same order as `fill`: the first LRU non-persistent way, else
+            // (every way pinned) the first LRU way.
+            let mut lru = span.start;
+            let mut lru_normal = usize::MAX;
+            for i in span {
+                let stamp = self.last_use[i];
+                if stamp < self.last_use[lru] {
+                    lru = i;
+                }
+                if self.tags[i] & PERSISTENT == 0
+                    && (lru_normal == usize::MAX || stamp < self.last_use[lru_normal])
+                {
+                    lru_normal = i;
+                }
+            }
+            if lru_normal != usize::MAX {
+                lru_normal
+            } else {
+                lru
+            }
+        };
+        let evicted = self.tags[victim];
+        self.tags[victim] = want;
+        self.last_use[victim] = now;
+        if evicted & VALID != 0 {
+            self.stats.evictions += 1;
+            if evicted & PERSISTENT != 0 {
+                self.stats.persistent_evictions += 1;
+                self.persistent_lines -= 1;
             }
         }
         false
@@ -430,6 +499,20 @@ mod tests {
                 assert_eq!(tag, line_index / sets, "tag for {line_index}/{sets}");
             }
         }
+    }
+
+    #[test]
+    fn access_or_fill_evicts_unpinned_lru_before_pinned() {
+        // 2 ways of set 0: pin line 0, then stream 512, 1024 through.
+        let mut c = small_cache(8, 2);
+        c.set_persisting_capacity(128);
+        assert!(c.fill(0, true, 0));
+        assert!(!c.access_or_fill(512, 1));
+        assert!(!c.access_or_fill(1024, 2));
+        assert!(c.is_persistent(0));
+        assert!(!c.probe(512));
+        assert_eq!(c.stats.evictions, 1);
+        assert_eq!(c.stats.persistent_evictions, 0);
     }
 
     #[test]

@@ -149,9 +149,13 @@ impl MemorySystem {
         }
     }
 
+    /// Services one line of a load. Each level's lookup also installs the
+    /// line on a miss ([`Cache::access_or_fill`]); the L1 and L2 caches
+    /// and DRAM hold independent state, so filling L1 before looking in L2
+    /// leaves every side effect as in a lookup-then-fill walk.
     #[inline]
     fn load_line(&mut self, sm: usize, line: u64, bytes: u64, now: u64) -> (u64, AccessOutcome) {
-        if self.l1[sm].access(line, now) {
+        if self.l1[sm].access_or_fill(line, now) {
             // An in-flight prefetch fill delays the hit until the data lands.
             let ready = self.pending_l1_ready(sm, line, now);
             return (
@@ -159,16 +163,13 @@ impl MemorySystem {
                 AccessOutcome::L1Hit,
             );
         }
-        if self.l2.access(line, now) {
+        if self.l2.access_or_fill(line, now) {
             let ready = self.pending_l2_ready(line, now);
-            self.l1[sm].fill(line, false, now);
             return (ready.max(now) + self.l2.hit_latency(), AccessOutcome::L2Hit);
         }
-        // L2 miss: fetch a full line from DRAM, fill L2 then L1.
+        // L2 miss: fetch a full line from DRAM.
         let line_bytes = self.l2.line_bytes().max(bytes);
         let done = self.dram.read(line_bytes, now);
-        self.l2.fill(line, false, now);
-        self.l1[sm].fill(line, false, now);
         (done, AccessOutcome::DramAccess)
     }
 
@@ -182,12 +183,8 @@ impl MemorySystem {
             MemSpace::Global | MemSpace::Local => {
                 for line in lines.iter() {
                     // Allocate in L1/L2 so subsequent spill reloads hit.
-                    if !self.l2.access(line, now) {
-                        self.l2.fill(line, false, now);
-                    }
-                    if !self.l1[sm].access(line, now) {
-                        self.l1[sm].fill(line, false, now);
-                    }
+                    self.l2.access_or_fill(line, now);
+                    self.l1[sm].access_or_fill(line, now);
                 }
                 if space == MemSpace::Global {
                     self.dram.write(bytes as u64, now);
@@ -207,11 +204,10 @@ impl MemorySystem {
                     if self.l1[sm].probe(line) {
                         continue;
                     }
-                    let ready = if self.l2.access(line, now) {
+                    let ready = if self.l2.access_or_fill(line, now) {
                         now + self.l2.hit_latency()
                     } else {
                         let done = self.dram.read(self.l2.line_bytes(), now);
-                        self.l2.fill(line, false, now);
                         self.record_l2_fill(line, done);
                         done
                     };

@@ -8,7 +8,10 @@
 //! [`WarpSlots`] arena (see `warp.rs` for the layout). [`Schedulers`] holds
 //! the only scheduler state that is not per-slot: the greedy pointer of
 //! each sub-partition, stored as a `(slot, warp id)` pair so that slot
-//! reuse can never be mistaken for the previously issued warp.
+//! reuse can never be mistaken for the previously issued warp, next to
+//! the cached other-slot minimum described below. Both live in one record
+//! per sub-partition (one allocation for the device), so a select reads
+//! adjacent words instead of one entry from each of four arrays.
 //!
 //! [`Schedulers::select`] is **pure** (`&self`): it reads the
 //! sub-partition's own slots (`ready`, `seq`) and greedy pointer and
@@ -18,11 +21,24 @@
 //!
 //! [`Schedulers::select_and_min`] is the fused variant the event-driven
 //! loop uses: the same selection plus the minimum `ready_at` over the
-//! sub-partition's *other* slots, from one pass. The engine calls it
-//! immediately before committing that sub-partition, so the minimum
-//! reflects every earlier commit of the same cycle; it folds the picked
-//! warp's post-issue readiness into that minimum to re-arm the deadline
-//! queue without a second scan (see `engine.rs`).
+//! sub-partition's *other* slots. The engine calls it immediately before
+//! committing that sub-partition, so the minimum reflects every earlier
+//! commit of the same cycle; it folds the picked warp's post-issue
+//! readiness into that minimum to re-arm the deadline queue without a
+//! second scan (see `engine.rs`).
+//!
+//! `select_and_min` is not always a pass over the slot range. The
+//! event-driven commit records its pick together with the minimum over the
+//! other slots ([`Schedulers::commit_with_min`]). Between two commits of a
+//! sub-partition, another slot's `ready` can only change by a spawn into
+//! it (the engine folds each spawned warp's ready cycle in with
+//! [`Schedulers::note_spawn`]) or by that slot issuing, which would make it
+//! the pick. So while the greedy slot still hosts the warp that issued
+//! last and is ready again — a greedy re-issue, most issues in practice —
+//! the recorded minimum is still exact and is returned without a scan.
+//! Every other case, and any state left by the plain
+//! [`Schedulers::commit`], takes the full [`WarpSlots::select_with_min`]
+//! pass.
 
 use std::collections::HashMap;
 
@@ -31,15 +47,35 @@ use crate::warp::WarpSlots;
 /// Greedy sentinel: no previously issued warp to stick with.
 const NONE: u32 = u32::MAX;
 
-/// The per-sub-partition scheduler state for a whole device: greedy
-/// pointers indexed by flat sub-partition id, selecting over the
-/// [`WarpSlots`] arena.
+/// The scheduler state of one sub-partition.
+#[derive(Debug, Clone, Copy)]
+struct Greedy {
+    /// Slot most recently issued from.
+    slot: u32,
+    /// Warp arena id that was resident in `slot` at issue time; the greedy
+    /// preference only holds while the slot still hosts that warp.
+    wid: u32,
+    /// Minimum ready cycle over every slot other than `slot`, kept exact
+    /// across spawns while `others_valid` is set.
+    others_min: u64,
+    /// Whether `others_min` holds for the current greedy pointer; set by
+    /// [`Schedulers::commit_with_min`], cleared by [`Schedulers::commit`].
+    others_valid: bool,
+}
+
+impl Greedy {
+    const NONE: Greedy = Greedy {
+        slot: NONE,
+        wid: NONE,
+        others_min: u64::MAX,
+        others_valid: false,
+    };
+}
+
+/// The per-sub-partition scheduler state for a whole device, indexed by
+/// flat sub-partition id, selecting over the [`WarpSlots`] arena.
 pub struct Schedulers {
-    /// Slot most recently issued from, per flat sub-partition.
-    greedy_slot: Vec<u32>,
-    /// Warp arena id that was resident in `greedy_slot` at issue time; the
-    /// greedy preference only holds while the slot still hosts that warp.
-    greedy_wid: Vec<u32>,
+    greedy: Vec<Greedy>,
 }
 
 impl Default for Schedulers {
@@ -51,20 +87,15 @@ impl Default for Schedulers {
 impl Schedulers {
     /// Creates scheduler state for `n` flat sub-partitions.
     pub fn new(n: usize) -> Self {
-        let mut s = Schedulers {
-            greedy_slot: Vec::new(),
-            greedy_wid: Vec::new(),
-        };
+        let mut s = Schedulers { greedy: Vec::new() };
         s.reset(n);
         s
     }
 
     /// Re-sizes and clears the greedy pointers for a new run.
     pub fn reset(&mut self, n: usize) {
-        self.greedy_slot.clear();
-        self.greedy_slot.resize(n, NONE);
-        self.greedy_wid.clear();
-        self.greedy_wid.resize(n, NONE);
+        self.greedy.clear();
+        self.greedy.resize(n, Greedy::NONE);
     }
 
     /// Selects the slot sub-partition `smsp` issues from at cycle `now`
@@ -74,32 +105,75 @@ impl Schedulers {
     /// [`Schedulers::commit`] after the issue is applied.
     #[inline]
     pub fn select(&self, slots: &WarpSlots, smsp: usize, now: u64) -> Option<u32> {
-        let g = self.greedy_slot[smsp];
-        if g != NONE {
-            let s = g as usize;
-            if slots.wid(s) == self.greedy_wid[smsp] && slots.ready_at(s) <= now {
-                return Some(g);
+        let g = self.greedy[smsp];
+        if g.slot != NONE {
+            let s = g.slot as usize;
+            if slots.wid(s) == g.wid && slots.ready_at(s) <= now {
+                return Some(g.slot);
             }
         }
         slots.oldest_ready(smsp, now)
     }
 
-    /// Fused variant of [`Schedulers::select`]: one pass over the slot
-    /// range returns both the selection (`u32::MAX` = none) and the
-    /// minimum ready cycle of the *other* slots, so the engine's commit
-    /// can re-arm the sub-partition's next deadline without a second scan
-    /// (see [`WarpSlots::select_with_min`]). Pure, like `select`.
+    /// Fused variant of [`Schedulers::select`]: returns both the selection
+    /// (`u32::MAX` = none) and the minimum ready cycle of the *other*
+    /// slots, so the engine's commit can re-arm the sub-partition's next
+    /// deadline without a second scan. A greedy re-issue answers from the
+    /// minimum recorded by [`Schedulers::commit_with_min`]; anything else
+    /// is one [`Schedulers::scan_with_min`] pass (see the module docs).
+    /// Pure, like `select`.
     #[inline]
     pub fn select_and_min(&self, slots: &WarpSlots, smsp: usize, now: u64) -> (u32, u64) {
-        slots.select_with_min(smsp, now, self.greedy_slot[smsp], self.greedy_wid[smsp])
+        let g = self.greedy[smsp];
+        if g.others_valid
+            && slots.wid(g.slot as usize) == g.wid
+            && slots.ready_at(g.slot as usize) <= now
+        {
+            return (g.slot, g.others_min);
+        }
+        self.scan_with_min(slots, smsp, now)
+    }
+
+    /// The full-pass answer [`Schedulers::select_and_min`] must agree
+    /// with: one [`WarpSlots::select_with_min`] scan of `smsp`'s slots.
+    #[inline]
+    pub fn scan_with_min(&self, slots: &WarpSlots, smsp: usize, now: u64) -> (u32, u64) {
+        let g = self.greedy[smsp];
+        slots.select_with_min(smsp, now, g.slot, g.wid)
     }
 
     /// Records that `smsp` issued from `slot` (hosting warp `wid`), making
-    /// it the greedy preference for the next cycle.
+    /// it the greedy preference for the next cycle. Forgets any recorded
+    /// other-slot minimum, so the next `select_and_min` scans.
     #[inline]
     pub fn commit(&mut self, smsp: usize, slot: u32, wid: u32) {
-        self.greedy_slot[smsp] = slot;
-        self.greedy_wid[smsp] = wid;
+        let g = &mut self.greedy[smsp];
+        g.slot = slot;
+        g.wid = wid;
+        g.others_valid = false;
+    }
+
+    /// [`Schedulers::commit`] for a pick returned by
+    /// [`Schedulers::select_and_min`], also recording `min_others`, the
+    /// minimum ready cycle over every slot except `slot`. The caller must
+    /// report every later spawn into `smsp` through
+    /// [`Schedulers::note_spawn`].
+    #[inline]
+    pub fn commit_with_min(&mut self, smsp: usize, slot: u32, wid: u32, min_others: u64) {
+        self.greedy[smsp] = Greedy {
+            slot,
+            wid,
+            others_min: min_others,
+            others_valid: true,
+        };
+    }
+
+    /// A warp ready at `ready` was spawned into one of `smsp`'s slots:
+    /// fold it into the recorded other-slot minimum.
+    #[inline]
+    pub fn note_spawn(&mut self, smsp: usize, ready: u64) {
+        let m = &mut self.greedy[smsp].others_min;
+        *m = (*m).min(ready);
     }
 }
 

@@ -108,13 +108,58 @@ fn cache_hit_invariants() {
         });
         for (i, &a) in addrs.iter().enumerate() {
             let line = a * 128;
-            if !cache.access(line, i as u64) {
-                cache.fill(line, false, i as u64);
-            }
+            cache.access_or_fill(line, i as u64);
             assert!(cache.probe(line), "a just-filled line must be resident");
         }
         assert!(cache.stats.hits <= cache.stats.accesses);
         assert!(cache.resident_lines() <= lines);
+    });
+}
+
+#[test]
+fn fused_access_or_fill_matches_access_then_fill() {
+    // `access_or_fill` is the memory hierarchy's only demand path, and both
+    // engine loops share it, so the CA/ED suites cannot see a wrong victim
+    // choice: compare it against the `access` + `fill(.., false, ..)` pair
+    // it replaces, op for op, with pinned lines and LRU-stamp ties mixed in.
+    check("fused_access_or_fill_matches_access_then_fill", |g| {
+        let sets = [1u64, 2, 3, 5, 7, 8, 16][g.range(0, 7) as usize];
+        let ways = [1u64, 2, 3, 4, 8, 16][g.range(0, 6) as usize];
+        let cfg = CacheConfig {
+            capacity_bytes: sets * ways * 128,
+            line_bytes: 128,
+            associativity: ways as usize,
+            hit_latency: 10,
+        };
+        let carveout_lines = g.range(0, sets * ways + 1);
+        let mut fused = Cache::new(cfg.clone());
+        let mut pair = Cache::new(cfg);
+        fused.set_persisting_capacity(carveout_lines * 128);
+        pair.set_persisting_capacity(carveout_lines * 128);
+        let span = sets * ways * 3;
+        let ops = g.range(1, 400);
+        let mut touched = std::collections::BTreeSet::new();
+        for op in 0..ops {
+            let line = g.range(0, span) * 128;
+            // Several ops share a stamp, so LRU ties are exercised.
+            let now = op / 3;
+            touched.insert(line);
+            if g.range(0, 6) == 0 {
+                assert_eq!(fused.fill(line, true, now), pair.fill(line, true, now));
+            } else {
+                let hit = pair.access(line, now);
+                if !hit {
+                    pair.fill(line, false, now);
+                }
+                assert_eq!(fused.access_or_fill(line, now), hit, "op {op} line {line}");
+            }
+            assert_eq!(fused.stats, pair.stats, "op {op}: stats diverged");
+            assert_eq!(fused.persistent_lines(), pair.persistent_lines());
+            for &t in &touched {
+                assert_eq!(fused.probe(t), pair.probe(t), "op {op}: residency of {t}");
+                assert_eq!(fused.is_persistent(t), pair.is_persistent(t));
+            }
+        }
     });
 }
 
