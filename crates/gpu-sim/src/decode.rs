@@ -1,0 +1,517 @@
+//! Decode-buffer entries and the sink warp programs write them through.
+//!
+//! The engine keeps a small decode-ahead buffer per resident-warp slot (see
+//! [`crate::warp`]). A [`WarpProgram`] refills it through an [`InstSink`]:
+//! a window over the buffer that packs each pushed [`Instruction`] in place
+//! into a 16-byte packed entry, so an instruction is generated, encoded
+//! and stored in one step, with no intermediate queue.
+//!
+//! [`InstBuffer`] is the same window backed by an owned buffer, for driving
+//! a program outside the engine (tests, benchmarks); [`drain`] collects a
+//! whole program through it.
+
+use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg, SrcSet};
+use crate::launch::WarpProgram;
+
+/// Packed opcodes; see [`PackedInst`].
+pub(crate) const OP_LOAD_GLOBAL: u64 = 0;
+pub(crate) const OP_LOAD_LOCAL: u64 = 1;
+pub(crate) const OP_LOAD_SHARED: u64 = 2;
+pub(crate) const OP_STORE_GLOBAL: u64 = 3;
+pub(crate) const OP_STORE_LOCAL: u64 = 4;
+pub(crate) const OP_STORE_SHARED: u64 = 5;
+pub(crate) const OP_PREF_L1: u64 = 6;
+pub(crate) const OP_PREF_L2: u64 = 7;
+pub(crate) const OP_ALU: u64 = 8;
+pub(crate) const OP_EXT: u64 = 9;
+
+/// One decoded instruction packed into 16 bytes for the per-slot
+/// decode-ahead buffers. A full [`Instruction`] is 56 bytes, so buffering
+/// it directly made the decode buffers the largest per-issue working set in
+/// the engine; the packed form keeps them 3.5x smaller and copies one
+/// sixteenth of a host cache line per issue instead of one full line.
+///
+/// `meta` bit layout: `[0,4)` opcode, `[4,12)` primary register (load
+/// destination / store source / ALU destination); memory ops add bit 12 =
+/// "has address dependence", `[13,21)` the dependence register and
+/// `[21,42)` the byte count; ALU ops add `[12,14)` source count and
+/// `[16,40)` three source registers. `arg` holds the line address (memory
+/// ops), the latency (ALU), or a side-table index (`OP_EXT`).
+///
+/// Instructions that do not fit (multi-line accesses, byte counts of 2 MiB
+/// or more) are stored verbatim in the slot's side table and referenced by
+/// an `OP_EXT` entry, so the packing is an encoding, never a restriction.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PackedInst {
+    pub(crate) arg: u64,
+    meta: u64,
+}
+
+/// Largest byte count a packed memory instruction can carry.
+const PACK_MAX_BYTES: u32 = 1 << 21;
+
+impl PackedInst {
+    #[inline]
+    fn encode(inst: &Instruction) -> Option<PackedInst> {
+        let mem_meta = |op: u64, reg0: Reg, dep: Option<Reg>, bytes: u32| -> u64 {
+            op | (reg0 as u64) << 4
+                | dep.map_or(0, |r| 1 << 12 | (r as u64) << 13)
+                | (bytes as u64) << 21
+        };
+        match *inst {
+            Instruction::Load {
+                space,
+                lines,
+                dst,
+                bytes,
+                addr_dep,
+            } => {
+                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
+                    return None;
+                }
+                let op = match space {
+                    MemSpace::Global => OP_LOAD_GLOBAL,
+                    MemSpace::Local => OP_LOAD_LOCAL,
+                    MemSpace::Shared => OP_LOAD_SHARED,
+                };
+                Some(PackedInst {
+                    arg: lines.iter().next().unwrap(),
+                    meta: mem_meta(op, dst, addr_dep, bytes),
+                })
+            }
+            Instruction::Store {
+                space,
+                lines,
+                src,
+                bytes,
+            } => {
+                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
+                    return None;
+                }
+                let op = match space {
+                    MemSpace::Global => OP_STORE_GLOBAL,
+                    MemSpace::Local => OP_STORE_LOCAL,
+                    MemSpace::Shared => OP_STORE_SHARED,
+                };
+                Some(PackedInst {
+                    arg: lines.iter().next().unwrap(),
+                    meta: mem_meta(op, src, None, bytes),
+                })
+            }
+            Instruction::Prefetch {
+                target,
+                lines,
+                addr_dep,
+            } => {
+                if lines.len() != 1 {
+                    return None;
+                }
+                let op = match target {
+                    PrefetchTarget::L1 => OP_PREF_L1,
+                    PrefetchTarget::L2EvictLast => OP_PREF_L2,
+                };
+                Some(PackedInst {
+                    arg: lines.iter().next().unwrap(),
+                    meta: mem_meta(op, 0, addr_dep, 0),
+                })
+            }
+            Instruction::Alu { dst, srcs, latency } => {
+                let mut meta = OP_ALU | (dst as u64) << 4 | (srcs.len() as u64) << 12;
+                for (i, r) in srcs.iter().enumerate() {
+                    meta |= (r as u64) << (16 + 8 * i);
+                }
+                Some(PackedInst {
+                    arg: latency as u64,
+                    meta,
+                })
+            }
+        }
+    }
+
+    /// The instruction this entry encodes; `ext` is the side table of the
+    /// buffer it came from. Exact inverse of the packing.
+    pub(crate) fn decode(self, ext: &[Instruction]) -> Instruction {
+        let line = LineSet::single(self.arg);
+        let space = |op| match op {
+            OP_LOAD_GLOBAL | OP_STORE_GLOBAL => MemSpace::Global,
+            OP_LOAD_LOCAL | OP_STORE_LOCAL => MemSpace::Local,
+            _ => MemSpace::Shared,
+        };
+        match self.op() {
+            op @ (OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED) => Instruction::Load {
+                space: space(op),
+                lines: line,
+                dst: self.reg0(),
+                bytes: self.bytes(),
+                addr_dep: self.addr_dep(),
+            },
+            op @ (OP_STORE_GLOBAL | OP_STORE_LOCAL | OP_STORE_SHARED) => Instruction::Store {
+                space: space(op),
+                lines: line,
+                src: self.reg0(),
+                bytes: self.bytes(),
+            },
+            op @ (OP_PREF_L1 | OP_PREF_L2) => Instruction::Prefetch {
+                target: if op == OP_PREF_L1 {
+                    PrefetchTarget::L1
+                } else {
+                    PrefetchTarget::L2EvictLast
+                },
+                lines: line,
+                addr_dep: self.addr_dep(),
+            },
+            OP_ALU => Instruction::Alu {
+                dst: self.reg0(),
+                srcs: match self.nsrcs() {
+                    0 => SrcSet::none(),
+                    1 => SrcSet::one(self.src(0)),
+                    2 => SrcSet::two(self.src(0), self.src(1)),
+                    _ => SrcSet::three(self.src(0), self.src(1), self.src(2)),
+                },
+                latency: self.arg as u32,
+            },
+            _ => ext[self.arg as usize],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn op(self) -> u64 {
+        self.meta & 0xF
+    }
+
+    #[inline]
+    pub(crate) fn reg0(self) -> Reg {
+        (self.meta >> 4) as Reg
+    }
+
+    #[inline]
+    pub(crate) fn addr_dep(self) -> Option<Reg> {
+        if self.meta & (1 << 12) != 0 {
+            Some((self.meta >> 13) as Reg)
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    pub(crate) fn bytes(self) -> u32 {
+        ((self.meta >> 21) & (PACK_MAX_BYTES as u64 - 1)) as u32
+    }
+
+    #[inline]
+    pub(crate) fn nsrcs(self) -> usize {
+        ((self.meta >> 12) & 0x3) as usize
+    }
+
+    #[inline]
+    pub(crate) fn src(self, i: usize) -> Reg {
+        (self.meta >> (16 + 8 * i)) as Reg
+    }
+}
+
+/// A write window over one decode buffer, handed to
+/// [`WarpProgram::fill`]. Each [`InstSink::push`] packs its instruction
+/// straight into the next free entry; instructions that do not fit the
+/// packing go to the buffer's side table.
+pub struct InstSink<'a> {
+    buf: &'a mut [PackedInst],
+    len: usize,
+    ext: &'a mut Vec<Instruction>,
+    /// Whether this fill has spilled yet. The side table is cleared on the
+    /// first spill rather than up front, so a fill that never spills (every
+    /// embedding-kernel fill) never touches it; entries left by an earlier
+    /// fill are only referenced by buffer entries this fill overwrites.
+    ext_claimed: bool,
+}
+
+impl<'a> InstSink<'a> {
+    /// A sink over `buf` (its whole length is the capacity) with side
+    /// table `ext`.
+    #[inline]
+    pub(crate) fn new(buf: &'a mut [PackedInst], ext: &'a mut Vec<Instruction>) -> Self {
+        InstSink {
+            buf,
+            len: 0,
+            ext,
+            ext_claimed: false,
+        }
+    }
+
+    /// Appends `inst`.
+    ///
+    /// # Panics
+    /// Panics if the sink is full.
+    #[inline]
+    pub fn push(&mut self, inst: Instruction) {
+        let packed = match PackedInst::encode(&inst) {
+            Some(p) => p,
+            None => self.spill(inst),
+        };
+        self.buf[self.len] = packed;
+        self.len += 1;
+    }
+
+    #[cold]
+    fn spill(&mut self, inst: Instruction) -> PackedInst {
+        if !self.ext_claimed {
+            self.ext_claimed = true;
+            self.ext.clear();
+        }
+        self.ext.push(inst);
+        PackedInst {
+            arg: self.ext.len() as u64 - 1,
+            meta: OP_EXT,
+        }
+    }
+
+    /// Whether no more instructions fit.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.len == self.buf.len()
+    }
+
+    /// Instructions that still fit.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.len
+    }
+
+    /// Instructions pushed so far.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing has been pushed yet.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// An owned decode buffer of fixed capacity: runs [`WarpProgram::fill`]
+/// outside the engine, exactly as the engine refills a slot.
+#[derive(Debug)]
+pub struct InstBuffer {
+    entries: Vec<PackedInst>,
+    ext: Vec<Instruction>,
+    len: usize,
+}
+
+impl InstBuffer {
+    /// A buffer holding up to `capacity` instructions per fill.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "a decode buffer holds at least one entry");
+        InstBuffer {
+            entries: vec![PackedInst::default(); capacity],
+            ext: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Replaces the buffer's contents with the next instructions of
+    /// `program` and returns whether the program reported that it is done.
+    pub fn fill(&mut self, program: &mut dyn WarpProgram) -> bool {
+        let mut sink = InstSink::new(&mut self.entries, &mut self.ext);
+        let done = program.fill(&mut sink);
+        self.len = sink.len();
+        done
+    }
+
+    /// Instructions the last fill pushed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the last fill pushed nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The instructions the last fill pushed, decoded.
+    pub fn instructions(&self) -> impl Iterator<Item = Instruction> + '_ {
+        self.entries[..self.len].iter().map(|p| p.decode(&self.ext))
+    }
+}
+
+/// Runs `program` to completion through a buffer of `capacity` entries and
+/// returns its whole instruction stream.
+///
+/// Also checks the [`WarpProgram::fill`] contract: a fill that does not
+/// report done pushes at least one instruction, and a finished program
+/// stays finished (a further fill pushes nothing and reports done again).
+pub fn drain(program: &mut dyn WarpProgram, capacity: usize) -> Vec<Instruction> {
+    let mut buf = InstBuffer::new(capacity);
+    let mut out = Vec::new();
+    loop {
+        let done = buf.fill(program);
+        assert!(
+            done || !buf.is_empty(),
+            "a WarpProgram fill that is not done must push an instruction"
+        );
+        out.extend(buf.instructions());
+        if done {
+            break;
+        }
+    }
+    assert!(
+        buf.fill(program) && buf.is_empty(),
+        "a finished WarpProgram must stay finished"
+    );
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Packs `inst` through a one-entry sink and decodes it back.
+    fn round_trip(inst: Instruction) -> (Instruction, bool) {
+        let mut entries = [PackedInst::default()];
+        let mut ext = Vec::new();
+        let mut sink = InstSink::new(&mut entries, &mut ext);
+        sink.push(inst);
+        assert!(sink.is_full());
+        (entries[0].decode(&ext), entries[0].op() == OP_EXT)
+    }
+
+    fn assert_packs(inst: Instruction) {
+        assert_eq!(round_trip(inst), (inst, false), "{inst:?}");
+    }
+
+    fn assert_spills(inst: Instruction) {
+        assert_eq!(round_trip(inst), (inst, true), "{inst:?}");
+    }
+
+    const SPACES: [MemSpace; 3] = [MemSpace::Global, MemSpace::Local, MemSpace::Shared];
+    const TARGETS: [PrefetchTarget; 2] = [PrefetchTarget::L1, PrefetchTarget::L2EvictLast];
+
+    #[test]
+    fn every_packable_instruction_round_trips() {
+        let lines = [0u64, 128, 0xDEAD_BE80, !127];
+        let byte_counts = [0u32, 1, 4, 128, 4096, PACK_MAX_BYTES - 1];
+        for reg in 0..=255u8 {
+            let other = reg.wrapping_mul(37).wrapping_add(11);
+            for space in SPACES {
+                for line in lines {
+                    for bytes in byte_counts {
+                        for addr_dep in [None, Some(other)] {
+                            assert_packs(Instruction::Load {
+                                space,
+                                lines: LineSet::single(line),
+                                dst: reg,
+                                bytes,
+                                addr_dep,
+                            });
+                        }
+                        assert_packs(Instruction::Store {
+                            space,
+                            lines: LineSet::single(line),
+                            src: reg,
+                            bytes,
+                        });
+                    }
+                }
+            }
+            for target in TARGETS {
+                for addr_dep in [None, Some(reg)] {
+                    assert_packs(Instruction::Prefetch {
+                        target,
+                        lines: LineSet::single(lines[reg as usize % lines.len()]),
+                        addr_dep,
+                    });
+                }
+            }
+            let (a, b) = (other, reg ^ 0xA5);
+            for srcs in [
+                SrcSet::none(),
+                SrcSet::one(reg),
+                SrcSet::two(a, reg),
+                SrcSet::three(reg, a, b),
+            ] {
+                for latency in [0, 1, 8, u32::MAX] {
+                    assert_packs(Instruction::Alu {
+                        dst: reg,
+                        srcs,
+                        latency,
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_and_multi_line_accesses_spill_and_round_trip() {
+        let two = LineSet::from_byte_range(64, 128, 128);
+        let four: LineSet = [0u64, 128, 256, 384].into_iter().collect();
+        for space in SPACES {
+            for (lines, bytes) in [
+                (two, 128),
+                (four, 512),
+                (LineSet::single(0), PACK_MAX_BYTES),
+            ] {
+                assert_spills(Instruction::Load {
+                    space,
+                    lines,
+                    dst: 255,
+                    bytes,
+                    addr_dep: Some(7),
+                });
+                assert_spills(Instruction::Store {
+                    space,
+                    lines,
+                    src: 9,
+                    bytes,
+                });
+            }
+            assert_spills(Instruction::Load {
+                space,
+                lines: LineSet::single(128),
+                dst: 1,
+                bytes: u32::MAX,
+                addr_dep: None,
+            });
+        }
+        for target in TARGETS {
+            assert_spills(Instruction::Prefetch {
+                target,
+                lines: four,
+                addr_dep: None,
+            });
+        }
+    }
+
+    #[test]
+    fn a_fill_clears_the_side_table_left_by_the_previous_fill() {
+        let multi: LineSet = [0u64, 128].into_iter().collect();
+        let spill = |dst| Instruction::Load {
+            space: MemSpace::Global,
+            lines: multi,
+            dst,
+            bytes: 256,
+            addr_dep: None,
+        };
+        let mut entries = [PackedInst::default(); 2];
+        let mut ext = Vec::new();
+        for round in 0..3u8 {
+            let mut sink = InstSink::new(&mut entries, &mut ext);
+            sink.push(Instruction::iadd(1, 2));
+            sink.push(spill(round));
+            assert_eq!(ext.len(), 1, "stale side-table entries survived a fill");
+            assert_eq!(entries[1].decode(&ext), spill(round));
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn pushing_into_a_full_sink_panics() {
+        let mut entries = [PackedInst::default()];
+        let mut ext = Vec::new();
+        let mut sink = InstSink::new(&mut entries, &mut ext);
+        sink.push(Instruction::iadd(1, 2));
+        sink.push(Instruction::iadd(1, 2));
+    }
+}

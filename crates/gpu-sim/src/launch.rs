@@ -7,9 +7,11 @@
 //! * a [`KernelProgram`]: a factory that produces one [`WarpProgram`]
 //!   (an instruction generator) per warp.
 //!
-//! Generating instructions lazily keeps memory usage flat even for the
+//! Generating instructions lazily, a few at a time straight into the
+//! engine's per-warp decode buffer, keeps memory usage flat even for the
 //! paper-scale workload (~65M warp instructions per embedding-bag kernel).
 
+use crate::decode::InstSink;
 use crate::isa::Instruction;
 
 /// Launch configuration of a kernel, mirroring a CUDA `<<<grid, block>>>`
@@ -97,11 +99,21 @@ pub struct WarpInfo {
 
 /// A per-warp instruction generator.
 ///
-/// The simulator calls [`WarpProgram::next_inst`] exactly once per issued
-/// instruction; returning `None` retires the warp.
+/// The simulator calls [`WarpProgram::fill`] whenever the warp's decode
+/// buffer runs dry: once when the warp spawns, then each time its buffered
+/// instructions have all issued. The warp retires when it issues the last
+/// instruction of a program that has reported done.
 pub trait WarpProgram: Send {
-    /// Produces the next instruction, or `None` when the warp has finished.
-    fn next_inst(&mut self) -> Option<Instruction>;
+    /// Pushes the program's next instructions into `sink`, in program
+    /// order, until the sink is full or the program ends, and returns
+    /// whether the program is done (every instruction it has is now
+    /// pushed). A program resumes the next call exactly where it stopped,
+    /// even in the middle of one of its own loop iterations.
+    ///
+    /// Contract: a call that returns `false` pushes at least one
+    /// instruction; once a call returns `true`, every later call pushes
+    /// nothing and returns `true`.
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool;
 }
 
 /// A kernel: a factory of per-warp programs.
@@ -131,16 +143,20 @@ impl VecProgram {
 }
 
 impl WarpProgram for VecProgram {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        let inst = self.insts.get(self.pos).copied();
-        self.pos += 1;
-        inst
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool {
+        let end = self.insts.len().min(self.pos + sink.remaining());
+        for &inst in &self.insts[self.pos..end] {
+            sink.push(inst);
+        }
+        self.pos = end;
+        self.pos == self.insts.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::drain;
     use crate::isa::Instruction;
 
     #[test]
@@ -179,11 +195,12 @@ mod tests {
 
     #[test]
     fn vec_program_replays_and_terminates() {
-        let mut p = VecProgram::new(vec![Instruction::fadd(1, 1, 2), Instruction::iadd(2, 1)]);
-        assert!(p.next_inst().is_some());
-        assert!(p.next_inst().is_some());
-        assert!(p.next_inst().is_none());
-        assert!(p.next_inst().is_none());
+        let insts = vec![Instruction::fadd(1, 1, 2), Instruction::iadd(2, 1)];
+        for capacity in [1, 2, 3] {
+            let mut p = VecProgram::new(insts.clone());
+            assert_eq!(drain(&mut p, capacity), insts);
+        }
+        assert!(drain(&mut VecProgram::new(Vec::new()), 1).is_empty());
     }
 
     #[test]

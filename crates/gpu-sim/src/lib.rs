@@ -44,6 +44,7 @@
 
 pub mod config;
 pub(crate) mod contract;
+pub mod decode;
 pub mod engine;
 pub mod isa;
 pub mod launch;
@@ -56,6 +57,7 @@ pub mod warp;
 pub(crate) mod wheel;
 
 pub use config::{CacheConfig, DramConfig, GpuConfig};
+pub use decode::{InstBuffer, InstSink};
 pub use engine::{EngineMode, Simulator, StreamPartition};
 pub use isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg};
 pub use launch::{KernelLaunch, KernelProgram, WarpInfo, WarpProgram};

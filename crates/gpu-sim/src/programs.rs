@@ -2,6 +2,7 @@
 //! the `cache_model` benchmark. The DLRM embedding-bag kernels live in the
 //! `embedding-kernels` crate.
 
+use crate::decode::InstSink;
 use crate::isa::{Instruction, LineSet, MemSpace, SrcSet};
 use crate::launch::{KernelProgram, WarpInfo, WarpProgram};
 
@@ -52,33 +53,36 @@ struct StreamWarp {
 }
 
 impl WarpProgram for StreamWarp {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if self.next >= self.total {
-            return None;
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool {
+        while self.next < self.total {
+            if sink.is_full() {
+                return false;
+            }
+            if self.emit_load {
+                self.emit_load = false;
+                let line = (self.base_line + self.next as u64) * 128;
+                let dst = 1 + (self.next % STREAM_WINDOW) as u8;
+                sink.push(Instruction::Load {
+                    space: MemSpace::Global,
+                    lines: LineSet::single(line),
+                    dst,
+                    bytes: 128,
+                    addr_dep: None,
+                });
+            } else {
+                self.emit_load = true;
+                // Consume the load issued STREAM_WINDOW - 1 iterations ago,
+                // so several loads stay in flight concurrently.
+                let consumed = 1 + ((self.next + 1) % STREAM_WINDOW) as u8;
+                self.next += 1;
+                sink.push(Instruction::Alu {
+                    dst: 10,
+                    srcs: SrcSet::two(consumed, 10),
+                    latency: 0,
+                });
+            }
         }
-        if self.emit_load {
-            self.emit_load = false;
-            let line = (self.base_line + self.next as u64) * 128;
-            let dst = 1 + (self.next % STREAM_WINDOW) as u8;
-            Some(Instruction::Load {
-                space: MemSpace::Global,
-                lines: LineSet::single(line),
-                dst,
-                bytes: 128,
-                addr_dep: None,
-            })
-        } else {
-            self.emit_load = true;
-            // Consume the load issued STREAM_WINDOW - 1 iterations ago, so
-            // several loads stay in flight concurrently.
-            let consumed = 1 + ((self.next + 1) % STREAM_WINDOW) as u8;
-            self.next += 1;
-            Some(Instruction::Alu {
-                dst: 10,
-                srcs: SrcSet::two(consumed, 10),
-                latency: 0,
-            })
-        }
+        true
     }
 }
 
@@ -144,33 +148,36 @@ impl ChaseWarp {
 }
 
 impl WarpProgram for ChaseWarp {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if self.remaining == 0 {
-            return None;
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool {
+        while self.remaining > 0 {
+            if sink.is_full() {
+                return false;
+            }
+            if self.emit_load {
+                self.emit_load = false;
+                let line = self.next_line();
+                // The address of each hop depends on the value loaded by the
+                // previous hop, so every load stalls until its predecessor
+                // returns: a true pointer chase.
+                sink.push(Instruction::Load {
+                    space: MemSpace::Global,
+                    lines: LineSet::single(line),
+                    dst: 1,
+                    bytes: 128,
+                    addr_dep: Some(1),
+                });
+            } else {
+                self.emit_load = true;
+                self.remaining -= 1;
+                // The "pointer dereference": depends on the just-loaded value.
+                sink.push(Instruction::Alu {
+                    dst: 1,
+                    srcs: SrcSet::one(1),
+                    latency: 0,
+                });
+            }
         }
-        if self.emit_load {
-            self.emit_load = false;
-            let line = self.next_line();
-            // The address of each hop depends on the value loaded by the
-            // previous hop, so every load stalls until its predecessor
-            // returns: a true pointer chase.
-            Some(Instruction::Load {
-                space: MemSpace::Global,
-                lines: LineSet::single(line),
-                dst: 1,
-                bytes: 128,
-                addr_dep: Some(1),
-            })
-        } else {
-            self.emit_load = true;
-            self.remaining -= 1;
-            // The "pointer dereference": depends on the just-loaded value.
-            Some(Instruction::Alu {
-                dst: 1,
-                srcs: SrcSet::one(1),
-                latency: 0,
-            })
-        }
+        true
     }
 }
 
@@ -178,6 +185,7 @@ impl WarpProgram for ChaseWarp {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+    use crate::decode::drain;
     use crate::engine::Simulator;
     use crate::launch::KernelLaunch;
 
@@ -193,11 +201,7 @@ mod tests {
             sm_id: 0,
         };
         let mut prog = kernel.warp_program(info);
-        let mut count = 0;
-        while prog.next_inst().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 8);
+        assert_eq!(drain(&mut *prog, 3).len(), 8);
     }
 
     #[test]
@@ -212,7 +216,7 @@ mod tests {
             sm_id: 0,
         };
         let mut prog = kernel.warp_program(info);
-        while let Some(inst) = prog.next_inst() {
+        for inst in drain(&mut *prog, 16) {
             if let Instruction::Load { lines, .. } = inst {
                 for line in lines.iter() {
                     assert!(line < 4096, "address {line} escaped the footprint");
@@ -235,7 +239,7 @@ mod tests {
         let collect = |id| {
             let mut prog = kernel.warp_program(mk(id));
             let mut lines = Vec::new();
-            while let Some(inst) = prog.next_inst() {
+            for inst in drain(&mut *prog, 16) {
                 if let Instruction::Load { lines: ls, .. } = inst {
                     lines.extend(ls.iter());
                 }

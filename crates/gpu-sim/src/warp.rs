@@ -21,9 +21,11 @@
 //!   stall attribution, and a flat scoreboard arena (`TRACKED_REGS` packed
 //!   words per slot) replaces the per-warp boxes — a reused slot keeps its
 //!   scoreboard lines hot in cache across warp generations;
-//! * a decode-ahead instruction buffer ([`IBUF`] entries per slot) batches
-//!   calls into the (cold) [`WarpProgram`] generator so the issue path
-//!   usually reads the next instruction from a line it already owns.
+//! * a decode-ahead instruction buffer ([`IBUF`] packed 16-byte entries
+//!   per slot) that the warp's [`WarpProgram`] writes straight into: one
+//!   [`WarpProgram::fill`] call per refill packs instructions in place
+//!   through an [`InstSink`], so generation costs one dynamic call per
+//!   buffer, not per instruction, and no per-warp queue sits in between.
 //!
 //! The per-smsp capacity `cap` is exact, not heuristic: blocks place their
 //! warps round-robin over a SM's sub-partitions in one burst, so one block
@@ -36,6 +38,10 @@
 //! on spawn, buffer refill and retirement, not per issue.
 
 use crate::config::GpuConfig;
+use crate::decode::{
+    InstSink, PackedInst, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED, OP_PREF_L1,
+    OP_PREF_L2, OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
+};
 use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg};
 use crate::launch::{WarpInfo, WarpProgram};
 use crate::mem::MemorySystem;
@@ -44,12 +50,23 @@ use crate::stats::RawCounters;
 /// Number of architectural registers whose readiness is tracked per warp.
 const TRACKED_REGS: usize = 256;
 
-/// Decode-ahead depth: instructions buffered per slot between calls into
-/// the warp's [`WarpProgram`] generator. Deep enough that the generator is
-/// driven in long per-warp bursts (its queue and trace data stay hot in the
-/// host cache across one refill) instead of being re-entered cold between
-/// every few issues.
-pub const IBUF: usize = 64;
+/// Decode-ahead depth: instructions buffered per slot between
+/// [`WarpProgram::fill`] calls.
+///
+/// The buffer is read once per issue in data-dependent slot order, so once
+/// refills are cheap (a program resumes from its own cursor and packs in
+/// place) its host-cache footprint is what costs, not the refill count. At
+/// 8 entries a slot's buffer is two host cache lines and the A100's 6,912
+/// slots hold 864 KiB of buffers, against 6.9 MiB at 64 entries.
+///
+/// Chosen by A/B: perfbench `a100_sweep`, seed 1, alternating runs on a
+/// 2-core Xeon host with 2 MiB of L2 per core. Median `cold_cells_per_s`
+/// over 6 to 10 runs each: 3.65 at 4 entries, 3.94 at 8, 3.43 at 16, 3.41
+/// at 32 and 3.16 at 64. 8 beat 16 in 7 of 10 paired rounds.
+pub const IBUF: usize = 8;
+
+// `ibuf_pos` and `ibuf_len` are `u8`.
+const _: () = assert!(IBUF <= u8::MAX as usize);
 
 /// Top-bit flag in a packed scoreboard word: the register's last writer was
 /// a long-latency (global/local) load. The low 63 bits hold the cycle at
@@ -69,155 +86,6 @@ pub enum DepKind {
     Long,
 }
 
-/// Packed opcodes; see [`PackedInst`].
-const OP_LOAD_GLOBAL: u64 = 0;
-const OP_LOAD_LOCAL: u64 = 1;
-const OP_LOAD_SHARED: u64 = 2;
-const OP_STORE_GLOBAL: u64 = 3;
-const OP_STORE_LOCAL: u64 = 4;
-const OP_STORE_SHARED: u64 = 5;
-const OP_PREF_L1: u64 = 6;
-const OP_PREF_L2: u64 = 7;
-const OP_ALU: u64 = 8;
-const OP_EXT: u64 = 9;
-
-/// One decoded instruction packed into 16 bytes for the per-slot
-/// decode-ahead buffers. A full [`Instruction`] is 56 bytes, so buffering
-/// it directly made the decode buffers the largest per-issue working set in
-/// the engine; the packed form keeps them 3.5x smaller and copies one
-/// sixteenth of a host cache line per issue instead of one full line.
-///
-/// `meta` bit layout: `[0,4)` opcode, `[4,12)` primary register (load
-/// destination / store source / ALU destination); memory ops add bit 12 =
-/// "has address dependence", `[13,21)` the dependence register and
-/// `[21,42)` the byte count; ALU ops add `[12,14)` source count and
-/// `[16,40)` three source registers. `arg` holds the line address (memory
-/// ops), the latency (ALU), or a side-table index (`OP_EXT`).
-///
-/// Instructions that do not fit (multi-line accesses, byte counts of 2 MiB
-/// or more) are stored verbatim in the slot's side table and referenced by
-/// an `OP_EXT` entry, so the packing is an encoding, never a restriction.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PackedInst {
-    arg: u64,
-    meta: u64,
-}
-
-/// Largest byte count a packed memory instruction can carry.
-const PACK_MAX_BYTES: u32 = 1 << 21;
-
-impl PackedInst {
-    fn encode(inst: &Instruction) -> Option<PackedInst> {
-        let mem_meta = |op: u64, reg0: Reg, dep: Option<Reg>, bytes: u32| -> u64 {
-            op | (reg0 as u64) << 4
-                | dep.map_or(0, |r| 1 << 12 | (r as u64) << 13)
-                | (bytes as u64) << 21
-        };
-        match *inst {
-            Instruction::Load {
-                space,
-                lines,
-                dst,
-                bytes,
-                addr_dep,
-            } => {
-                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
-                    return None;
-                }
-                let op = match space {
-                    MemSpace::Global => OP_LOAD_GLOBAL,
-                    MemSpace::Local => OP_LOAD_LOCAL,
-                    MemSpace::Shared => OP_LOAD_SHARED,
-                };
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, dst, addr_dep, bytes),
-                })
-            }
-            Instruction::Store {
-                space,
-                lines,
-                src,
-                bytes,
-            } => {
-                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
-                    return None;
-                }
-                let op = match space {
-                    MemSpace::Global => OP_STORE_GLOBAL,
-                    MemSpace::Local => OP_STORE_LOCAL,
-                    MemSpace::Shared => OP_STORE_SHARED,
-                };
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, src, None, bytes),
-                })
-            }
-            Instruction::Prefetch {
-                target,
-                lines,
-                addr_dep,
-            } => {
-                if lines.len() != 1 {
-                    return None;
-                }
-                let op = match target {
-                    PrefetchTarget::L1 => OP_PREF_L1,
-                    PrefetchTarget::L2EvictLast => OP_PREF_L2,
-                };
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, 0, addr_dep, 0),
-                })
-            }
-            Instruction::Alu { dst, srcs, latency } => {
-                let mut meta = OP_ALU | (dst as u64) << 4 | (srcs.len() as u64) << 12;
-                for (i, r) in srcs.iter().enumerate() {
-                    meta |= (r as u64) << (16 + 8 * i);
-                }
-                Some(PackedInst {
-                    arg: latency as u64,
-                    meta,
-                })
-            }
-        }
-    }
-
-    #[inline]
-    fn op(self) -> u64 {
-        self.meta & 0xF
-    }
-
-    #[inline]
-    fn reg0(self) -> Reg {
-        (self.meta >> 4) as Reg
-    }
-
-    #[inline]
-    fn addr_dep(self) -> Option<Reg> {
-        if self.meta & (1 << 12) != 0 {
-            Some((self.meta >> 13) as Reg)
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn bytes(self) -> u32 {
-        ((self.meta >> 21) & (PACK_MAX_BYTES as u64 - 1)) as u32
-    }
-
-    #[inline]
-    fn nsrcs(self) -> usize {
-        ((self.meta >> 12) & 0x3) as usize
-    }
-
-    #[inline]
-    fn src(self, i: usize) -> Reg {
-        (self.meta >> (16 + 8 * i)) as Reg
-    }
-}
-
 /// Cold per-warp state: everything the engine does *not* touch per issue.
 pub struct WarpContext {
     /// Static identity of the warp.
@@ -227,8 +95,8 @@ pub struct WarpContext {
     pub spawn_cycle: u64,
     /// Whether the warp has retired.
     exited: bool,
-    /// Whether the instruction generator has returned `None` (it is never
-    /// called again after that).
+    /// Whether the program's last [`WarpProgram::fill`] reported it done
+    /// (it is never called again after that).
     prog_done: bool,
 }
 
@@ -294,8 +162,9 @@ pub struct WarpSlots {
     /// Decode-ahead buffers, [`IBUF`] packed entries per slot.
     ibuf: Vec<PackedInst>,
     /// Side tables for instructions that do not fit the packed encoding
-    /// (multi-line accesses); indexed by `OP_EXT` entries, cleared per
-    /// refill. Empty — and allocation-free — for the embedding kernels.
+    /// (multi-line accesses); indexed by `OP_EXT` entries, cleared by the
+    /// first spill of each refill. Empty — and allocation-free — for the
+    /// embedding kernels.
     ext: Vec<Vec<Instruction>>,
     /// Packed scoreboards, [`TRACKED_REGS`] words per slot.
     boards: Vec<u64>,
@@ -496,10 +365,10 @@ impl WarpSlots {
     }
 
     /// Claims a slot in `smsp` for warp `wid` of `stream`, spawning at
-    /// `now`: decodes up to [`IBUF`] instructions ahead and marks the first
-    /// ready at `now + 1` (a fresh scoreboard has no pending writers).
-    /// Returns `None` — and marks the warp exited — if its program is
-    /// empty.
+    /// `now`: fills the slot's decode buffer from the warp's program and
+    /// marks the first instruction ready at `now + 1` (a fresh scoreboard
+    /// has no pending writers). Returns `None` — and marks the warp exited,
+    /// leaving the slot free — if its program is empty.
     ///
     /// # Panics
     /// Panics if `smsp` has no free slot; the engine sizes `cap` so this
@@ -512,15 +381,15 @@ impl WarpSlots {
         ctx: &mut WarpContext,
         now: u64,
     ) -> Option<u32> {
-        let Some(first) = ctx.program.next_inst() else {
-            ctx.exited = true;
-            ctx.prog_done = true;
-            return None;
-        };
         let (lo, hi) = self.range(smsp);
         let slot = (lo..hi)
             .find(|&s| self.occupant[s] == FREE)
             .expect("resident-warp slot capacity exceeded: occupancy bound violated");
+        let len = self.refill(slot, ctx);
+        if len == 0 {
+            ctx.exited = true;
+            return None;
+        }
         self.occupant[slot] = wid;
         self.stream[slot] = stream;
         self.seq[slot] = self.next_seq;
@@ -535,24 +404,27 @@ impl WarpSlots {
         let base = slot * TRACKED_REGS;
         self.boards[base..base + dirty].fill(0);
         self.board_dirty[slot] = 0;
-        self.ext[slot].clear();
-        self.put_inst(slot, 0, first);
-        let mut len = 1usize;
-        while len < IBUF {
-            match ctx.program.next_inst() {
-                Some(inst) => {
-                    self.put_inst(slot, len, inst);
-                    len += 1;
-                }
-                None => {
-                    ctx.prog_done = true;
-                    break;
-                }
-            }
-        }
         self.ibuf_pos[slot] = 0;
         self.ibuf_len[slot] = len as u8;
         Some(slot as u32)
+    }
+
+    /// Refills `slot`'s decode buffer from `ctx`'s program, which must not
+    /// be done yet, and returns how many instructions it pushed (0 only if
+    /// the program turned out to be finished).
+    #[inline]
+    fn refill(&mut self, slot: usize, ctx: &mut WarpContext) -> usize {
+        debug_assert!(!ctx.prog_done, "refilled a finished program");
+        let mut sink = InstSink::new(
+            &mut self.ibuf[slot * IBUF..(slot + 1) * IBUF],
+            &mut self.ext[slot],
+        );
+        ctx.prog_done = ctx.program.fill(&mut sink);
+        debug_assert!(
+            ctx.prog_done || !sink.is_empty(),
+            "a WarpProgram fill that is not done must push an instruction"
+        );
+        sink.len()
     }
 
     /// Frees `slot` after its warp retired. The scoreboard is left as-is
@@ -580,20 +452,6 @@ impl WarpSlots {
         if self.board_dirty[slot] < mark {
             self.board_dirty[slot] = mark;
         }
-    }
-
-    /// Encodes `inst` into the slot's decode-ahead buffer at `at`, spilling
-    /// unpackable instructions into the slot's side table.
-    #[inline]
-    fn put_inst(&mut self, slot: usize, at: usize, inst: Instruction) {
-        self.ibuf[slot * IBUF + at] = PackedInst::encode(&inst).unwrap_or_else(|| {
-            let ext = &mut self.ext[slot];
-            ext.push(inst);
-            PackedInst {
-                arg: ext.len() as u64 - 1,
-                meta: OP_EXT,
-            }
-        });
     }
 
     /// Computes when the operands of the packed instruction `p` are ready
@@ -737,22 +595,11 @@ impl WarpSlots {
         let mut next = pos + 1;
         if next == self.ibuf_len[slot] as usize {
             next = 0;
-            let mut len = 0usize;
-            if !ctx.prog_done {
-                self.ext[slot].clear();
-                while len < IBUF {
-                    match ctx.program.next_inst() {
-                        Some(i) => {
-                            self.put_inst(slot, len, i);
-                            len += 1;
-                        }
-                        None => {
-                            ctx.prog_done = true;
-                            break;
-                        }
-                    }
-                }
-            }
+            let len = if ctx.prog_done {
+                0
+            } else {
+                self.refill(slot, ctx)
+            };
             if len == 0 {
                 ctx.exited = true;
                 self.ibuf_len[slot] = 0;

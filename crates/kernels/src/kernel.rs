@@ -17,18 +17,24 @@
 //! Figure 8 does: a batch of `distance` (index, gather) pairs is issued ahead
 //! of time into the chosen buffer station, and the reduce phase consumes from
 //! the buffer.
+//!
+//! A warp's program is generated on demand, straight into the simulator's
+//! decode buffer ([`WarpProgram::fill`]). There is no per-warp instruction
+//! queue: each warp keeps a cursor (the unit it is in — prologue, plain
+//! iteration, prefetch superstep or epilogue — and the position inside it)
+//! and computes each instruction from that position, so a fill may stop
+//! anywhere, including in the middle of a superstep longer than the buffer.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dlrm_datasets::EmbeddingTrace;
 use gpu_sim::isa::SrcSet;
 use gpu_sim::{
-    Instruction, KernelProgram, LineSet, MemSpace, PrefetchTarget, WarpInfo, WarpProgram,
+    InstSink, Instruction, KernelProgram, LineSet, MemSpace, PrefetchTarget, WarpInfo, WarpProgram,
 };
 
 use crate::layout::TableLayout;
-use crate::spec::{BufferStation, EmbeddingKernelSpec};
+use crate::spec::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
 use crate::workload::{EmbeddingConfig, EmbeddingWorkload, WarpAssignment};
 
 // Register assignments within the modelled warp context.
@@ -43,33 +49,32 @@ const R_IDXBUF_BASE: u8 = 60; // prefetched indices
 const R_ADDRBUF_BASE: u8 = 100; // computed row addresses
 const R_TMP_BASE: u8 = 140; // staging registers for SMPF/LMPF stores
 
+/// Instructions in the prologue: the offsets load and two loop-setup ALUs.
+const PROLOGUE_LEN: u32 = 3;
+/// Instructions in a plain iteration before its spill traffic: two loop
+/// overhead ALUs, the index load, the address ALU, the gather and the
+/// reduce.
+const PLAIN_LEN: u32 = 6;
+/// Instructions per lookup in a superstep's issue phase: loop overhead,
+/// index load, address ALU, then the gather or prefetch.
+const ISSUE_LEN: u32 = 4;
+
 /// The embedding-bag kernel program (all variants).
 #[derive(Debug, Clone)]
 pub struct EmbeddingBagKernel {
     workload: EmbeddingWorkload,
     spec: EmbeddingKernelSpec,
     name: String,
-    /// Upper bound on the instructions one [`EmbeddingWarp::refill`] call
-    /// enqueues, so every warp's instruction buffer is allocated once at
-    /// spawn instead of growing through reallocation on the launch path
-    /// (thousands of warps spawn per kernel).
-    queue_capacity: usize,
 }
 
 impl EmbeddingBagKernel {
     /// Creates the kernel for a workload and build specification.
     pub fn new(workload: EmbeddingWorkload, spec: EmbeddingKernelSpec) -> Self {
         let name = spec.name();
-        // Worst-case instructions per lookup (overhead ALUs, index load,
-        // address ALU, gather, reduce, buffer-station moves, spill traffic),
-        // times the lookups one refill covers (the prefetch distance, or 1).
-        let per_lookup = 8 + 2 * spec.spills_per_iteration() as usize;
-        let lookups_per_refill = spec.prefetch().map_or(1, |p| p.distance.max(1) as usize);
         EmbeddingBagKernel {
             workload,
             spec,
             name,
-            queue_capacity: per_lookup * lookups_per_refill,
         }
     }
 
@@ -92,16 +97,19 @@ impl KernelProgram for EmbeddingBagKernel {
         {
             None => Box::new(EmptyWarp),
             Some(assignment) => Box::new(EmbeddingWarp {
+                first: self.workload.trace.offsets[assignment.bag as usize] as u64,
                 trace: Arc::clone(&self.workload.trace),
                 layout: self.workload.layout,
                 config: self.workload.config,
                 assignment,
-                spec: self.spec,
+                prefetch: self.spec.prefetch(),
+                spills: self.spec.spills_per_iteration(),
                 global_warp_id: info.global_warp_id,
-                next_lookup: 0,
-                emitted_prologue: false,
-                emitted_epilogue: false,
-                queue: VecDeque::with_capacity(self.queue_capacity),
+                unit: Unit::Prologue,
+                start: 0,
+                end: 0,
+                pos: 0,
+                len: PROLOGUE_LEN,
             }),
         }
     }
@@ -115,206 +123,242 @@ impl KernelProgram for EmbeddingBagKernel {
 struct EmptyWarp;
 
 impl WarpProgram for EmptyWarp {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        None
+    fn fill(&mut self, _sink: &mut InstSink<'_>) -> bool {
+        true
     }
 }
 
-/// One warp's gather-reduce execution.
+/// The part of its program an [`EmbeddingWarp`] is emitting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    /// Loads `offsets[bag]` and sets up the loop (3 instructions).
+    Prologue,
+    /// One unmodified gather-reduce iteration (base and OptMT builds).
+    Plain,
+    /// One prefetched superstep (issue, stage, consume).
+    Superstep(BufferStation),
+    /// The output store.
+    Epilogue,
+    /// Nothing left to emit.
+    Done,
+}
+
+/// One warp's gather-reduce execution, generated on demand.
+///
+/// The warp is a resumable cursor over its program, not a queue: `unit`
+/// and `[start, end)` name the unit being emitted and the lookups it
+/// covers, and `pos` is the next instruction's position in it. Every
+/// instruction is a pure function of that position, so a fill can stop
+/// after any instruction — a superstep can be longer than the decode
+/// buffer — and the next fill picks up at the same place.
 struct EmbeddingWarp {
     trace: Arc<EmbeddingTrace>,
     layout: TableLayout,
     config: EmbeddingConfig,
     assignment: WarpAssignment,
-    spec: EmbeddingKernelSpec,
+    prefetch: Option<PrefetchConfig>,
+    /// Spill store/load pairs per lookup.
+    spills: u32,
     global_warp_id: u64,
-    next_lookup: u32,
-    emitted_prologue: bool,
-    emitted_epilogue: bool,
-    queue: VecDeque<Instruction>,
+    /// Trace position of the bag's first lookup (`offsets[bag]`).
+    first: u64,
+    unit: Unit,
+    /// Lookups the current unit covers.
+    start: u32,
+    end: u32,
+    /// Position of the next instruction within the unit, and the unit's
+    /// length in instructions.
+    pos: u32,
+    len: u32,
+}
+
+fn overhead() -> Instruction {
+    Instruction::Alu {
+        dst: R_LOOP,
+        srcs: SrcSet::none(),
+        latency: 0,
+    }
+}
+
+fn alu(dst: u8, srcs: SrcSet) -> Instruction {
+    Instruction::Alu {
+        dst,
+        srcs,
+        latency: 0,
+    }
+}
+
+/// Register `base + k % 16`: the k-th lookup's slot in a 16-entry
+/// register window.
+fn window(base: u8, k: u32) -> u8 {
+    base + (k as u8 % 16)
 }
 
 impl EmbeddingWarp {
-    fn lookup_row(&self, i: u32) -> u64 {
-        let offset = self.trace.offsets[self.assignment.bag as usize] as u64 + i as u64;
-        self.trace.indices[offset as usize] as u64
-    }
-
-    fn lookup_position(&self, i: u32) -> u64 {
-        self.trace.offsets[self.assignment.bag as usize] as u64 + i as u64
-    }
-
     fn index_line(&self, i: u32) -> u64 {
-        self.layout.index_line(self.lookup_position(i))
+        self.layout.index_line(self.first + i as u64)
     }
 
     fn row_line(&self, i: u32) -> u64 {
-        self.layout
-            .row_chunk_line(self.lookup_row(i), self.assignment.chunk)
+        let row = self.trace.indices[(self.first + i as u64) as usize] as u64;
+        self.layout.row_chunk_line(row, self.assignment.chunk)
     }
 
-    fn push_overhead(&mut self) {
-        self.queue.push_back(Instruction::Alu {
-            dst: R_LOOP,
-            srcs: SrcSet::none(),
-            latency: 0,
-        });
-    }
-
-    fn push_spill_traffic(&mut self, iteration: u32) {
-        for s in 0..self.spec.spills_per_iteration() {
-            let slot = iteration as u64 * 4 + s as u64;
-            let line = TableLayout::local_line(self.global_warp_id, slot);
-            self.queue.push_back(Instruction::Store {
-                space: MemSpace::Local,
-                lines: LineSet::single(line),
-                src: R_LOOP,
-                bytes: 128,
-            });
-            self.queue.push_back(Instruction::Load {
-                space: MemSpace::Local,
-                lines: LineSet::single(line),
-                dst: R_SPILL,
-                bytes: 128,
-                addr_dep: None,
-            });
-        }
-    }
-
-    fn push_index_load(&mut self, i: u32, dst: u8) {
-        self.queue.push_back(Instruction::Load {
+    fn index_load(&self, i: u32, dst: u8) -> Instruction {
+        Instruction::Load {
             space: MemSpace::Global,
             lines: LineSet::single(self.index_line(i)),
             dst,
             bytes: 4,
             addr_dep: None,
-        });
+        }
     }
 
-    fn push_gather(&mut self, i: u32, dst: u8, addr_reg: u8) {
-        self.queue.push_back(Instruction::Load {
+    fn gather(&self, i: u32, dst: u8, addr_reg: u8) -> Instruction {
+        Instruction::Load {
             space: MemSpace::Global,
             lines: LineSet::single(self.row_line(i)),
             dst,
             bytes: 128,
             addr_dep: Some(addr_reg),
-        });
+        }
+    }
+
+    /// Instruction `j` of lookup `iteration`'s spill traffic: a local
+    /// store then a local reload per spilled value.
+    fn spill(&self, iteration: u32, j: u32) -> Instruction {
+        let slot = iteration as u64 * 4 + (j / 2) as u64;
+        let line = LineSet::single(TableLayout::local_line(self.global_warp_id, slot));
+        if j.is_multiple_of(2) {
+            Instruction::Store {
+                space: MemSpace::Local,
+                lines: line,
+                src: R_LOOP,
+                bytes: 128,
+            }
+        } else {
+            Instruction::Load {
+                space: MemSpace::Local,
+                lines: line,
+                dst: R_SPILL,
+                bytes: 128,
+                addr_dep: None,
+            }
+        }
     }
 
     /// Prologue: load `offsets[bag]` and `offsets[bag+1]` and set up loop
     /// bounds (paper Algorithm 2's first two statements).
-    fn build_prologue(&mut self) {
-        self.queue.push_back(Instruction::Load {
-            space: MemSpace::Global,
-            lines: LineSet::single(self.index_line(0) & !0xFFF),
-            dst: R_LOOP,
-            bytes: 8,
-            addr_dep: None,
-        });
-        self.queue.push_back(Instruction::Alu {
-            dst: R_LOOP,
-            srcs: SrcSet::one(R_LOOP),
-            latency: 0,
-        });
-        self.queue.push_back(Instruction::Alu {
-            dst: R_ACC,
-            srcs: SrcSet::none(),
-            latency: 0,
-        });
+    fn prologue(&self, pos: u32) -> Instruction {
+        match pos {
+            0 => Instruction::Load {
+                space: MemSpace::Global,
+                lines: LineSet::single(self.index_line(0) & !0xFFF),
+                dst: R_LOOP,
+                bytes: 8,
+                addr_dep: None,
+            },
+            1 => alu(R_LOOP, SrcSet::one(R_LOOP)),
+            _ => alu(R_ACC, SrcSet::none()),
+        }
     }
 
-    /// The unmodified gather-reduce iteration (base and OptMT builds).
-    fn build_plain_iteration(&mut self, i: u32) {
-        self.push_overhead();
-        self.push_overhead();
-        self.push_index_load(i, R_IDX);
-        self.queue.push_back(Instruction::Alu {
-            dst: R_ADDR,
-            srcs: SrcSet::one(R_IDX),
-            latency: 0,
-        });
-        self.push_gather(i, R_VAL, R_ADDR);
-        self.queue.push_back(Instruction::Alu {
-            dst: R_ACC,
-            srcs: SrcSet::two(R_VAL, R_ACC),
-            latency: 0,
-        });
-        self.push_spill_traffic(i);
+    /// The unmodified gather-reduce iteration of lookup `start`.
+    fn plain(&self, pos: u32) -> Instruction {
+        let i = self.start;
+        match pos {
+            0 | 1 => overhead(),
+            2 => self.index_load(i, R_IDX),
+            3 => alu(R_ADDR, SrcSet::one(R_IDX)),
+            4 => self.gather(i, R_VAL, R_ADDR),
+            5 => alu(R_ACC, SrcSet::two(R_VAL, R_ACC)),
+            j => self.spill(i, j - PLAIN_LEN),
+        }
     }
 
-    /// One prefetched superstep covering lookups `[start, end)`.
-    fn build_prefetch_superstep(&mut self, start: u32, end: u32, station: BufferStation) {
-        let n = end - start;
+    /// Whether `station` stages rows through registers into a memory
+    /// buffer (SMPF/LMPF), which adds a drain phase to each superstep.
+    fn stages(station: BufferStation) -> bool {
+        matches!(station, BufferStation::SharedMem | BufferStation::LocalMem)
+    }
+
+    /// Instructions per lookup in a superstep's consume phase: the buffer
+    /// read (every station but registers), the reduce, loop overhead and
+    /// the spill traffic.
+    fn consume_len(&self, station: BufferStation) -> u32 {
+        (station != BufferStation::Register) as u32 + 2 + 2 * self.spills
+    }
+
+    fn superstep_len(&self, station: BufferStation, n: u32) -> u32 {
+        n * (ISSUE_LEN + Self::stages(station) as u32 + self.consume_len(station))
+    }
+
+    /// A prefetched superstep covering lookups `[start, end)`, in three
+    /// phases.
+    fn superstep(&self, station: BufferStation, pos: u32) -> Instruction {
+        let n = self.end - self.start;
         // Phase 1: issue all index loads and gathers ahead of use so the
         // scoreboard can overlap their latencies.
-        for k in 0..n {
-            let i = start + k;
-            let idx_reg = R_IDXBUF_BASE + (k as u8 % 16);
-            let addr_reg = R_ADDRBUF_BASE + (k as u8 % 16);
-            self.push_overhead();
-            self.push_index_load(i, idx_reg);
-            self.queue.push_back(Instruction::Alu {
-                dst: addr_reg,
-                srcs: SrcSet::one(idx_reg),
-                latency: 0,
-            });
-            match station {
-                BufferStation::Register => {
-                    self.push_gather(i, R_BUF_BASE + (k as u8 % 16), addr_reg);
-                }
-                BufferStation::SharedMem | BufferStation::LocalMem => {
-                    self.push_gather(i, R_TMP_BASE + (k as u8 % 16), addr_reg);
-                }
-                BufferStation::L1Cache => {
-                    self.queue.push_back(Instruction::Prefetch {
+        if pos < ISSUE_LEN * n {
+            let k = pos / ISSUE_LEN;
+            let i = self.start + k;
+            let idx_reg = window(R_IDXBUF_BASE, k);
+            let addr_reg = window(R_ADDRBUF_BASE, k);
+            return match pos % ISSUE_LEN {
+                0 => overhead(),
+                1 => self.index_load(i, idx_reg),
+                2 => alu(addr_reg, SrcSet::one(idx_reg)),
+                _ => match station {
+                    BufferStation::Register => self.gather(i, window(R_BUF_BASE, k), addr_reg),
+                    BufferStation::SharedMem | BufferStation::LocalMem => {
+                        self.gather(i, window(R_TMP_BASE, k), addr_reg)
+                    }
+                    BufferStation::L1Cache => Instruction::Prefetch {
                         target: PrefetchTarget::L1,
                         lines: LineSet::single(self.row_line(i)),
                         addr_dep: Some(addr_reg),
-                    });
-                }
-            }
+                    },
+                },
+            };
         }
+        let mut pos = pos - ISSUE_LEN * n;
         // Phase 2 (SMPF/LMPF only): drain the staging registers into the
         // buffer station.
-        if matches!(station, BufferStation::SharedMem | BufferStation::LocalMem) {
-            for k in 0..n {
-                let (space, line) = match station {
-                    BufferStation::SharedMem => (MemSpace::Shared, 0),
-                    _ => (
-                        MemSpace::Local,
-                        TableLayout::local_line(self.global_warp_id, k as u64),
-                    ),
+        if Self::stages(station) {
+            if pos < n {
+                let k = pos;
+                let line = match station {
+                    BufferStation::SharedMem => 0,
+                    _ => TableLayout::local_line(self.global_warp_id, k as u64),
                 };
-                self.queue.push_back(Instruction::Store {
-                    space,
+                return Instruction::Store {
+                    space: if station == BufferStation::SharedMem {
+                        MemSpace::Shared
+                    } else {
+                        MemSpace::Local
+                    },
                     lines: LineSet::single(line),
-                    src: R_TMP_BASE + (k as u8 % 16),
+                    src: window(R_TMP_BASE, k),
                     bytes: 128,
-                });
+                };
             }
+            pos -= n;
         }
         // Phase 3: consume.
-        for k in 0..n {
-            let i = start + k;
-            let value_reg = match station {
-                BufferStation::Register => R_BUF_BASE + (k as u8 % 16),
-                BufferStation::SharedMem | BufferStation::LocalMem | BufferStation::L1Cache => {
-                    R_VAL
-                }
-            };
-            match station {
-                BufferStation::Register => {}
-                BufferStation::SharedMem => {
-                    self.queue.push_back(Instruction::Load {
+        let g = self.consume_len(station);
+        let (k, mut step) = (pos / g, pos % g);
+        let i = self.start + k;
+        if station != BufferStation::Register {
+            if step == 0 {
+                return match station {
+                    BufferStation::SharedMem => Instruction::Load {
                         space: MemSpace::Shared,
                         lines: LineSet::single(0),
                         dst: R_VAL,
                         bytes: 128,
                         addr_dep: None,
-                    });
-                }
-                BufferStation::LocalMem => {
-                    self.queue.push_back(Instruction::Load {
+                    },
+                    BufferStation::LocalMem => Instruction::Load {
                         space: MemSpace::Local,
                         lines: LineSet::single(TableLayout::local_line(
                             self.global_warp_id,
@@ -323,81 +367,86 @@ impl EmbeddingWarp {
                         dst: R_VAL,
                         bytes: 128,
                         addr_dep: None,
-                    });
-                }
-                BufferStation::L1Cache => {
-                    // The demand load still executes; it should now hit in L1.
-                    self.push_gather(i, R_VAL, R_ADDRBUF_BASE + (k as u8 % 16));
-                }
+                    },
+                    // The demand load still executes; it should now hit in
+                    // L1.
+                    _ => self.gather(i, R_VAL, window(R_ADDRBUF_BASE, k)),
+                };
             }
-            self.queue.push_back(Instruction::Alu {
-                dst: R_ACC,
-                srcs: SrcSet::two(value_reg, R_ACC),
-                latency: 0,
-            });
-            self.push_overhead();
-            self.push_spill_traffic(i);
+            step -= 1;
+        }
+        match step {
+            0 => {
+                let value_reg = match station {
+                    BufferStation::Register => window(R_BUF_BASE, k),
+                    _ => R_VAL,
+                };
+                alu(R_ACC, SrcSet::two(value_reg, R_ACC))
+            }
+            1 => overhead(),
+            j => self.spill(i, j - 2),
         }
     }
 
-    fn build_epilogue(&mut self) {
+    fn epilogue(&self) -> Instruction {
         let line = self.layout.output_chunk_line(
             self.assignment.bag,
             self.assignment.chunk,
             self.config.embedding_dim,
         );
-        self.queue.push_back(Instruction::Store {
+        Instruction::Store {
             space: MemSpace::Global,
             lines: LineSet::single(line),
             src: R_ACC,
             bytes: 128,
-        });
+        }
     }
 
-    fn refill(&mut self) {
-        if !self.emitted_prologue {
-            self.emitted_prologue = true;
-            self.build_prologue();
-            return;
-        }
+    /// Moves the cursor to the start of the unit after the current one.
+    fn next_unit(&mut self) {
         let pooling = self.assignment.pooling_factor;
-        if self.next_lookup >= pooling {
-            if !self.emitted_epilogue {
-                self.emitted_epilogue = true;
-                self.build_epilogue();
+        self.pos = 0;
+        self.start = self.end;
+        (self.unit, self.len) = if self.unit == Unit::Epilogue {
+            (Unit::Done, 0)
+        } else if self.end >= pooling {
+            (Unit::Epilogue, 1)
+        } else {
+            match self.prefetch {
+                None => {
+                    self.end += 1;
+                    (Unit::Plain, PLAIN_LEN + 2 * self.spills)
+                }
+                Some(p) => {
+                    self.end = (self.start + p.distance).min(pooling);
+                    let len = self.superstep_len(p.station, self.end - self.start);
+                    (Unit::Superstep(p.station), len)
+                }
             }
-            return;
-        }
-        match self.spec.prefetch() {
-            None => {
-                let i = self.next_lookup;
-                self.next_lookup += 1;
-                self.build_plain_iteration(i);
-            }
-            Some(p) => {
-                let start = self.next_lookup;
-                let end = (start + p.distance).min(pooling);
-                self.next_lookup = end;
-                self.build_prefetch_superstep(start, end, p.station);
-            }
-        }
+        };
     }
 }
 
 impl WarpProgram for EmbeddingWarp {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        loop {
-            if let Some(inst) = self.queue.pop_front() {
-                return Some(inst);
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool {
+        while self.unit != Unit::Done {
+            if sink.is_full() {
+                return false;
             }
-            if self.emitted_epilogue {
-                return None;
-            }
-            self.refill();
-            if self.queue.is_empty() && self.emitted_epilogue {
-                return None;
+            let pos = self.pos;
+            sink.push(match self.unit {
+                Unit::Prologue => self.prologue(pos),
+                Unit::Plain => self.plain(pos),
+                Unit::Superstep(station) => self.superstep(station, pos),
+                Unit::Epilogue => self.epilogue(),
+                Unit::Done => unreachable!("the loop stops at the end of the program"),
+            });
+            self.pos += 1;
+            if self.pos == self.len {
+                self.next_unit();
             }
         }
+        true
     }
 }
 
@@ -422,13 +471,7 @@ mod tests {
             global_warp_id: (block * 8 + warp) as u64,
             sm_id: 0,
         };
-        let mut prog = kernel.warp_program(info);
-        let mut v = Vec::new();
-        while let Some(i) = prog.next_inst() {
-            v.push(i);
-            assert!(v.len() < 100_000, "warp program failed to terminate");
-        }
-        v
+        gpu_sim::decode::drain(&mut *kernel.warp_program(info), gpu_sim::warp::IBUF)
     }
 
     fn count_loads(insts: &[Instruction], space: MemSpace) -> usize {

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gpu_sim::mem::MemorySystem;
 use gpu_sim::{
-    GpuConfig, Instruction, KernelLaunch, KernelProgram, LineSet, PrefetchTarget, WarpInfo,
-    WarpProgram,
+    GpuConfig, InstSink, Instruction, KernelLaunch, KernelProgram, LineSet, PrefetchTarget,
+    WarpInfo, WarpProgram,
 };
 
 use crate::workload::EmbeddingWorkload;
@@ -141,20 +141,23 @@ struct PinWarp {
 }
 
 impl WarpProgram for PinWarp {
-    fn next_inst(&mut self) -> Option<Instruction> {
-        if self.pos >= self.end {
-            return None;
+    fn fill(&mut self, sink: &mut InstSink<'_>) -> bool {
+        while self.pos < self.end {
+            if sink.is_full() {
+                return false;
+            }
+            let mut set = LineSet::new();
+            while self.pos < self.end && set.len() < 4 {
+                set.push(self.lines[self.pos]);
+                self.pos += 1;
+            }
+            sink.push(Instruction::Prefetch {
+                target: PrefetchTarget::L2EvictLast,
+                lines: set,
+                addr_dep: None,
+            });
         }
-        let mut set = LineSet::new();
-        while self.pos < self.end && set.len() < 4 {
-            set.push(self.lines[self.pos]);
-            self.pos += 1;
-        }
-        Some(Instruction::Prefetch {
-            target: PrefetchTarget::L2EvictLast,
-            lines: set,
-            addr_dep: None,
-        })
+        true
     }
 }
 
