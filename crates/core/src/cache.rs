@@ -50,7 +50,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::json::{Json, JsonError};
+use crate::json::{array, object, render_object, Json, JsonError};
 use crate::report::RunReport;
 use crate::runner::Experiment;
 use crate::scheme::Scheme;
@@ -70,7 +70,7 @@ pub const CAMPAIGN_CACHE_SCHEMA: &str = "perf-envelope/campaign-cache/v1";
 #[derive(Debug, Default)]
 pub struct CampaignCache {
     // audit:allow(unordered_collection): keyed fingerprint lookups only;
-    // to_json sorts cells by key before rendering
+    // to_json sorts the cells' keys before streaming them out
     map: Mutex<HashMap<String, Arc<OnceLock<RunReport>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -146,34 +146,30 @@ impl CampaignCache {
 
     /// Serializes the cache as a JSON document: every cell's canonical
     /// fingerprint key together with its report, sorted by key so the
-    /// rendering is stable for identical contents. Cells still being
+    /// rendering is stable for identical contents. Reports are streamed
+    /// from the cache by reference under the map lock; cells still being
     /// simulated are skipped.
     pub fn to_json(&self) -> String {
-        let mut cells: Vec<(String, RunReport)> = self
-            .map
-            .lock()
-            .expect("cache poisoned")
+        let map = self.map.lock().expect("cache poisoned");
+        let mut cells: Vec<(&str, &RunReport)> = map
             .iter()
-            .filter_map(|(k, slot)| Some((k.clone(), slot.get()?.clone())))
+            .filter_map(|(key, slot)| Some((key.as_str(), slot.get()?)))
             .collect();
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut doc = Json::object();
-        doc.set("schema", Json::Str(CAMPAIGN_CACHE_SCHEMA.to_string()));
-        doc.set(
-            "cells",
-            Json::Arr(
-                cells
-                    .into_iter()
-                    .map(|(key, report)| {
-                        let mut cell = Json::object();
-                        cell.set("key", Json::Str(key));
-                        cell.set("report", report.to_json_value());
-                        cell
-                    })
-                    .collect(),
-            ),
-        );
-        doc.render()
+        cells.sort_unstable_by_key(|&(key, _)| key);
+        render_object(|w| {
+            w.set(
+                "cells",
+                array(|a| {
+                    for (key, report) in cells {
+                        a.push(object(|cell| {
+                            cell.set("key", key);
+                            cell.set("report", object(|r| report.write_fields(r)));
+                        }));
+                    }
+                }),
+            );
+            w.set("schema", CAMPAIGN_CACHE_SCHEMA);
+        })
     }
 
     /// Parses a cache back from [`CampaignCache::to_json`] output. The

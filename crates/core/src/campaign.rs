@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::cache::CampaignCache;
+use crate::json::{array, WriteJson};
 use crate::report::RunReport;
 use crate::runner::Experiment;
 use crate::scheme::Scheme;
@@ -299,7 +300,9 @@ impl CampaignRun {
 
     /// Serializes the whole run as a JSON array of run reports.
     pub fn to_json(&self) -> String {
-        crate::json::Json::Arr(self.reports.iter().map(|r| r.to_json_value()).collect()).render()
+        let mut out = String::new();
+        array(|a| a.push_objects(&self.reports, RunReport::write_fields)).write_json(&mut out);
+        out
     }
 
     /// Parses a run back from [`CampaignRun::to_json`] output. The grid

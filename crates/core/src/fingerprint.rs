@@ -26,8 +26,8 @@
 //! exhaustive destructuring of [`crate::Experiment`]. A new field therefore
 //! does not compile until its writer writes it or binds it to `_` with a
 //! one-line reason, and a deleted write leaves an unused binding that
-//! `clippy -D warnings` rejects. The same writers serve the `to_json` of the
-//! configs that have one.
+//! `clippy -D warnings` rejects. Reports are written the same way (see
+//! [`crate::report`]).
 //!
 //! The [`crate::serving`] layer's batch shapes ride on this encoding for
 //! free: a priced batch is an experiment whose model carries the shape as

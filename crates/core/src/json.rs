@@ -1,20 +1,25 @@
-//! A small dependency-free JSON document model used by [`crate::report`].
+//! A small dependency-free JSON layer: a parse-side document tree and a
+//! streaming writer for everything this crate emits.
 //!
 //! The build environment has no crates.io access, so `serde`/`serde_json`
-//! cannot be pulled in; this module provides the subset the experiment
-//! reports need: building documents, rendering them, and parsing them back.
-//! Numbers keep their integer/float distinction so that `u64` fields (seeds,
-//! cycle counters) round-trip exactly, and floats are rendered with Rust's
-//! shortest-round-trip formatting so `f64` fields round-trip exactly too.
+//! cannot be pulled in. Numbers keep their integer/float distinction so that
+//! `u64` fields (seeds, cycle counters) round-trip exactly, and floats are
+//! rendered with Rust's shortest-round-trip formatting so `f64` fields
+//! round-trip exactly too.
 //!
-//! Next to the [`Json`] tree sits a streaming writer, `write_object`: it
-//! emits `{"k":v,...}` straight into a `String`, with nested objects and
-//! arrays written through closures, and never builds a tree. Cache keys
-//! (`crate::fingerprint`) are written this way. The writer checks in debug
-//! builds that keys arrive in strictly ascending byte order, which is the
-//! order a [`Json::Obj`] renders in, and both share one set of scalar
-//! formatters. Streaming a document therefore yields exactly the bytes that
-//! rendering the equivalent tree would.
+//! * [`Json`] is what [`Json::parse`] returns. This crate reads only one
+//!   kind of document back, a persisted [`crate::CampaignCache`] (whose
+//!   cells are [`crate::RunReport`]s); tools outside the crate also build
+//!   their own documents with it and [`Json::render`] them.
+//! * The streaming writer, `write_object`/`render_object`, emits
+//!   `{"k":v,...}` straight into a `String`, with nested objects and arrays
+//!   written through closures, and never builds a tree. Cache keys
+//!   (`crate::fingerprint`) and every report's `to_json` are written this
+//!   way, each struct by one `write_fields` that destructures it. The writer
+//!   checks in debug builds that keys arrive in strictly ascending byte
+//!   order, which is the order a [`Json::Obj`] renders in, and both share
+//!   one set of scalar formatters. Streaming a document therefore yields
+//!   exactly the bytes that rendering the equivalent tree would.
 //!
 //! [`Json::parse`] accepts arrays and objects nested at most 128 deep and
 //! returns an error beyond that, so hostile input cannot overflow the stack.
@@ -383,6 +388,17 @@ impl ArrayWriter<'_> {
             self.out.push(',');
         }
         value.write_json(self.out);
+    }
+
+    /// Appends one object per item, each written by `write`.
+    pub(crate) fn push_objects<T>(
+        &mut self,
+        items: &[T],
+        write: impl Fn(&T, &mut ObjectWriter<'_>),
+    ) {
+        for item in items {
+            self.push(object(|o| write(item, o)));
+        }
     }
 }
 

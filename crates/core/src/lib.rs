@@ -133,7 +133,7 @@ pub use serving::{
     AdmissionPolicy, BatchShapeStats, BatchingPolicy, CapacityResult, DeviceUtilization,
     FaultEvent, FaultKind, FaultPlan, FaultTimelineEntry, LatencyStats, RetryKind, RetryPolicy,
     SchemeChoice, ServingReport, ServingScenario, StreamCapacityPoint, StreamUtilization,
-    TrafficModel, FAULT_PLAN_SCHEMA, SERVING_REPORT_SCHEMA,
+    TrafficModel, SERVING_REPORT_SCHEMA,
 };
 pub use topology::{
     Cluster, DeviceHealth, HotColdSharding, InterconnectConfig, RoundRobinSharding, ShardPlan,

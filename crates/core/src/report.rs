@@ -7,13 +7,18 @@
 //! carrying latency, the per-table breakdown, NCU-style counters, and the
 //! scheme/workload/device metadata needed to interpret the numbers later.
 //! Reports serialize to JSON ([`RunReport::to_json`]) and parse back
-//! ([`RunReport::from_json`]) so campaigns can be archived and diffed.
+//! ([`RunReport::from_json`]) so campaigns can be archived and diffed, and
+//! so a persisted [`crate::CampaignCache`] can be reloaded. Each struct here
+//! has one `write_fields` that destructures it without a `..` rest pattern,
+//! so a new field does not compile until it is written or bound to `_`.
 
 use dlrm::BatchLatency;
 use gpu_sim::stats::RawCounters;
 use gpu_sim::KernelStats;
 
-use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
+use crate::json::{
+    array, object, render_object, req_f64, req_str, req_u32, req_u64, Json, JsonError, ObjectWriter,
+};
 use crate::workload::WorkloadKind;
 
 /// Identifier of the report JSON schema produced by this crate version.
@@ -30,6 +35,19 @@ pub struct TableBreakdown {
     pub tables_simulated: u32,
 }
 
+impl TableBreakdown {
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let TableBreakdown {
+            per_table_us,
+            tables_total,
+            tables_simulated,
+        } = *self;
+        w.set("per_table_us", per_table_us);
+        w.set("tables_simulated", tables_simulated);
+        w.set("tables_total", tables_total);
+    }
+}
+
 /// End-to-end latency split of an end-to-end run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEndBreakdown {
@@ -43,6 +61,15 @@ impl EndToEndBreakdown {
     /// The equivalent [`BatchLatency`] (for its formatting/share helpers).
     pub fn batch_latency(&self) -> BatchLatency {
         BatchLatency::new(self.embedding_us, self.non_embedding_us)
+    }
+
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let EndToEndBreakdown {
+            embedding_us,
+            non_embedding_us,
+        } = *self;
+        w.set("embedding_us", embedding_us);
+        w.set("non_embedding_us", non_embedding_us);
     }
 }
 
@@ -58,6 +85,21 @@ pub struct DeviceBreakdown {
     /// Extrapolated embedding-stage latency of this device's shard, in
     /// microseconds.
     pub embedding_us: f64,
+}
+
+impl DeviceBreakdown {
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let DeviceBreakdown {
+            device,
+            tables,
+            tables_simulated,
+            embedding_us,
+        } = self;
+        w.set("device", device.as_str());
+        w.set("embedding_us", *embedding_us);
+        w.set("tables", *tables);
+        w.set("tables_simulated", *tables_simulated);
+    }
 }
 
 /// Cross-device breakdown of a sharded run: per-device latencies plus the
@@ -85,6 +127,22 @@ impl ClusterBreakdown {
     /// Total sharded embedding-stage latency: critical path plus all-to-all.
     pub fn embedding_stage_us(&self) -> f64 {
         self.critical_path_us + self.all_to_all_us
+    }
+
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let ClusterBreakdown {
+            strategy,
+            per_device,
+            critical_path_us,
+            all_to_all_us,
+        } = self;
+        w.set("all_to_all_us", *all_to_all_us);
+        w.set("critical_path_us", *critical_path_us);
+        w.set(
+            "per_device",
+            array(|a| a.push_objects(per_device, DeviceBreakdown::write_fields)),
+        );
+        w.set("strategy", strategy.as_str());
     }
 }
 
@@ -155,82 +213,45 @@ impl RunReport {
 
     /// Serializes the report to compact JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        render_object(|w| self.write_fields(w))
     }
 
-    /// The report as a [`Json`] document (for embedding into larger
-    /// documents, e.g. a whole campaign).
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("schema", Json::Str(RUN_REPORT_SCHEMA.to_string()));
-        doc.set("kind", Json::Str(self.kind.name().to_string()));
-        doc.set("workload", Json::Str(self.workload.clone()));
-        doc.set("scheme", Json::Str(self.scheme.clone()));
-        doc.set("device", Json::Str(self.device.clone()));
-        doc.set("scale", Json::Str(self.scale.clone()));
-        doc.set("seed", Json::UInt(self.seed));
-        doc.set("pooling_factor", Json::UInt(self.pooling_factor as u64));
-        doc.set("latency_us", Json::Num(self.latency_us));
-        doc.set(
-            "tables",
-            match self.tables {
-                Some(t) => {
-                    let mut obj = Json::object();
-                    obj.set("per_table_us", Json::Num(t.per_table_us));
-                    obj.set("tables_total", Json::UInt(t.tables_total as u64));
-                    obj.set("tables_simulated", Json::UInt(t.tables_simulated as u64));
-                    obj
-                }
-                None => Json::Null,
-            },
-        );
-        doc.set(
-            "end_to_end",
-            match self.end_to_end {
-                Some(e2e) => {
-                    let mut obj = Json::object();
-                    obj.set("embedding_us", Json::Num(e2e.embedding_us));
-                    obj.set("non_embedding_us", Json::Num(e2e.non_embedding_us));
-                    obj
-                }
-                None => Json::Null,
-            },
-        );
-        doc.set(
+    /// Writes the report's fields: its JSON encoding, and a cell of a
+    /// campaign or persisted-cache document.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let RunReport {
+            kind,
+            workload,
+            scheme,
+            device,
+            scale,
+            seed,
+            pooling_factor,
+            latency_us,
+            tables,
+            end_to_end,
+            devices,
+            stats,
+        } = self;
+        w.set("device", device.as_str());
+        w.set(
             "devices",
-            match &self.devices {
-                Some(cluster) => {
-                    let mut obj = Json::object();
-                    obj.set("strategy", Json::Str(cluster.strategy.clone()));
-                    obj.set("critical_path_us", Json::Num(cluster.critical_path_us));
-                    obj.set("all_to_all_us", Json::Num(cluster.all_to_all_us));
-                    obj.set(
-                        "per_device",
-                        Json::Arr(
-                            cluster
-                                .per_device
-                                .iter()
-                                .map(|d| {
-                                    let mut dev = Json::object();
-                                    dev.set("device", Json::Str(d.device.clone()));
-                                    dev.set("tables", Json::UInt(d.tables as u64));
-                                    dev.set(
-                                        "tables_simulated",
-                                        Json::UInt(d.tables_simulated as u64),
-                                    );
-                                    dev.set("embedding_us", Json::Num(d.embedding_us));
-                                    dev
-                                })
-                                .collect(),
-                        ),
-                    );
-                    obj
-                }
-                None => Json::Null,
-            },
+            devices.as_ref().map(|c| object(|o| c.write_fields(o))),
         );
-        doc.set("stats", stats_to_json(&self.stats));
-        doc
+        w.set(
+            "end_to_end",
+            end_to_end.map(|e| object(move |o| e.write_fields(o))),
+        );
+        w.set("kind", kind.name());
+        w.set("latency_us", *latency_us);
+        w.set("pooling_factor", *pooling_factor);
+        w.set("scale", scale.as_str());
+        w.set("schema", RUN_REPORT_SCHEMA);
+        w.set("scheme", scheme.as_str());
+        w.set("seed", *seed);
+        w.set("stats", object(|o| write_stats(o, stats)));
+        w.set("tables", tables.map(|t| object(move |o| t.write_fields(o))));
+        w.set("workload", workload.as_str());
     }
 
     /// Parses a report back from [`RunReport::to_json`] output.
@@ -329,57 +350,69 @@ impl std::fmt::Display for RunReport {
     }
 }
 
-fn stats_to_json(stats: &KernelStats) -> Json {
-    let mut counters = Json::object();
-    let c = &stats.counters;
-    counters.set("insts_issued", Json::UInt(c.insts_issued));
-    counters.set("load_insts", Json::UInt(c.load_insts));
-    counters.set("local_load_insts", Json::UInt(c.local_load_insts));
-    counters.set("store_insts", Json::UInt(c.store_insts));
-    counters.set("prefetch_insts", Json::UInt(c.prefetch_insts));
-    counters.set(
-        "long_scoreboard_cycles",
-        Json::UInt(c.long_scoreboard_cycles),
-    );
-    counters.set(
-        "short_scoreboard_cycles",
-        Json::UInt(c.short_scoreboard_cycles),
-    );
-    counters.set("not_selected_cycles", Json::UInt(c.not_selected_cycles));
-    counters.set("resident_warp_cycles", Json::UInt(c.resident_warp_cycles));
-    counters.set("warps_launched", Json::UInt(c.warps_launched));
-    counters.set("blocks_launched", Json::UInt(c.blocks_launched));
+/// Writes the merged kernel statistics of a report.
+fn write_stats(w: &mut ObjectWriter<'_>, stats: &KernelStats) {
+    let KernelStats {
+        kernel_name,
+        device_name,
+        clock_ghz,
+        total_schedulers,
+        peak_dram_bandwidth_gbps,
+        elapsed_cycles,
+        counters,
+        l1_accesses,
+        l1_hits,
+        l2_accesses,
+        l2_hits,
+        dram_bytes_read,
+        dram_bytes_written,
+        theoretical_warps_per_sm,
+        theoretical_occupancy_pct,
+        allocated_regs_per_thread,
+    } = stats;
+    w.set("allocated_regs_per_thread", *allocated_regs_per_thread);
+    w.set("clock_ghz", *clock_ghz);
+    w.set("counters", object(|o| write_counters(o, counters)));
+    w.set("device_name", device_name.as_str());
+    w.set("dram_bytes_read", *dram_bytes_read);
+    w.set("dram_bytes_written", *dram_bytes_written);
+    w.set("elapsed_cycles", *elapsed_cycles);
+    w.set("kernel_name", kernel_name.as_str());
+    w.set("l1_accesses", *l1_accesses);
+    w.set("l1_hits", *l1_hits);
+    w.set("l2_accesses", *l2_accesses);
+    w.set("l2_hits", *l2_hits);
+    w.set("peak_dram_bandwidth_gbps", *peak_dram_bandwidth_gbps);
+    w.set("theoretical_occupancy_pct", *theoretical_occupancy_pct);
+    w.set("theoretical_warps_per_sm", *theoretical_warps_per_sm);
+    w.set("total_schedulers", *total_schedulers);
+}
 
-    let mut doc = Json::object();
-    doc.set("kernel_name", Json::Str(stats.kernel_name.clone()));
-    doc.set("device_name", Json::Str(stats.device_name.clone()));
-    doc.set("clock_ghz", Json::Num(stats.clock_ghz));
-    doc.set("total_schedulers", Json::UInt(stats.total_schedulers));
-    doc.set(
-        "peak_dram_bandwidth_gbps",
-        Json::Num(stats.peak_dram_bandwidth_gbps),
-    );
-    doc.set("elapsed_cycles", Json::UInt(stats.elapsed_cycles));
-    doc.set("counters", counters);
-    doc.set("l1_accesses", Json::UInt(stats.l1_accesses));
-    doc.set("l1_hits", Json::UInt(stats.l1_hits));
-    doc.set("l2_accesses", Json::UInt(stats.l2_accesses));
-    doc.set("l2_hits", Json::UInt(stats.l2_hits));
-    doc.set("dram_bytes_read", Json::UInt(stats.dram_bytes_read));
-    doc.set("dram_bytes_written", Json::UInt(stats.dram_bytes_written));
-    doc.set(
-        "theoretical_warps_per_sm",
-        Json::UInt(stats.theoretical_warps_per_sm as u64),
-    );
-    doc.set(
-        "theoretical_occupancy_pct",
-        Json::Num(stats.theoretical_occupancy_pct),
-    );
-    doc.set(
-        "allocated_regs_per_thread",
-        Json::UInt(stats.allocated_regs_per_thread as u64),
-    );
-    doc
+fn write_counters(w: &mut ObjectWriter<'_>, counters: &RawCounters) {
+    let RawCounters {
+        insts_issued,
+        load_insts,
+        local_load_insts,
+        store_insts,
+        prefetch_insts,
+        long_scoreboard_cycles,
+        short_scoreboard_cycles,
+        not_selected_cycles,
+        resident_warp_cycles,
+        warps_launched,
+        blocks_launched,
+    } = *counters;
+    w.set("blocks_launched", blocks_launched);
+    w.set("insts_issued", insts_issued);
+    w.set("load_insts", load_insts);
+    w.set("local_load_insts", local_load_insts);
+    w.set("long_scoreboard_cycles", long_scoreboard_cycles);
+    w.set("not_selected_cycles", not_selected_cycles);
+    w.set("prefetch_insts", prefetch_insts);
+    w.set("resident_warp_cycles", resident_warp_cycles);
+    w.set("short_scoreboard_cycles", short_scoreboard_cycles);
+    w.set("store_insts", store_insts);
+    w.set("warps_launched", warps_launched);
 }
 
 fn stats_from_json(doc: &Json) -> Result<KernelStats, JsonError> {

@@ -346,8 +346,10 @@ impl Experiment {
                 w.set("faults", array(|a| faults.write_events(a)));
             }
             if let Some(fleet) = fleet {
-                let groups = Some((fleet.groups(), self));
-                w.set("fleet", object(|f| fleet.spec().write_fields(f, groups)));
+                w.set(
+                    "fleet",
+                    object(|f| fleet.spec().write_fields(f, fleet.groups(), self)),
+                );
             }
             w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
             w.set("model", object(|m| fingerprint::write_model(m, model)));
@@ -487,17 +489,17 @@ impl Experiment {
     /// Prices one embedding table under this experiment's stream
     /// configuration.
     ///
-    /// `K = 1` runs the kernel alone through `run_with_memory` — the exact
-    /// pre-stream path, so single-stream experiments stay bit-exact with
-    /// it. `K > 1` generates K co-resident copies of the table's workload
-    /// (stream 0 keeps `base_seed`; the extras draw seeds salted by
-    /// [`STREAM_SEED_SALT`], modelling *other* in-flight batches) and runs
-    /// them concurrently under the configured partition, reporting
-    /// stream 0's statistics: the primary batch's latency as degraded by
-    /// the co-residents' contention for issue slots, L2 and DRAM. The L2
-    /// pin plan (when the scheme carves out) is computed from the primary
-    /// copy only, mirroring a server whose persisting window tracks the
-    /// batch being served.
+    /// Generates K co-resident copies of the table's workload (stream 0
+    /// keeps `base_seed`; the extras draw seeds salted by
+    /// [`STREAM_SEED_SALT`], modelling *other* in-flight batches), runs them
+    /// concurrently under the configured partition and reports stream 0's
+    /// statistics: the primary batch's latency as degraded by the
+    /// co-residents' contention for issue slots, L2 and DRAM. With `K = 1`
+    /// this is one kernel under `SmPartitioned`, the very engine call
+    /// `Simulator::run_with_memory` makes, so single-stream experiments stay
+    /// bit-exact with the pre-stream path. The L2 pin plan (when the scheme
+    /// carves out) is computed from the primary copy only, mirroring a
+    /// server whose persisting window tracks the batch being served.
     #[allow(clippy::too_many_arguments)]
     fn priced_stats(
         &self,
@@ -513,14 +515,6 @@ impl Experiment {
         if let Some(carveout) = scheme.carveout_bytes(self.gpu()) {
             let plan = PinPlan::for_workload(&primary, carveout);
             plan.apply(mem, self.gpu(), clock);
-        }
-        if self.streams.is_single() {
-            return self.sim.run_with_memory(
-                &spec.launch(&primary),
-                &spec.kernel(&primary),
-                mem,
-                clock,
-            );
         }
         let mut workloads = vec![primary];
         workloads.extend((1..self.streams.streams()).map(|s| {

@@ -1,7 +1,8 @@
 //! Deterministic fault injection: [`FaultPlan`] and [`FaultEvent`].
 //!
 //! A fault plan is a *seedless, fully explicit* event timeline — pure data,
-//! serializable to canonical JSON — that a [`crate::ServingScenario`]
+//! written into cache keys in a canonical order — that a
+//! [`crate::ServingScenario`]
 //! replays against the serving simulation ([`ServingScenario::with_faults`]).
 //! Because every event carries absolute simulated times, a faulted scenario
 //! is exactly as deterministic and thread-count-invariant as a healthy one:
@@ -52,11 +53,8 @@
 
 use std::cmp::Ordering;
 
-use crate::json::{array, object, render_object, ArrayWriter, Json, JsonError, ObjectWriter};
+use crate::json::{ArrayWriter, ObjectWriter};
 use crate::topology::DeviceHealth;
-
-/// Identifier of the fault-plan JSON schema produced by this crate version.
-pub const FAULT_PLAN_SCHEMA: &str = "perf-envelope/fault-plan/v1";
 
 /// What a [`FaultEvent`] does to the deployment during its window. See the
 /// [serving module docs](super) for the full timeline semantics.
@@ -76,24 +74,13 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable lowercase name (the JSON and fingerprint encoding).
+    /// Stable lowercase name (the fingerprint encoding and event labels).
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::Crash => "crash",
             FaultKind::Drain => "drain",
             FaultKind::Straggler => "straggler",
             FaultKind::InterconnectDegradation => "interconnect_degradation",
-        }
-    }
-
-    /// Parses a kind back from its [`FaultKind::name`].
-    pub fn from_name(name: &str) -> Option<FaultKind> {
-        match name {
-            "crash" => Some(FaultKind::Crash),
-            "drain" => Some(FaultKind::Drain),
-            "straggler" => Some(FaultKind::Straggler),
-            "interconnect_degradation" => Some(FaultKind::InterconnectDegradation),
-            _ => None,
         }
     }
 }
@@ -112,43 +99,24 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// Returns the event if it is one the constructors build, or why not:
-    /// a finite window with `0 <= start < end`, a factor of exactly 1 for
-    /// crashes and drains and a finite factor `>= 1` otherwise, and the
-    /// fabric's device index 0 for interconnect degradations.
-    fn check(self) -> Result<FaultEvent, String> {
-        let (start_us, end_us, factor) = (self.start_us, self.end_us, self.factor);
-        if !(start_us.is_finite() && end_us.is_finite() && start_us >= 0.0 && end_us > start_us) {
-            return Err(format!(
-                "a fault window needs finite times with 0 <= start < end \
-                 (got {start_us}..{end_us})"
-            ));
-        }
-        match self.kind {
-            FaultKind::Crash | FaultKind::Drain if factor != 1.0 => Err(format!(
-                "a {} event has factor 1 (got {factor})",
-                self.kind.name()
-            )),
-            FaultKind::Straggler | FaultKind::InterconnectDegradation
-                if !(factor.is_finite() && factor >= 1.0) =>
-            {
-                Err(format!(
-                    "the {} factor must be finite and >= 1 (got {factor})",
-                    self.kind.name()
-                ))
-            }
-            FaultKind::InterconnectDegradation if self.device != 0 => Err(format!(
-                "an interconnect degradation is attributed to the fabric, device 0 \
-                 (got device {})",
-                self.device
-            )),
-            _ => Ok(self),
-        }
-    }
-
-    /// [`FaultEvent::check`] for the constructors.
+    /// Returns the event after checking what its constructor's caller
+    /// chose: a finite window with `0 <= start < end` and a finite factor
+    /// `>= 1` (crashes and drains always carry 1).
+    ///
+    /// # Panics
+    /// Panics when either check fails.
     fn checked(self) -> FaultEvent {
-        self.check().unwrap_or_else(|message| panic!("{message}"))
+        let (start_us, end_us, factor) = (self.start_us, self.end_us, self.factor);
+        assert!(
+            start_us.is_finite() && end_us.is_finite() && start_us >= 0.0 && end_us > start_us,
+            "a fault window needs finite times with 0 <= start < end (got {start_us}..{end_us})"
+        );
+        assert!(
+            factor.is_finite() && factor >= 1.0,
+            "the {} factor must be finite and >= 1 (got {factor})",
+            self.kind.name()
+        );
+        self
     }
 
     /// A device crash at `at_us` recovering at `recovery_us`: in-flight
@@ -266,8 +234,7 @@ impl FaultEvent {
         }
     }
 
-    /// Writes the event's fields: its JSON encoding and its entry in a
-    /// cell key's `faults` array.
+    /// Writes the event's entry in a cell key's `faults` array.
     fn write_fields(&self, w: &mut ObjectWriter<'_>) {
         let FaultEvent {
             device,
@@ -281,33 +248,6 @@ impl FaultEvent {
         w.set("factor", factor);
         w.set("kind", kind.name());
         w.set("start_us", start_us);
-    }
-
-    fn from_json_value(doc: &Json) -> Result<FaultEvent, JsonError> {
-        let device = doc
-            .get("device")
-            .and_then(Json::as_u32)
-            .ok_or_else(|| JsonError::schema("fault event field 'device' is not an integer"))?;
-        let kind_name = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::schema("fault event field 'kind' is not a string"))?;
-        let kind = FaultKind::from_name(kind_name)
-            .ok_or_else(|| JsonError::schema(format!("unknown fault kind '{kind_name}'")))?;
-        let num = |key: &str| -> Result<f64, JsonError> {
-            doc.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                JsonError::schema(format!("fault event field '{key}' is not a number"))
-            })
-        };
-        FaultEvent {
-            device,
-            kind,
-            start_us: num("start_us")?,
-            end_us: num("end_us")?,
-            factor: num("factor")?,
-        }
-        .check()
-        .map_err(JsonError::schema)
     }
 }
 
@@ -492,54 +432,10 @@ impl FaultPlan {
         factor
     }
 
-    /// Writes the events in canonical order: the `events` of the plan's
-    /// JSON encoding and a cell key's `faults` array.
+    /// Writes the events in canonical order: a cell key's `faults` array.
     pub(crate) fn write_events(&self, a: &mut ArrayWriter<'_>) {
         let FaultPlan { events } = self;
-        for event in events {
-            a.push(object(|e| event.write_fields(e)));
-        }
-    }
-
-    /// Serializes the plan to compact canonical JSON.
-    pub fn to_json(&self) -> String {
-        render_object(|w| {
-            w.set("events", array(|a| self.write_events(a)));
-            w.set("schema", FAULT_PLAN_SCHEMA);
-        })
-    }
-
-    /// Parses a plan back from [`FaultPlan::to_json`] output.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag, or
-    /// malformed events.
-    pub fn from_json(text: &str) -> Result<FaultPlan, JsonError> {
-        Self::from_json_value(&Json::parse(text)?)
-    }
-
-    /// Parses a plan from an already-parsed [`Json`] document.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on a wrong `schema` tag or malformed events.
-    pub fn from_json_value(doc: &Json) -> Result<FaultPlan, JsonError> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| JsonError::schema("missing field 'schema'"))?;
-        if schema != FAULT_PLAN_SCHEMA {
-            return Err(JsonError::schema(format!(
-                "unsupported fault-plan schema '{schema}'"
-            )));
-        }
-        let events = doc
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::schema("field 'events' is not an array"))?
-            .iter()
-            .map(FaultEvent::from_json_value)
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        Ok(FaultPlan::new(events))
+        a.push_objects(events, FaultEvent::write_fields);
     }
 }
 
@@ -583,7 +479,6 @@ mod tests {
         let forward = FaultPlan::new(vec![a, b, c]);
         let backward = FaultPlan::empty().with_event(c).with_event(a).with_event(b);
         assert_eq!(forward, backward);
-        assert_eq!(forward.to_json(), backward.to_json());
         assert_eq!(forward.events()[0], b, "earliest start first");
         assert_eq!(forward.len(), 3);
         assert!(!forward.is_empty());
@@ -659,103 +554,6 @@ mod tests {
         assert_eq!(plan.device_health(0, 350.0), DeviceHealth::Straggling);
         assert_eq!(plan.device_health(0, 400.0), DeviceHealth::Up);
         assert_eq!(plan.device_health(1, 150.0), DeviceHealth::Up);
-    }
-
-    #[test]
-    fn json_round_trip_is_exact_and_canonical() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent::crash(1, 1_000.5, 2_000.25),
-            FaultEvent::straggler(0, 500.0, 1_500.0, 8.0),
-            FaultEvent::interconnect_degradation(0.0, 100.0, 1.5),
-        ]);
-        let text = plan.to_json();
-        let back = FaultPlan::from_json(&text).unwrap();
-        assert_eq!(back, plan);
-        assert_eq!(back.to_json(), text);
-        // The empty plan round-trips too.
-        let empty = FaultPlan::empty();
-        assert_eq!(FaultPlan::from_json(&empty.to_json()).unwrap(), empty);
-    }
-
-    #[test]
-    fn json_schema_and_kinds_are_enforced() {
-        let plan = FaultPlan::new(vec![FaultEvent::drain(0, 1.0, 2.0)]);
-        let bad_schema = plan.to_json().replace(FAULT_PLAN_SCHEMA, "other/tag");
-        assert!(FaultPlan::from_json(&bad_schema)
-            .unwrap_err()
-            .message
-            .contains("unsupported fault-plan schema"));
-        let bad_kind = plan.to_json().replace("drain", "meltdown");
-        assert!(FaultPlan::from_json(&bad_kind)
-            .unwrap_err()
-            .message
-            .contains("unknown fault kind"));
-    }
-
-    /// A one-event plan document, for the parser's rejection tests.
-    fn plan_text(kind: &str, device: u32, start_us: &str, end_us: &str, factor: &str) -> String {
-        format!(
-            "{{\"events\":[{{\"device\":{device},\"end_us\":{end_us},\"factor\":{factor},\
-             \"kind\":\"{kind}\",\"start_us\":{start_us}}}],\"schema\":\"{FAULT_PLAN_SCHEMA}\"}}"
-        )
-    }
-
-    fn rejection(text: &str) -> String {
-        FaultPlan::from_json(text)
-            .expect_err("the parser must reject the event")
-            .message
-    }
-
-    #[test]
-    fn the_parser_accepts_what_the_constructors_build() {
-        let text = plan_text("crash", 0, "1.0", "5.0", "1.0");
-        assert_eq!(
-            FaultPlan::from_json(&text).unwrap(),
-            FaultPlan::new(vec![FaultEvent::crash(0, 1.0, 5.0)])
-        );
-    }
-
-    #[test]
-    fn the_parser_rejects_inverted_windows() {
-        let text = plan_text("crash", 0, "5.0", "1.0", "1.0");
-        assert!(rejection(&text).contains("0 <= start < end"));
-    }
-
-    #[test]
-    fn the_parser_rejects_sub_unit_straggler_factors() {
-        let text = plan_text("straggler", 0, "1.0", "5.0", "0.5");
-        assert!(rejection(&text).contains("finite and >= 1"));
-    }
-
-    #[test]
-    fn the_parser_rejects_infinite_window_ends() {
-        let text = plan_text("drain", 0, "1.0", "1e999", "1.0");
-        assert!(rejection(&text).contains("finite times"));
-    }
-
-    #[test]
-    fn the_parser_rejects_crash_factors_other_than_one() {
-        let text = plan_text("crash", 0, "1.0", "5.0", "7.0");
-        assert!(rejection(&text).contains("has factor 1"));
-    }
-
-    #[test]
-    fn the_parser_rejects_interconnect_degradations_off_the_fabric_device() {
-        let text = plan_text("interconnect_degradation", 3, "1.0", "5.0", "2.0");
-        assert!(rejection(&text).contains("device 0"));
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in [
-            FaultKind::Crash,
-            FaultKind::Drain,
-            FaultKind::Straggler,
-            FaultKind::InterconnectDegradation,
-        ] {
-            assert_eq!(FaultKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(FaultKind::from_name("unknown"), None);
     }
 
     #[test]

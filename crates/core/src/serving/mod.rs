@@ -20,8 +20,8 @@
 //!    ties breaking deterministically to the lowest stream index,
 //! 4. the per-request queueing + service delays accumulate into a
 //!    [`ServingReport`]: p50/p95/p99/max latency, achieved QPS,
-//!    SLA-violation rate, per-device and per-stream utilization, all
-//!    JSON-serializable.
+//!    SLA-violation rate, per-device and per-stream utilization, rendered
+//!    to JSON by [`ServingReport::to_json`].
 //!
 //! With `K > 1` the pricing layer models the co-residency cost too: every
 //! priced batch runs alongside `K - 1` co-resident kernel copies in the
@@ -106,7 +106,7 @@ use crate::topology::StreamConfig;
 use crate::workload::Workload;
 
 pub use batching::BatchingPolicy;
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FAULT_PLAN_SCHEMA};
+pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use report::{
     BatchShapeStats, DeviceUtilization, FaultTimelineEntry, LatencyStats, ServingReport,
     StreamUtilization, SERVING_REPORT_SCHEMA,
@@ -118,6 +118,10 @@ pub use traffic::TrafficModel;
 /// trace seed so the two streams never alias by default).
 const DEFAULT_ARRIVAL_SEED: u64 = 0xAD_5EED;
 
+/// Bisection steps [`max_sustainable_qps`] runs after bracketing the SLA
+/// boundary: 16 land within ~0.1% of the capacity.
+const BISECTION_STEPS: u32 = 16;
+
 /// One serving what-if: traffic, request count, batching policy, SLA and
 /// arrival seed. A scenario is pure data; [`ServingScenario::simulate`]
 /// evaluates it against any experiment × workload × scheme.
@@ -128,17 +132,14 @@ pub struct ServingScenario {
     requests: u32,
     sla_us: f64,
     seed: u64,
-    bisection_steps: u32,
-    relative_tolerance: Option<f64>,
     faults: FaultPlan,
     retry: RetryPolicy,
     admission: AdmissionPolicy,
 }
 
 impl ServingScenario {
-    /// Creates a scenario with 1024 requests, a 25 ms SLA, the default
-    /// arrival seed and the default capacity-search precision (16
-    /// bisection steps, no early-stop tolerance).
+    /// Creates a scenario with 1024 requests, a 25 ms SLA and the default
+    /// arrival seed.
     pub fn new(traffic: TrafficModel, policy: BatchingPolicy) -> Self {
         ServingScenario {
             traffic,
@@ -146,8 +147,6 @@ impl ServingScenario {
             requests: 1024,
             sla_us: 25_000.0,
             seed: DEFAULT_ARRIVAL_SEED,
-            bisection_steps: 16,
-            relative_tolerance: None,
             faults: FaultPlan::empty(),
             retry: RetryPolicy::none(),
             admission: AdmissionPolicy::none(),
@@ -196,31 +195,6 @@ impl ServingScenario {
         self
     }
 
-    /// Sets how many bisection steps the [`max_sustainable_qps`] capacity
-    /// search runs after bracketing the SLA boundary. The default of 16
-    /// lands within ~0.1% of the capacity; fewer steps trade precision
-    /// for probes.
-    pub fn with_bisection_steps(mut self, steps: u32) -> Self {
-        self.bisection_steps = steps;
-        self
-    }
-
-    /// Sets a relative tolerance at which the capacity search's bisection
-    /// stops early: once the bracket is within `tolerance * hi` of
-    /// converged, remaining steps are skipped. Unset by default (every
-    /// configured step runs — the original fixed-step behaviour).
-    ///
-    /// # Panics
-    /// Panics unless the tolerance is finite and positive.
-    pub fn with_relative_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(
-            tolerance.is_finite() && tolerance > 0.0,
-            "the relative tolerance must be finite and positive"
-        );
-        self.relative_tolerance = Some(tolerance);
-        self
-    }
-
     /// The traffic model.
     pub fn traffic(&self) -> TrafficModel {
         self.traffic
@@ -244,17 +218,6 @@ impl ServingScenario {
     /// The arrival-trace seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Number of bisection steps the capacity search runs after
-    /// bracketing.
-    pub fn bisection_steps(&self) -> u32 {
-        self.bisection_steps
-    }
-
-    /// The capacity search's early-stop relative tolerance, if any.
-    pub fn relative_tolerance(&self) -> Option<f64> {
-        self.relative_tolerance
     }
 
     /// Injects a deterministic [`FaultPlan`] timeline: crash and drain
@@ -1057,15 +1020,8 @@ pub fn max_sustainable_qps(
         }
     }
 
-    // Bisect the bracket down: 16 steps (the default) land within ~0.1%
-    // of the capacity; a relative tolerance, when set, stops early once
-    // the bracket is tight enough.
-    for _ in 0..scenario.bisection_steps() {
-        if let Some(tolerance) = scenario.relative_tolerance() {
-            if hi - lo <= tolerance * hi {
-                break;
-            }
-        }
+    // Bisect the bracket down.
+    for _ in 0..BISECTION_STEPS {
         let mid = (lo + hi) / 2.0;
         let report = probe(mid);
         if report.meets_sla() {
@@ -1243,66 +1199,6 @@ mod tests {
         assert!(!capacity.report.meets_sla());
     }
 
-    /// A scenario whose capacity search actually brackets and bisects: the
-    /// SLA allows a couple of queued services but not a pile-up, so the
-    /// boundary is finite.
-    fn bounded_scenario() -> ServingScenario {
-        let service_us = exp()
-            .with_batch_size(64)
-            .run(&stage(), &Scheme::base())
-            .latency_us;
-        ServingScenario::new(
-            TrafficModel::poisson(2_000.0),
-            BatchingPolicy::fixed_size(64),
-        )
-        .with_requests(512)
-        .with_sla_us(3.0 * service_us)
-    }
-
-    #[test]
-    fn default_search_precision_matches_the_original_fixed_steps() {
-        // The precision knobs default to the pre-knob behaviour: 16
-        // bisection steps, no early stop. An explicitly-spelled-out
-        // default must land on the bit-exact same capacity.
-        let base = bounded_scenario();
-        assert_eq!(base.bisection_steps(), 16);
-        assert_eq!(base.relative_tolerance(), None);
-        let explicit = base.clone().with_bisection_steps(16);
-        let a = max_sustainable_qps(&exp(), &stage(), &Scheme::base(), &base);
-        let b = max_sustainable_qps(&exp(), &stage(), &Scheme::base(), &explicit);
-        assert!(a.max_qps > 0.0, "the search must bracket a finite boundary");
-        assert!(a.probes < 64, "the search must not hit the doubling cap");
-        assert_eq!(a.max_qps.to_bits(), b.max_qps.to_bits());
-        assert_eq!(a.probes, b.probes);
-    }
-
-    #[test]
-    fn a_relative_tolerance_spends_fewer_probes() {
-        let precise = bounded_scenario();
-        let loose = precise.clone().with_relative_tolerance(0.25);
-        let a = max_sustainable_qps(&exp(), &stage(), &Scheme::base(), &precise);
-        let b = max_sustainable_qps(&exp(), &stage(), &Scheme::base(), &loose);
-        assert!(
-            b.probes < a.probes,
-            "a 25% tolerance should stop the bisection early ({} vs {})",
-            b.probes,
-            a.probes
-        );
-        // The loose answer still sits within its promised band.
-        assert!(b.max_qps > 0.0);
-        assert!((a.max_qps - b.max_qps).abs() <= 0.25 * a.max_qps * 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn non_positive_tolerances_are_rejected() {
-        let _ = ServingScenario::new(
-            TrafficModel::uniform(1_000.0),
-            BatchingPolicy::fixed_size(8),
-        )
-        .with_relative_tolerance(0.0);
-    }
-
     #[test]
     fn multi_stream_reports_expose_per_stream_utilization() {
         use crate::topology::StreamConfig;
@@ -1365,8 +1261,7 @@ mod tests {
             TrafficModel::poisson(2_000.0),
             BatchingPolicy::fixed_size(64),
         )
-        .with_requests(128)
-        .with_bisection_steps(4);
+        .with_requests(128);
         let sweep =
             stream_capacity_sweep(&exp(), &stage(), &Scheme::base(), &scenario, &candidates);
         assert_eq!(sweep.len(), 2);

@@ -6,11 +6,13 @@
 //! achieved throughput, the SLA-violation rate, the wait decomposition
 //! (batch-formation vs queueing), the distinct batch shapes that were
 //! priced, and per-device plus per-stream utilization. Reports serialize to
-//! JSON
-//! ([`ServingReport::to_json`]) with the same canonical codec as run
-//! reports, so serving studies can be archived and diffed.
+//! JSON ([`ServingReport::to_json`]) through the same streaming writer and
+//! scalar formatters as run reports, so serving studies can be archived and
+//! diffed. Each struct here has one `write_fields` that destructures it
+//! without a `..` rest pattern. No reader exists: nothing persists serving
+//! reports yet, and one is added together with whatever first does.
 
-use crate::json::{req_f64, req_str, req_u32, req_u64, Json, JsonError};
+use crate::json::{array, object, render_object, ObjectWriter};
 
 /// Identifier of the serving-report JSON schema produced by this crate
 /// version.
@@ -64,6 +66,21 @@ impl LatencyStats {
             mean_us: 0.0,
         }
     }
+
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let LatencyStats {
+            p50_us,
+            p95_us,
+            p99_us,
+            max_us,
+            mean_us,
+        } = *self;
+        w.set("max_us", max_us);
+        w.set("mean_us", mean_us);
+        w.set("p50_us", p50_us);
+        w.set("p95_us", p95_us);
+        w.set("p99_us", p99_us);
+    }
 }
 
 /// One [`crate::FaultEvent`]'s footprint on a serving simulation: how many
@@ -86,6 +103,23 @@ pub struct FaultTimelineEntry {
     pub requests_affected: u32,
 }
 
+impl FaultTimelineEntry {
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let FaultTimelineEntry {
+            event,
+            start_us,
+            end_us,
+            batches_affected,
+            requests_affected,
+        } = self;
+        w.set("batches_affected", *batches_affected);
+        w.set("end_us", *end_us);
+        w.set("event", event.as_str());
+        w.set("requests_affected", *requests_affected);
+        w.set("start_us", *start_us);
+    }
+}
+
 /// One distinct priced batch shape: how many batches launched at it and the
 /// service latency one such batch costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,6 +131,19 @@ pub struct BatchShapeStats {
     /// Service latency of one batch at this shape, in microseconds (the
     /// priced [`crate::RunReport::latency_us`]).
     pub latency_us: f64,
+}
+
+impl BatchShapeStats {
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let BatchShapeStats {
+            shape,
+            batches,
+            latency_us,
+        } = *self;
+        w.set("batches", batches);
+        w.set("latency_us", latency_us);
+        w.set("shape", shape);
+    }
 }
 
 /// One device's share of the serving horizon.
@@ -112,6 +159,19 @@ pub struct DeviceUtilization {
     pub utilization: f64,
 }
 
+impl DeviceUtilization {
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let DeviceUtilization {
+            device,
+            busy_us,
+            utilization,
+        } = self;
+        w.set("busy_us", *busy_us);
+        w.set("device", device.as_str());
+        w.set("utilization", *utilization);
+    }
+}
+
 /// One execution stream's share of the serving horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamUtilization {
@@ -124,6 +184,21 @@ pub struct StreamUtilization {
     pub batches: u32,
     /// `busy_us` over the serving makespan, in `[0, 1]`.
     pub utilization: f64,
+}
+
+impl StreamUtilization {
+    fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let StreamUtilization {
+            stream,
+            busy_us,
+            batches,
+            utilization,
+        } = *self;
+        w.set("batches", batches);
+        w.set("busy_us", busy_us);
+        w.set("stream", stream);
+        w.set("utilization", utilization);
+    }
 }
 
 /// The result of one [`crate::ServingScenario::simulate`] call.
@@ -209,251 +284,22 @@ impl ServingReport {
 
     /// Serializes the report to compact JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        render_object(|w| self.write_fields(w))
     }
 
-    /// The report as a [`Json`] document (for embedding into larger
-    /// documents, e.g. a benchmark sweep).
-    pub fn to_json_value(&self) -> Json {
-        let mut doc = Json::object();
-        doc.set("schema", Json::Str(SERVING_REPORT_SCHEMA.to_string()));
-        doc.set("workload", Json::Str(self.workload.clone()));
-        doc.set("scheme", Json::Str(self.scheme.clone()));
-        doc.set("device", Json::Str(self.device.clone()));
-        doc.set("scale", Json::Str(self.scale.clone()));
-        doc.set("seed", Json::UInt(self.seed));
-        doc.set("traffic", Json::Str(self.traffic.clone()));
-        doc.set("offered_qps", Json::Num(self.offered_qps));
-        doc.set("policy", Json::Str(self.policy.clone()));
-        doc.set("sla_us", Json::Num(self.sla_us));
-        doc.set("requests", Json::UInt(self.requests as u64));
-        doc.set("served_requests", Json::UInt(self.served_requests as u64));
-        doc.set("shed_requests", Json::UInt(self.shed_requests as u64));
-        doc.set("failed_requests", Json::UInt(self.failed_requests as u64));
-        doc.set("retries", Json::UInt(self.retries as u64));
-        doc.set("hedges", Json::UInt(self.hedges as u64));
-        doc.set("availability", Json::Num(self.availability));
-        doc.set("goodput_qps", Json::Num(self.goodput_qps));
-        doc.set(
-            "fault_events",
-            Json::Arr(
-                self.fault_events
-                    .iter()
-                    .map(|e| {
-                        let mut obj = Json::object();
-                        obj.set("event", Json::Str(e.event.clone()));
-                        obj.set("start_us", Json::Num(e.start_us));
-                        obj.set("end_us", Json::Num(e.end_us));
-                        obj.set("batches_affected", Json::UInt(e.batches_affected as u64));
-                        obj.set("requests_affected", Json::UInt(e.requests_affected as u64));
-                        obj
-                    })
-                    .collect(),
-            ),
-        );
-        doc.set("batches", Json::UInt(self.batches as u64));
-        doc.set(
-            "shapes",
-            Json::Arr(
-                self.shapes
-                    .iter()
-                    .map(|s| {
-                        let mut obj = Json::object();
-                        obj.set("shape", Json::UInt(s.shape as u64));
-                        obj.set("batches", Json::UInt(s.batches as u64));
-                        obj.set("latency_us", Json::Num(s.latency_us));
-                        obj
-                    })
-                    .collect(),
-            ),
-        );
-        doc.set("achieved_qps", Json::Num(self.achieved_qps));
-        let mut latency = Json::object();
-        latency.set("p50_us", Json::Num(self.latency.p50_us));
-        latency.set("p95_us", Json::Num(self.latency.p95_us));
-        latency.set("p99_us", Json::Num(self.latency.p99_us));
-        latency.set("max_us", Json::Num(self.latency.max_us));
-        latency.set("mean_us", Json::Num(self.latency.mean_us));
-        doc.set("latency", latency);
-        doc.set("mean_batch_wait_us", Json::Num(self.mean_batch_wait_us));
-        doc.set("mean_queue_wait_us", Json::Num(self.mean_queue_wait_us));
-        doc.set("sla_violation_rate", Json::Num(self.sla_violation_rate));
-        doc.set(
-            "utilization",
-            Json::Arr(
-                self.utilization
-                    .iter()
-                    .map(|u| {
-                        let mut obj = Json::object();
-                        obj.set("device", Json::Str(u.device.clone()));
-                        obj.set("busy_us", Json::Num(u.busy_us));
-                        obj.set("utilization", Json::Num(u.utilization));
-                        obj
-                    })
-                    .collect(),
-            ),
-        );
-        doc.set("streams", Json::UInt(self.streams as u64));
-        doc.set(
-            "stream_utilization",
-            Json::Arr(
-                self.stream_utilization
-                    .iter()
-                    .map(|s| {
-                        let mut obj = Json::object();
-                        obj.set("stream", Json::UInt(s.stream as u64));
-                        obj.set("busy_us", Json::Num(s.busy_us));
-                        obj.set("batches", Json::UInt(s.batches as u64));
-                        obj.set("utilization", Json::Num(s.utilization));
-                        obj
-                    })
-                    .collect(),
-            ),
-        );
-        doc.set("makespan_us", Json::Num(self.makespan_us));
-        doc
-    }
-
-    /// Parses a report back from [`ServingReport::to_json`] output.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag, or
-    /// missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<ServingReport, JsonError> {
-        Self::from_json_value(&Json::parse(text)?)
-    }
-
-    /// Parses a report from an already-parsed [`Json`] document.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on a wrong `schema` tag or missing fields.
-    pub fn from_json_value(doc: &Json) -> Result<ServingReport, JsonError> {
-        let schema = req_str(doc, "schema")?;
-        if schema != SERVING_REPORT_SCHEMA {
-            return Err(JsonError::schema(format!(
-                "unsupported serving-report schema '{schema}'"
-            )));
-        }
-        let shapes = doc
-            .get("shapes")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::schema("field 'shapes' is not an array"))?
-            .iter()
-            .map(|s| {
-                Ok(BatchShapeStats {
-                    shape: req_u32(s, "shape")?,
-                    batches: req_u32(s, "batches")?,
-                    latency_us: req_f64(s, "latency_us")?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        let latency_doc = doc
-            .get("latency")
-            .ok_or_else(|| JsonError::schema("missing field 'latency'"))?;
-        let latency = LatencyStats {
-            p50_us: req_f64(latency_doc, "p50_us")?,
-            p95_us: req_f64(latency_doc, "p95_us")?,
-            p99_us: req_f64(latency_doc, "p99_us")?,
-            max_us: req_f64(latency_doc, "max_us")?,
-            mean_us: req_f64(latency_doc, "mean_us")?,
-        };
-        let utilization = doc
-            .get("utilization")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError::schema("field 'utilization' is not an array"))?
-            .iter()
-            .map(|u| {
-                Ok(DeviceUtilization {
-                    device: req_str(u, "device")?.to_string(),
-                    busy_us: req_f64(u, "busy_us")?,
-                    utilization: req_f64(u, "utilization")?,
-                })
-            })
-            .collect::<Result<Vec<_>, JsonError>>()?;
-        // Stream fields are optional so reports archived before the
-        // concurrent-stream refactor (same schema tag) still parse: a
-        // missing block means the plain single-stream pipeline.
-        let streams = match doc.get("streams") {
-            Some(value) => value.as_u32().ok_or_else(|| {
-                JsonError::schema("field 'streams' is not a 32-bit unsigned integer")
-            })?,
-            None => 1,
-        };
-        // Resilience fields are optional so reports archived before the
-        // fault-injection refactor (same schema tag) still parse: a
-        // missing block means a fault-free run that served everything,
-        // mirroring the per-stream-fields precedent below.
-        let requests = req_u32(doc, "requests")?;
-        let achieved_qps = req_f64(doc, "achieved_qps")?;
-        let sla_violation_rate = req_f64(doc, "sla_violation_rate")?;
-        let opt_u32 = |key: &str, default: u32| -> Result<u32, JsonError> {
-            match doc.get(key) {
-                Some(value) => value.as_u32().ok_or_else(|| {
-                    JsonError::schema(format!("field '{key}' is not a 32-bit unsigned integer"))
-                }),
-                None => Ok(default),
-            }
-        };
-        let served_requests = opt_u32("served_requests", requests)?;
-        let shed_requests = opt_u32("shed_requests", 0)?;
-        let failed_requests = opt_u32("failed_requests", 0)?;
-        let retries = opt_u32("retries", 0)?;
-        let hedges = opt_u32("hedges", 0)?;
-        let availability = match doc.get("availability") {
-            Some(value) => value
-                .as_f64()
-                .ok_or_else(|| JsonError::schema("field 'availability' is not a number"))?,
-            None => 1.0,
-        };
-        let goodput_qps = match doc.get("goodput_qps") {
-            Some(value) => value
-                .as_f64()
-                .ok_or_else(|| JsonError::schema("field 'goodput_qps' is not a number"))?,
-            None => achieved_qps * (1.0 - sla_violation_rate),
-        };
-        let fault_events = match doc.get("fault_events") {
-            Some(value) => value
-                .as_array()
-                .ok_or_else(|| JsonError::schema("field 'fault_events' is not an array"))?
-                .iter()
-                .map(|e| {
-                    Ok(FaultTimelineEntry {
-                        event: req_str(e, "event")?.to_string(),
-                        start_us: req_f64(e, "start_us")?,
-                        end_us: req_f64(e, "end_us")?,
-                        batches_affected: req_u32(e, "batches_affected")?,
-                        requests_affected: req_u32(e, "requests_affected")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?,
-            None => Vec::new(),
-        };
-        let stream_utilization = match doc.get("stream_utilization") {
-            Some(value) => value
-                .as_array()
-                .ok_or_else(|| JsonError::schema("field 'stream_utilization' is not an array"))?
-                .iter()
-                .map(|s| {
-                    Ok(StreamUtilization {
-                        stream: req_u32(s, "stream")?,
-                        busy_us: req_f64(s, "busy_us")?,
-                        batches: req_u32(s, "batches")?,
-                        utilization: req_f64(s, "utilization")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?,
-            None => Vec::new(),
-        };
-        Ok(ServingReport {
-            workload: req_str(doc, "workload")?.to_string(),
-            scheme: req_str(doc, "scheme")?.to_string(),
-            device: req_str(doc, "device")?.to_string(),
-            scale: req_str(doc, "scale")?.to_string(),
-            seed: req_u64(doc, "seed")?,
-            traffic: req_str(doc, "traffic")?.to_string(),
-            offered_qps: req_f64(doc, "offered_qps")?,
-            policy: req_str(doc, "policy")?.to_string(),
-            sla_us: req_f64(doc, "sla_us")?,
+    /// Writes the report's fields: its JSON encoding, and a replica's
+    /// report inside a [`crate::FleetReport`].
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+        let ServingReport {
+            workload,
+            scheme,
+            device,
+            scale,
+            seed,
+            traffic,
+            offered_qps,
+            policy,
+            sla_us,
             requests,
             served_requests,
             shed_requests,
@@ -463,18 +309,60 @@ impl ServingReport {
             availability,
             goodput_qps,
             fault_events,
-            batches: req_u32(doc, "batches")?,
+            batches,
             shapes,
             achieved_qps,
             latency,
-            mean_batch_wait_us: req_f64(doc, "mean_batch_wait_us")?,
-            mean_queue_wait_us: req_f64(doc, "mean_queue_wait_us")?,
+            mean_batch_wait_us,
+            mean_queue_wait_us,
             sla_violation_rate,
             utilization,
             streams,
             stream_utilization,
-            makespan_us: req_f64(doc, "makespan_us")?,
-        })
+            makespan_us,
+        } = self;
+        w.set("achieved_qps", *achieved_qps);
+        w.set("availability", *availability);
+        w.set("batches", *batches);
+        w.set("device", device.as_str());
+        w.set("failed_requests", *failed_requests);
+        w.set(
+            "fault_events",
+            array(|a| a.push_objects(fault_events, FaultTimelineEntry::write_fields)),
+        );
+        w.set("goodput_qps", *goodput_qps);
+        w.set("hedges", *hedges);
+        w.set("latency", object(|o| latency.write_fields(o)));
+        w.set("makespan_us", *makespan_us);
+        w.set("mean_batch_wait_us", *mean_batch_wait_us);
+        w.set("mean_queue_wait_us", *mean_queue_wait_us);
+        w.set("offered_qps", *offered_qps);
+        w.set("policy", policy.as_str());
+        w.set("requests", *requests);
+        w.set("retries", *retries);
+        w.set("scale", scale.as_str());
+        w.set("schema", SERVING_REPORT_SCHEMA);
+        w.set("scheme", scheme.as_str());
+        w.set("seed", *seed);
+        w.set("served_requests", *served_requests);
+        w.set(
+            "shapes",
+            array(|a| a.push_objects(shapes, BatchShapeStats::write_fields)),
+        );
+        w.set("shed_requests", *shed_requests);
+        w.set("sla_us", *sla_us);
+        w.set("sla_violation_rate", *sla_violation_rate);
+        w.set(
+            "stream_utilization",
+            array(|a| a.push_objects(stream_utilization, StreamUtilization::write_fields)),
+        );
+        w.set("streams", *streams);
+        w.set("traffic", traffic.as_str());
+        w.set(
+            "utilization",
+            array(|a| a.push_objects(utilization, DeviceUtilization::write_fields)),
+        );
+        w.set("workload", workload.as_str());
     }
 }
 
@@ -496,6 +384,7 @@ impl std::fmt::Display for ServingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn sample_report() -> ServingReport {
         ServingReport {
@@ -579,87 +468,26 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact_and_stable() {
+    fn json_is_canonical_and_carries_every_block() {
         let report = sample_report();
         let text = report.to_json();
-        let back = ServingReport::from_json(&text).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn reports_without_stream_fields_parse_as_single_stream() {
-        // Reports archived before the concurrent-stream refactor carry the
-        // same schema tag but no stream block.
-        let report = sample_report();
-        let text = report.to_json();
-        // Cut the stream block out of the rendered document to
-        // reconstruct the archived layout; keys render sorted, so
-        // "stream_utilization" and "streams" sit back-to-back right
-        // before "traffic".
-        let start = text.find("\"stream_utilization\"").unwrap();
-        let end = text.find("\"traffic\"").unwrap();
-        let legacy = format!("{}{}", &text[..start], &text[end..]);
-        let back = ServingReport::from_json(&legacy).unwrap();
-        assert_eq!(back.streams, 1);
-        assert!(back.stream_utilization.is_empty());
-        assert_eq!(back.latency, report.latency);
-        assert_eq!(back.utilization, report.utilization);
-    }
-
-    #[test]
-    fn reports_without_resilience_fields_parse_as_fault_free() {
-        // Reports archived before the fault-injection refactor carry the
-        // same schema tag but none of the availability/retry/shed fields.
-        let report = sample_report();
-        let text = report.to_json();
-        // Cut the resilience keys out of the rendered document to
-        // reconstruct the archived layout; keys render sorted, so each
-        // group sits right before a surviving key.
-        let cut = |text: &str, from: &str, upto: &str| -> String {
-            let start = text.find(&format!("\"{from}\"")).unwrap();
-            let end = text.find(&format!("\"{upto}\"")).unwrap();
-            format!("{}{}", &text[..start], &text[end..])
-        };
-        let legacy = cut(&text, "availability", "batches");
-        // failed_requests, fault_events, goodput_qps and hedges render
-        // contiguously between "device" and "latency".
-        let legacy = cut(&legacy, "failed_requests", "latency");
-        let legacy = cut(&legacy, "retries", "scale");
-        let legacy = cut(&legacy, "served_requests", "shapes");
-        let legacy = cut(&legacy, "shed_requests", "sla_us");
-        let back = ServingReport::from_json(&legacy).unwrap();
-        assert_eq!(back.served_requests, back.requests);
-        assert_eq!(back.shed_requests, 0);
-        assert_eq!(back.failed_requests, 0);
-        assert_eq!(back.retries, 0);
-        assert_eq!(back.hedges, 0);
-        assert_eq!(back.availability, 1.0);
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.render(), text, "keys must stream in ascending order");
         assert_eq!(
-            back.goodput_qps,
-            back.achieved_qps * (1.0 - back.sla_violation_rate)
+            doc.get("schema").and_then(Json::as_str),
+            Some(SERVING_REPORT_SCHEMA)
         );
-        assert!(back.fault_events.is_empty());
-        // Everything that was present parses unchanged.
-        assert_eq!(back.latency, report.latency);
-        assert_eq!(back.utilization, report.utilization);
-        assert_eq!(back.stream_utilization, report.stream_utilization);
-    }
-
-    #[test]
-    fn schema_tag_is_enforced() {
-        let text = sample_report()
-            .to_json()
-            .replace(SERVING_REPORT_SCHEMA, "something/else");
-        let err = ServingReport::from_json(&text).unwrap_err();
-        assert!(err.message.contains("unsupported serving-report schema"));
-    }
-
-    #[test]
-    fn missing_fields_are_reported_by_name() {
-        let text = sample_report().to_json().replace("\"batches\":7,", "");
-        let err = ServingReport::from_json(&text).unwrap_err();
-        assert!(err.message.contains("batches"), "{err}");
+        let latency = doc.get("latency").unwrap();
+        assert_eq!(latency.get("p99_us").and_then(Json::as_f64), Some(2100.125));
+        for (key, len) in [
+            ("fault_events", 1),
+            ("shapes", 2),
+            ("stream_utilization", 2),
+            ("utilization", 2),
+        ] {
+            let items = doc.get(key).and_then(Json::as_array).unwrap();
+            assert_eq!(items.len(), len, "{key}");
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@ use gpu_sim::{GpuConfig, KernelLaunch, KernelStats};
 use perf_envelope::json::Json;
 use perf_envelope::{
     AdmissionPolicy, AutoscaleEvent, AutoscalePolicy, BatchShapeStats, BatchingPolicy,
-    CampaignCache, ClusterBreakdown, DeviceBreakdown, DeviceUtilization, EndToEndBreakdown,
-    Experiment, FaultEvent, FaultPlan, FaultTimelineEntry, Fleet, FleetCost, FleetReplicaReport,
-    FleetReport, FleetSpec, LatencyStats, RetryPolicy, RoutingPolicy, RunReport, Scheme,
-    ServingReport, ServingScenario, StreamConfig, StreamUtilization, TableBreakdown, TrafficModel,
-    Workload, WorkloadKind,
+    CampaignCache, Cluster, ClusterBreakdown, DeviceBreakdown, DeviceUtilization,
+    EndToEndBreakdown, Experiment, FaultEvent, FaultPlan, FaultTimelineEntry, Fleet, FleetCost,
+    FleetReplicaReport, FleetReport, FleetSpec, InterconnectConfig, LatencyStats, RetryPolicy,
+    RoutingPolicy, RunReport, Scheme, ServingReport, ServingScenario, StreamConfig,
+    StreamUtilization, TableBreakdown, TrafficModel, Workload, WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -489,23 +489,36 @@ fn arbitrary_fault_event(g: &mut Cases, devices: u64) -> FaultEvent {
 }
 
 #[test]
-fn fault_plans_round_trip_canonically() {
-    // Arbitrary well-formed fault plans survive the JSON round trip exactly
-    // and render canonically (sorted events, sorted keys).
-    check("fault_plans_round_trip_canonically", |g| {
+fn fault_plan_keys_are_canonical() {
+    // Arbitrary well-formed fault plans write one entry per event into the
+    // cell key, in canonical order: the key is canonical JSON and does not
+    // depend on the order the plan was built in.
+    check("fault_plan_keys_are_canonical", |g| {
         let events: Vec<FaultEvent> = (0..g.range(1, 6))
             .map(|_| arbitrary_fault_event(g, 4))
             .collect();
-        let plan = FaultPlan::new(events);
-        let text = plan.to_json();
-        let back = FaultPlan::from_json(&text).expect("fault-plan JSON parses back");
-        assert_eq!(back, plan, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(
-            Json::parse(&text).unwrap().render(),
-            text,
-            "the streamed encoding must be the tree rendering's bytes"
-        );
+        let experiment =
+            Experiment::new(GpuConfig::test_small(), WorkloadScale::Test).with_cluster(
+                Cluster::homogeneous(GpuConfig::test_small(), 4, InterconnectConfig::nvlink3()),
+            );
+        let workload = Workload::kernel(g.pattern());
+        let key = |plan: FaultPlan| {
+            experiment
+                .clone()
+                .with_faults(plan)
+                .fingerprint(&workload, &Scheme::base())
+        };
+        let forward = key(FaultPlan::new(events.clone()));
+        let backward = key(FaultPlan::new(events.iter().rev().copied().collect()));
+        assert_eq!(forward, backward, "the key must not depend on build order");
+        let doc = Json::parse(&forward).expect("keys parse");
+        assert_eq!(doc.render(), forward, "the key must be canonical JSON");
+        let written = doc.get("faults").and_then(Json::as_array).unwrap();
+        assert_eq!(written.len(), events.len(), "one entry per event");
+        for entry in written {
+            let kind = entry.get("kind").and_then(Json::as_str).unwrap();
+            assert!(events.iter().any(|e| e.kind().name() == kind), "{kind}");
+        }
     });
 }
 
@@ -659,17 +672,21 @@ fn arbitrary_serving_report(g: &mut Cases) -> ServingReport {
 }
 
 #[test]
-fn serving_reports_with_stream_utilization_round_trip() {
-    // Arbitrary well-formed serving reports — including the PR 6 stream
-    // block — survive the JSON round trip bit-for-bit with canonical
-    // rendering.
-    check("serving_reports_with_stream_utilization_round_trip", |g| {
+fn serving_reports_render_canonically() {
+    // Arbitrary well-formed serving reports — including the stream block —
+    // stream out as canonical JSON that carries every block intact.
+    check("serving_reports_render_canonically", |g| {
         let report = arbitrary_serving_report(g);
         let text = report.to_json();
-        let back = ServingReport::from_json(&text).expect("serving JSON parses back");
-        assert_eq!(back, report, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(back.stream_utilization.len(), back.streams as usize);
+        let doc = Json::parse(&text).expect("serving JSON parses");
+        assert_eq!(doc.render(), text, "rendering must be canonical");
+        let streams = doc.get("stream_utilization").and_then(Json::as_array);
+        assert_eq!(streams.map(<[Json]>::len), Some(report.streams as usize));
+        let p99 = doc.get("latency").and_then(|l| l.get("p99_us"));
+        assert_eq!(
+            p99.and_then(Json::as_f64).map(f64::to_bits),
+            Some(report.latency.p99_us.to_bits())
+        );
     });
 }
 
@@ -695,67 +712,50 @@ fn arbitrary_autoscale_policy(g: &mut Cases) -> AutoscalePolicy {
 }
 
 #[test]
-fn routing_policies_round_trip_canonically() {
-    // Every constructible routing policy — including the EWMA smoothing
-    // factor of the latency-aware one — survives the JSON round trip
-    // exactly and renders canonically.
-    check("routing_policies_round_trip_canonically", |g| {
-        let policy = arbitrary_routing_policy(g);
-        let text = policy.to_json();
-        let back = RoutingPolicy::from_json(&text).expect("routing JSON parses back");
-        assert_eq!(back, policy, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(
-            Json::parse(&text).unwrap().render(),
-            text,
-            "the streamed encoding must be the tree rendering's bytes"
+fn fleet_spec_keys_are_canonical() {
+    // Arbitrary fleet specs — any routing × autoscale × decision interval —
+    // write canonical JSON into the fleet key, carry their policies' kinds
+    // and interval exactly, and key the plain serving cell only when they
+    // are the identity spec.
+    check("fleet_spec_keys_are_canonical", |g| {
+        let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+        let scenario = ServingScenario::new(
+            TrafficModel::poisson(10_000.0),
+            BatchingPolicy::fixed_size(64),
         );
-        assert_eq!(back.label(), policy.label());
-        assert_eq!(back.is_identity(), policy.is_identity());
-    });
-}
-
-#[test]
-fn autoscale_policies_round_trip_canonically() {
-    // Every constructible autoscale policy — static provisioning and
-    // arbitrary valid reactive thresholds — survives the JSON round trip
-    // exactly and renders canonically.
-    check("autoscale_policies_round_trip_canonically", |g| {
-        let policy = arbitrary_autoscale_policy(g);
-        let text = policy.to_json();
-        let back = AutoscalePolicy::from_json(&text).expect("autoscale JSON parses back");
-        assert_eq!(back, policy, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(
-            Json::parse(&text).unwrap().render(),
-            text,
-            "the streamed encoding must be the tree rendering's bytes"
-        );
-        assert_eq!(back.is_none(), policy.is_none());
-        assert_eq!(back.label(), policy.label());
-    });
-}
-
-#[test]
-fn fleet_specs_round_trip_canonically() {
-    // Arbitrary fleet specs — any routing × autoscale × decision interval
-    // — survive the JSON round trip exactly, render canonically, and
-    // preserve the identity predicate the degenerate fleet anchor leans on.
-    check("fleet_specs_round_trip_canonically", |g| {
+        let routing = arbitrary_routing_policy(g);
+        let autoscale = arbitrary_autoscale_policy(g);
+        let interval_us = g.range(1, 160_000_000) as f64 / 16.0;
         let spec = FleetSpec::new()
-            .with_routing(arbitrary_routing_policy(g))
-            .with_autoscale(arbitrary_autoscale_policy(g))
-            .with_interval_us(g.range(1, 160_000_000) as f64 / 16.0);
-        let text = spec.to_json();
-        let back = FleetSpec::from_json(&text).expect("fleet-spec JSON parses back");
-        assert_eq!(back, spec, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(
-            Json::parse(&text).unwrap().render(),
-            text,
-            "the streamed encoding must be the tree rendering's bytes"
-        );
-        assert_eq!(back.is_identity(), spec.is_identity());
+            .with_routing(routing)
+            .with_autoscale(autoscale)
+            .with_interval_us(interval_us);
+        let workload = Workload::kernel(g.pattern());
+        let scheme = Scheme::base();
+        let key = Fleet::single(experiment.clone(), scenario)
+            .with_spec(spec)
+            .fingerprint(&workload, &scheme);
+        let doc = Json::parse(&key).expect("keys parse");
+        assert_eq!(doc.render(), key, "the key must be canonical JSON");
+        match doc.get("fleet") {
+            None => {
+                assert!(spec.is_identity(), "only the identity spec omits the axis");
+                assert_eq!(key, experiment.fingerprint(&workload, &scheme));
+            }
+            Some(fleet) => {
+                assert!(!spec.is_identity());
+                let kind = |policy: &str| {
+                    fleet
+                        .get(policy)
+                        .and_then(|p| p.get("kind"))
+                        .and_then(Json::as_str)
+                };
+                assert_eq!(kind("routing"), Some(routing.kind().name()));
+                assert_eq!(kind("autoscale"), Some(autoscale.kind().name()));
+                let written = fleet.get("interval_us").and_then(Json::as_f64);
+                assert_eq!(written.map(f64::to_bits), Some(interval_us.to_bits()));
+            }
+        }
     });
 }
 
@@ -809,13 +809,12 @@ fn fleet_fingerprints_partition_the_campaign_cache() {
 }
 
 #[test]
-fn fleet_reports_round_trip_bit_for_bit() {
+fn fleet_reports_render_canonically() {
     // Arbitrary well-formed fleet reports — autoscale timeline, cost
-    // block, embedded per-replica serving reports — survive the JSON
-    // round trip bit-for-bit with canonical rendering, with every
-    // fleet-level float drawn from the full finite f64 space (negative
-    // zero, subnormals, extreme exponents).
-    check("fleet_reports_round_trip_bit_for_bit", |g| {
+    // block, embedded per-replica serving reports — stream out as canonical
+    // JSON whose floats, drawn from the full finite f64 space (negative
+    // zero, subnormals, extreme exponents), parse back bit for bit.
+    check("fleet_reports_render_canonically", |g| {
         let replicas: Vec<FleetReplicaReport> = (0..g.range(1, 4))
             .map(|i| FleetReplicaReport {
                 replica: i as u32,
@@ -869,10 +868,66 @@ fn fleet_reports_round_trip_bit_for_bit() {
             replicas,
         };
         let text = report.to_json();
-        let back = FleetReport::from_json(&text).expect("fleet JSON parses back");
-        assert_eq!(back, report, "round trip must be lossless");
-        assert_eq!(back.to_json(), text, "rendering must be canonical");
-        assert_eq!(back.replicas.len(), report.replicas.len());
+        let doc = Json::parse(&text).expect("fleet JSON parses");
+        assert_eq!(doc.render(), text, "rendering must be canonical");
+        let float = |doc: &Json, key: &str| doc.get(key).and_then(Json::as_f64).map(f64::to_bits);
+        for (key, value) in [
+            ("offered_qps", report.offered_qps),
+            ("availability", report.availability),
+            ("achieved_qps", report.achieved_qps),
+            ("goodput_qps", report.goodput_qps),
+            ("sla_attainment", report.sla_attainment),
+            ("makespan_us", report.makespan_us),
+        ] {
+            assert_eq!(float(&doc, key), Some(value.to_bits()), "{key}");
+        }
+        let cost = doc.get("cost").unwrap();
+        assert_eq!(
+            float(cost, "device_us"),
+            Some(report.cost.device_us.to_bits())
+        );
+        let replicas = doc.get("replicas").and_then(Json::as_array).unwrap();
+        assert_eq!(replicas.len(), report.replicas.len());
+        for (written, replica) in replicas.iter().zip(&report.replicas) {
+            assert_eq!(
+                float(written, "active_until_us"),
+                Some(replica.active_until_us.to_bits())
+            );
+        }
+    });
+}
+
+#[test]
+fn the_cache_reader_never_panics_on_damaged_files() {
+    // Persisted caches are the one JSON this crate reads back, from files
+    // anyone may have truncated or damaged: every prefix of a saved cache
+    // and single-byte corruptions of it must come back as `Ok` or `Err`,
+    // never as a panic.
+    let cache = CampaignCache::new();
+    let experiment =
+        Experiment::new(GpuConfig::test_small(), WorkloadScale::Test).with_cache(cache.clone());
+    let workload = Workload::kernel(AccessPattern::MedHot);
+    for scheme in [Scheme::base(), Scheme::optmt()] {
+        experiment.run(&workload, &scheme);
+    }
+    let saved = cache.to_json();
+    assert!(saved.is_ascii(), "corruptions below stay valid UTF-8");
+    let reloaded = CampaignCache::from_json(&saved).expect("the saved cache loads");
+    assert_eq!(reloaded.to_json(), saved, "and re-saves byte for byte");
+    for end in 0..saved.len() {
+        assert!(
+            CampaignCache::from_json(&saved[..end]).is_err(),
+            "a {end}-byte prefix is not a complete document"
+        );
+    }
+    check("the_cache_reader_never_panics_on_damaged_files", |g| {
+        for _ in 0..16 {
+            let mut bytes = saved.clone().into_bytes();
+            let offset = g.range(0, bytes.len() as u64) as usize;
+            bytes[offset] = g.range(0, 0x80) as u8;
+            let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            let _ = CampaignCache::from_json(&text);
+        }
     });
 }
 
