@@ -8,6 +8,17 @@ use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
 use gpu_sim::GpuConfig;
 use perf_envelope::{Campaign, CampaignRun, Experiment, RunReport, Scheme, Workload};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+
+/// Held shared by every test in this file and exclusively by the wall-clock
+/// comparison, so its timed runs never share the host's cores with the
+/// tests the harness runs alongside it.
+static CORES: RwLock<()> = RwLock::new(());
+
+/// Takes a shared hold on [`CORES`] for a test that does not time itself.
+fn shared_cores() -> RwLockReadGuard<'static, ()> {
+    CORES.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A grid touching all three workload kinds and both dataset shapes.
 fn mixed_grid(seed: u64) -> Campaign {
@@ -24,6 +35,7 @@ fn mixed_grid(seed: u64) -> Campaign {
 
 #[test]
 fn reports_are_identical_for_any_thread_count() {
+    let _cores = shared_cores();
     let baseline = mixed_grid(7).threads(1).run();
     for threads in [2, 4, 7] {
         let run = mixed_grid(7).threads(threads).run();
@@ -36,6 +48,7 @@ fn reports_are_identical_for_any_thread_count() {
 
 #[test]
 fn seeds_flow_into_every_cell_and_change_results() {
+    let _cores = shared_cores();
     let a = mixed_grid(7).threads(4).run();
     let b = mixed_grid(8).threads(4).run();
     assert!(a.reports().iter().all(|r| r.seed == 7));
@@ -49,6 +62,7 @@ fn seeds_flow_into_every_cell_and_change_results() {
 
 #[test]
 fn every_report_round_trips_through_json() {
+    let _cores = shared_cores();
     let run = mixed_grid(7).threads(2).run();
     for report in run.reports() {
         let text = report.to_json();
@@ -62,6 +76,7 @@ fn every_report_round_trips_through_json() {
 
 #[test]
 fn grid_cells_carry_their_coordinates() {
+    let _cores = shared_cores();
     let run = mixed_grid(7).run();
     assert_eq!(run.len(), 12);
     assert_eq!(run.get(2, 0, 0, 0).workload, "Mix2");
@@ -86,6 +101,7 @@ fn assert_parallel_beats_serial(grid: &dyn Fn() -> Campaign) -> bool {
         return false;
     }
 
+    let _cores = CORES.write().unwrap_or_else(PoisonError::into_inner);
     // audit:allow(wall_clock): times the host-side worker pool for a speedup
     let start = std::time::Instant::now();
     let serial = grid().threads(1).run();

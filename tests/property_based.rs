@@ -711,49 +711,163 @@ fn arbitrary_autoscale_policy(g: &mut Cases) -> AutoscalePolicy {
     AutoscalePolicy::reactive(scale_out, scale_in, g.range(0, 8) as u32, min, max)
 }
 
+/// The cell key of a one-replica fleet built on `spec` and serving
+/// `workload`, which writes the spec into its `fleet` axis unless the spec
+/// is the identity.
+fn fleet_key(spec: FleetSpec, workload: &Workload) -> String {
+    let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+    let scenario = ServingScenario::new(
+        TrafficModel::poisson(10_000.0),
+        BatchingPolicy::fixed_size(64),
+    );
+    Fleet::single(experiment, scenario)
+        .with_spec(spec)
+        .fingerprint(workload, &Scheme::base())
+}
+
+/// The parsed `fleet` axis of a key, after checking that the key is
+/// canonical JSON; `None` when the key omits the axis.
+fn fleet_axis(key: &str) -> Option<Json> {
+    let doc = Json::parse(key).expect("keys parse");
+    assert_eq!(doc.render(), key, "the key must be canonical JSON");
+    doc.get("fleet").cloned()
+}
+
+/// Reads a routing policy back from its entry in a fleet key through the
+/// public constructors, checking that every written field is the policy's.
+fn routing_from_key(entry: &Json) -> RoutingPolicy {
+    let alpha = entry.get("ewma_alpha").and_then(Json::as_f64).unwrap();
+    let back = match entry.get("kind").and_then(Json::as_str).unwrap() {
+        "round_robin" => RoutingPolicy::round_robin(),
+        "least_outstanding" => RoutingPolicy::least_outstanding(),
+        "latency_aware" => RoutingPolicy::latency_aware(alpha),
+        other => panic!("unknown routing kind {other}"),
+    };
+    assert_eq!(back.ewma_alpha().to_bits(), alpha.to_bits());
+    back
+}
+
+/// Reads an autoscale policy back from its entry in a fleet key through the
+/// public constructors, checking that every written field is the policy's.
+fn autoscale_from_key(entry: &Json) -> AutoscalePolicy {
+    let float = |key: &str| entry.get(key).and_then(Json::as_f64).unwrap();
+    let count = |key: &str| entry.get(key).and_then(Json::as_u32).unwrap();
+    let back = match entry.get("kind").and_then(Json::as_str).unwrap() {
+        "none" => AutoscalePolicy::none(),
+        "reactive" => AutoscalePolicy::reactive(
+            float("scale_out_threshold"),
+            float("scale_in_threshold"),
+            count("cooldown_intervals"),
+            count("min_replicas"),
+            count("max_replicas"),
+        ),
+        other => panic!("unknown autoscale kind {other}"),
+    };
+    let written = [
+        float("scale_out_threshold").to_bits(),
+        float("scale_in_threshold").to_bits(),
+        u64::from(count("cooldown_intervals")),
+        u64::from(count("min_replicas")),
+        u64::from(count("max_replicas")),
+    ];
+    let held = [
+        back.scale_out_threshold().to_bits(),
+        back.scale_in_threshold().to_bits(),
+        u64::from(back.cooldown_intervals()),
+        u64::from(back.min_replicas()),
+        u64::from(back.max_replicas()),
+    ];
+    assert_eq!(held, written, "every written field must be read back");
+    back
+}
+
 #[test]
-fn fleet_spec_keys_are_canonical() {
-    // Arbitrary fleet specs — any routing × autoscale × decision interval —
-    // write canonical JSON into the fleet key, carry their policies' kinds
-    // and interval exactly, and key the plain serving cell only when they
-    // are the identity spec.
-    check("fleet_spec_keys_are_canonical", |g| {
-        let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
-        let scenario = ServingScenario::new(
-            TrafficModel::poisson(10_000.0),
-            BatchingPolicy::fixed_size(64),
-        );
-        let routing = arbitrary_routing_policy(g);
-        let autoscale = arbitrary_autoscale_policy(g);
-        let interval_us = g.range(1, 160_000_000) as f64 / 16.0;
+fn routing_policies_round_trip_canonically() {
+    // Every constructible routing policy — including the EWMA smoothing
+    // factor of the latency-aware one — survives the round trip through
+    // the fleet key exactly, and the policy read back writes the same key.
+    check("routing_policies_round_trip_canonically", |g| {
+        let policy = arbitrary_routing_policy(g);
+        // A reactive autoscaler keeps the spec off the identity, so the
+        // key always writes the axis.
         let spec = FleetSpec::new()
-            .with_routing(routing)
-            .with_autoscale(autoscale)
-            .with_interval_us(interval_us);
+            .with_routing(policy)
+            .with_autoscale(AutoscalePolicy::reactive(0.75, 0.25, 1, 1, 2));
         let workload = Workload::kernel(g.pattern());
-        let scheme = Scheme::base();
-        let key = Fleet::single(experiment.clone(), scenario)
-            .with_spec(spec)
-            .fingerprint(&workload, &scheme);
-        let doc = Json::parse(&key).expect("keys parse");
-        assert_eq!(doc.render(), key, "the key must be canonical JSON");
-        match doc.get("fleet") {
+        let key = fleet_key(spec, &workload);
+        let axis = fleet_axis(&key).expect("a non-identity spec writes the axis");
+        let back = routing_from_key(axis.get("routing").unwrap());
+        assert_eq!(back, policy, "round trip must be lossless");
+        assert_eq!(
+            fleet_key(spec.with_routing(back), &workload),
+            key,
+            "rendering must be canonical"
+        );
+        assert_eq!(back.label(), policy.label());
+        assert_eq!(back.is_identity(), policy.is_identity());
+    });
+}
+
+#[test]
+fn autoscale_policies_round_trip_canonically() {
+    // Every constructible autoscale policy — static provisioning and
+    // arbitrary valid reactive thresholds — survives the round trip
+    // through the fleet key exactly, and the policy read back writes the
+    // same key.
+    check("autoscale_policies_round_trip_canonically", |g| {
+        let policy = arbitrary_autoscale_policy(g);
+        // Least-outstanding routing keeps the spec off the identity, so
+        // the key always writes the axis.
+        let spec = FleetSpec::new()
+            .with_routing(RoutingPolicy::least_outstanding())
+            .with_autoscale(policy);
+        let workload = Workload::kernel(g.pattern());
+        let key = fleet_key(spec, &workload);
+        let axis = fleet_axis(&key).expect("a non-identity spec writes the axis");
+        let back = autoscale_from_key(axis.get("autoscale").unwrap());
+        assert_eq!(back, policy, "round trip must be lossless");
+        assert_eq!(
+            fleet_key(spec.with_autoscale(back), &workload),
+            key,
+            "rendering must be canonical"
+        );
+        assert_eq!(back.is_none(), policy.is_none());
+        assert_eq!(back.label(), policy.label());
+    });
+}
+
+#[test]
+fn fleet_specs_round_trip_canonically() {
+    // Arbitrary fleet specs — any routing × autoscale × decision interval —
+    // survive the round trip through the fleet key exactly and write the
+    // same key again; only the identity spec omits the axis, and its key is
+    // the plain serving cell's.
+    check("fleet_specs_round_trip_canonically", |g| {
+        let spec = FleetSpec::new()
+            .with_routing(arbitrary_routing_policy(g))
+            .with_autoscale(arbitrary_autoscale_policy(g))
+            .with_interval_us(g.range(1, 160_000_000) as f64 / 16.0);
+        let workload = Workload::kernel(g.pattern());
+        let key = fleet_key(spec, &workload);
+        match fleet_axis(&key) {
             None => {
                 assert!(spec.is_identity(), "only the identity spec omits the axis");
-                assert_eq!(key, experiment.fingerprint(&workload, &scheme));
+                let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+                assert_eq!(key, experiment.fingerprint(&workload, &Scheme::base()));
             }
-            Some(fleet) => {
+            Some(axis) => {
                 assert!(!spec.is_identity());
-                let kind = |policy: &str| {
-                    fleet
-                        .get(policy)
-                        .and_then(|p| p.get("kind"))
-                        .and_then(Json::as_str)
-                };
-                assert_eq!(kind("routing"), Some(routing.kind().name()));
-                assert_eq!(kind("autoscale"), Some(autoscale.kind().name()));
-                let written = fleet.get("interval_us").and_then(Json::as_f64);
-                assert_eq!(written.map(f64::to_bits), Some(interval_us.to_bits()));
+                let interval_us = axis.get("interval_us").and_then(Json::as_f64).unwrap();
+                let back = FleetSpec::new()
+                    .with_routing(routing_from_key(axis.get("routing").unwrap()))
+                    .with_autoscale(autoscale_from_key(axis.get("autoscale").unwrap()))
+                    .with_interval_us(interval_us);
+                assert_eq!(back, spec, "round trip must be lossless");
+                assert_eq!(
+                    fleet_key(back, &workload),
+                    key,
+                    "rendering must be canonical"
+                );
             }
         }
     });
