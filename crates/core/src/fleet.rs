@@ -13,7 +13,12 @@
 //! unchanged [`ServingScenario`] dispatch loop and aggregates a
 //! [`FleetReport`] (exact fleet-wide percentiles, request conservation,
 //! per-replica serving reports, autoscale timeline, and a device-hours
-//! cost summary).
+//! cost summary). A live replica the router sent nothing runs the same
+//! loop on an empty trace and reports idle. Every cell the fleet prices
+//! or keys — replica dispatch, the router probe, the capacity search, the
+//! fleet key and each group's key entry — folds the group's fault plan in
+//! through the scenario's one pricing-experiment function, so fleet cells
+//! share the cache with plain serving runs.
 //!
 //! Three contracts the test suite (`tests/fleet_equivalence.rs`) anchors:
 //!
@@ -621,7 +626,9 @@ impl ReplicaGroup {
             scenario,
             replicas,
         } = self;
-        pricing_experiment_parts(experiment, scenario).write_replica_fields(w, base, *replicas);
+        scenario
+            .pricing_experiment(experiment)
+            .write_replica_fields(w, base, *replicas);
     }
 }
 
@@ -764,7 +771,9 @@ impl Fleet {
             .first()
             .expect("a fleet needs at least one replica group");
         let fleet = (!self.is_identity()).then_some(self);
-        pricing_experiment(g0).cell_key(workload, scheme, fleet)
+        g0.scenario
+            .pricing_experiment(&g0.experiment)
+            .cell_key(workload, scheme, fleet)
     }
 
     /// Routes the fleet-wide arrival trace across replicas, applies the
@@ -788,11 +797,10 @@ impl Fleet {
         let autoscale = self.spec.autoscale;
         let interval_us = self.spec.interval_us;
 
-        // Expand groups into the replica pool, attaching the shared cache.
+        // Each group's deployment with the shared cache attached, and the
+        // replica pool it expands into.
         struct Replica {
             group: u32,
-            experiment: Experiment,
-            scenario: ServingScenario,
             arrivals: Vec<f64>,
             // Active [join, leave) windows; `f64::INFINITY` marks "still
             // live" until the fleet makespan is known.
@@ -804,17 +812,19 @@ impl Fleet {
             est_service_us: f64,
             ewma_us: f64,
         }
-        let mut pool: Vec<Replica> = Vec::new();
-        for (gi, group) in self.groups.iter().enumerate() {
-            let experiment = match &self.cache {
+        let experiments: Vec<Experiment> = self
+            .groups
+            .iter()
+            .map(|group| match &self.cache {
                 Some(cache) => group.experiment.clone().with_cache(cache.clone()),
                 None => group.experiment.clone(),
-            };
+            })
+            .collect();
+        let mut pool: Vec<Replica> = Vec::new();
+        for (gi, group) in self.groups.iter().enumerate() {
             for _ in 0..group.replicas {
                 pool.push(Replica {
                     group: gi as u32,
-                    experiment: experiment.clone(),
-                    scenario: group.scenario.clone(),
                     arrivals: Vec::new(),
                     windows: Vec::new(),
                     routed: 0,
@@ -829,11 +839,14 @@ impl Fleet {
         // Router-side service estimates: one probe per replica, priced
         // through the ordinary (cached) experiment path. Round-robin
         // needs none.
-        if routing.kind != RoutingKind::RoundRobin {
+        let needs_estimates = routing.kind != RoutingKind::RoundRobin;
+        if needs_estimates {
             for replica in &mut pool {
-                let shape = replica.scenario.policy().shape(1);
-                let report = pricing_experiment_parts(&replica.experiment, &replica.scenario)
-                    .with_batch_size(shape)
+                let g = replica.group as usize;
+                let scenario = &self.groups[g].scenario;
+                let report = scenario
+                    .pricing_experiment(&experiments[g])
+                    .with_batch_size(scenario.policy().shape(1))
                     .run(workload, scheme);
                 replica.est_service_us = report.latency_us;
                 replica.ewma_us = report.latency_us;
@@ -845,12 +858,9 @@ impl Fleet {
         let group_capacity: Vec<f64> = if autoscaling {
             self.groups
                 .iter()
-                .map(|group| {
-                    let experiment = match &self.cache {
-                        Some(cache) => group.experiment.clone().with_cache(cache.clone()),
-                        None => group.experiment.clone(),
-                    };
-                    max_sustainable_qps(&experiment, workload, scheme, &group.scenario).max_qps
+                .zip(&experiments)
+                .map(|(group, experiment)| {
+                    max_sustainable_qps(experiment, workload, scheme, &group.scenario).max_qps
                 })
                 .collect()
         } else {
@@ -874,7 +884,6 @@ impl Fleet {
         }
         let mut events: Vec<AutoscaleEvent> = Vec::new();
         let mut cursor = 0u64;
-        let needs_estimates = routing.kind != RoutingKind::RoundRobin;
 
         // Walk arrivals in order; at each interval boundary (autoscaling
         // only) decide on the upcoming interval's offered rate before
@@ -998,7 +1007,7 @@ impl Fleet {
         }
 
         // Simulate every replica that was ever live on its routed
-        // sub-trace (an idle-but-live replica yields an idle report and
+        // sub-trace (an idle-but-live replica runs an empty trace and
         // still bills device time; a never-activated one costs nothing and
         // is excluded).
         let mut replicas: Vec<FleetReplicaReport> = Vec::new();
@@ -1014,17 +1023,15 @@ impl Fleet {
                 debug_assert!(replica.arrivals.is_empty());
                 continue;
             }
-            let (report, latencies) = replica.scenario.simulate_trace(
-                &replica.experiment,
-                workload,
-                scheme,
-                &replica.arrivals,
-            );
+            let experiment = &experiments[replica.group as usize];
+            let scenario = &self.groups[replica.group as usize].scenario;
+            let (report, latencies) =
+                scenario.simulate_trace(experiment, workload, scheme, &replica.arrivals);
             served += report.served_requests;
             shed += report.shed_requests;
             failed += report.failed_requests;
             routed_total += report.requests as u64;
-            within_sla += latencies.partition_point(|&l| l <= replica.scenario.sla_us()) as u64;
+            within_sla += latencies.partition_point(|&l| l <= scenario.sla_us()) as u64;
             if report.makespan_us > makespan_us {
                 makespan_us = report.makespan_us;
             }
@@ -1032,8 +1039,8 @@ impl Fleet {
             replicas.push(FleetReplicaReport {
                 replica: r as u32,
                 group: replica.group,
-                device: replica.experiment.gpu().name.clone(),
-                devices: replica.experiment.cluster().num_devices() as u32,
+                device: experiment.gpu().name.clone(),
+                devices: experiment.cluster().num_devices() as u32,
                 routed_requests: report.requests,
                 active_from_us: replica.windows[0].0,
                 active_until_us: 0.0, // patched below once the makespan is known
@@ -1109,22 +1116,6 @@ impl Fleet {
             autoscale_events: events,
             replicas,
         }
-    }
-}
-
-/// The pricing experiment of one replica group: the group's experiment
-/// with the scenario's fault plan folded in, exactly the way
-/// [`ServingScenario::simulate`] prices — so fleet probes and replica
-/// pricing share cache cells with plain serving runs.
-fn pricing_experiment(group: &ReplicaGroup) -> Experiment {
-    pricing_experiment_parts(&group.experiment, &group.scenario)
-}
-
-fn pricing_experiment_parts(experiment: &Experiment, scenario: &ServingScenario) -> Experiment {
-    if scenario.faults().is_empty() {
-        experiment.clone()
-    } else {
-        experiment.clone().with_faults(scenario.faults().clone())
     }
 }
 

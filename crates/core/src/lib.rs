@@ -135,8 +135,5 @@ pub use serving::{
     SchemeChoice, ServingReport, ServingScenario, StreamCapacityPoint, StreamUtilization,
     TrafficModel, SERVING_REPORT_SCHEMA,
 };
-pub use topology::{
-    Cluster, DeviceHealth, HotColdSharding, InterconnectConfig, RoundRobinSharding, ShardPlan,
-    ShardingSpec, ShardingStrategy, SizeBalancedSharding, StreamConfig, TableProfile,
-};
+pub use topology::{Cluster, InterconnectConfig, ShardPlan, ShardingSpec, StreamConfig};
 pub use workload::{Dataset, Workload, WorkloadKind, WorkloadTarget};

@@ -37,10 +37,9 @@
 //! of the cluster (a sharded batch needs all shards; an unsharded one has a
 //! single device), so a crash or drain on **any** device blocks dispatch
 //! deployment-wide and a crash loses **all** in-flight batches — the
-//! event's device index identifies the culprit in the report's timeline
-//! and in [`FaultPlan::device_health`], not a sub-domain that could keep
-//! serving. Modelling independent per-replica fault domains is the fleet
-//! layer's job (ROADMAP item 2).
+//! event's device index identifies the culprit in the report's timeline,
+//! not a sub-domain that could keep serving. Modelling independent
+//! per-replica fault domains is the fleet layer's job (ROADMAP item 2).
 //!
 //! # Degenerate-equivalence invariant
 //!
@@ -54,7 +53,6 @@
 use std::cmp::Ordering;
 
 use crate::json::{ArrayWriter, ObjectWriter};
-use crate::topology::DeviceHealth;
 
 /// What a [`FaultEvent`] does to the deployment during its window. See the
 /// [serving module docs](super) for the full timeline semantics.
@@ -341,29 +339,6 @@ impl FaultPlan {
         }
     }
 
-    /// The instantaneous health of one device at `t_us`: `Down` inside a
-    /// crash window, else `Draining` inside a drain window, else
-    /// `Straggling` inside a straggler window, else `Up`. Interconnect
-    /// events never mark a device unhealthy.
-    pub fn device_health(&self, device: u32, t_us: f64) -> DeviceHealth {
-        let mut health = DeviceHealth::Up;
-        for event in &self.events {
-            if event.device != device || t_us < event.start_us || t_us >= event.end_us {
-                continue;
-            }
-            let state = match event.kind {
-                FaultKind::Crash => DeviceHealth::Down,
-                FaultKind::Drain => DeviceHealth::Draining,
-                FaultKind::Straggler => DeviceHealth::Straggling,
-                FaultKind::InterconnectDegradation => continue,
-            };
-            if state.severity() > health.severity() {
-                health = state;
-            }
-        }
-        health
-    }
-
     /// The earliest time `>= t_us` at which a new batch may be dispatched:
     /// `t_us` itself (unchanged bits) when no crash or drain window covers
     /// it, otherwise the fixed point past every blocking window. The
@@ -491,7 +466,6 @@ mod tests {
             assert_eq!(plan.next_dispatch_us(t).to_bits(), t.to_bits());
             assert_eq!(plan.straggler_factor(t), 1.0);
             assert_eq!(plan.degradation_multiplier(t), 1.0);
-            assert_eq!(plan.device_health(0, t), DeviceHealth::Up);
         }
         assert_eq!(plan.first_crash_in(0.0, 1e9), None);
         plan.validate(1);
@@ -538,22 +512,6 @@ mod tests {
         assert_eq!(plan.straggler_factor(150.0), 1.0);
         assert_eq!(plan.degradation_multiplier(50.0), 4.0);
         assert_eq!(plan.degradation_multiplier(100.0), 1.0);
-    }
-
-    #[test]
-    fn device_health_ranks_down_over_draining_over_straggling() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent::crash(0, 100.0, 200.0),
-            FaultEvent::drain(0, 50.0, 300.0),
-            FaultEvent::straggler(0, 0.0, 400.0, 2.0),
-            FaultEvent::interconnect_degradation(0.0, 400.0, 2.0),
-        ]);
-        assert_eq!(plan.device_health(0, 25.0), DeviceHealth::Straggling);
-        assert_eq!(plan.device_health(0, 75.0), DeviceHealth::Draining);
-        assert_eq!(plan.device_health(0, 150.0), DeviceHealth::Down);
-        assert_eq!(plan.device_health(0, 350.0), DeviceHealth::Straggling);
-        assert_eq!(plan.device_health(0, 400.0), DeviceHealth::Up);
-        assert_eq!(plan.device_health(1, 150.0), DeviceHealth::Up);
     }
 
     #[test]

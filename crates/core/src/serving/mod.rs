@@ -58,6 +58,12 @@
 //! (availability, goodput, retry/hedge counts and a per-event timeline in
 //! the report); the empty plan with the no-op policies is **bit-exact**
 //! with the fault-free path, held by `tests/resilience_equivalence.rs`.
+//! There is one dispatch path for every trace and plan: the empty plan
+//! runs the same loop (each fault query is the identity on it), and an
+//! empty trace — an idle fleet replica — runs it too, dispatching nothing.
+//! Pricing folds the plan into the experiment in one place,
+//! `ServingScenario::pricing_experiment`, which dispatch, the capacity
+//! search and the fleet layer's keys and probes all share.
 //!
 //! On top of the simulator, [`select_scheme`] picks the cheapest
 //! [`Scheme`] meeting the SLA at a target load, and [`max_sustainable_qps`]
@@ -160,12 +166,6 @@ impl ServingScenario {
         self
     }
 
-    /// Replaces the batching policy.
-    pub fn with_policy(mut self, policy: BatchingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets how many requests the arrival trace contains.
     ///
     /// # Panics
@@ -260,6 +260,21 @@ impl ServingScenario {
         self.admission
     }
 
+    /// The experiment this scenario prices batches on: `experiment` with
+    /// the scenario's fault plan folded in, so a resilience study's cells
+    /// never alias a fault-free study's in a persisted cache. The empty
+    /// plan changes nothing, so fault-free keys stay byte-identical. Every
+    /// priced cell of a scenario — dispatch, the capacity search's
+    /// saturation probe, and the fleet's keys and router probe — goes
+    /// through here.
+    pub(crate) fn pricing_experiment(&self, experiment: &Experiment) -> Experiment {
+        if self.faults.is_empty() {
+            experiment.clone()
+        } else {
+            experiment.clone().with_faults(self.faults.clone())
+        }
+    }
+
     /// Runs the discrete-event serving simulation of this scenario for
     /// `workload` under `scheme` on `experiment`'s deployment (device or
     /// cluster) and reports what the request stream experienced.
@@ -298,8 +313,9 @@ impl ServingScenario {
     /// the [`simulate`](ServingScenario::simulate) report, bit for bit.
     /// Also returns the sorted per-request latencies of the served
     /// requests, so a caller merging several traces can compute exact
-    /// fleet-wide percentiles. An empty trace yields an idle report (zero
-    /// requests, zeroed latencies, full availability).
+    /// fleet-wide percentiles. An empty trace (an idle fleet replica) runs
+    /// the same path: nothing is dispatched, so every count and time is
+    /// zero, and availability is 1.0 because no request was lost.
     pub(crate) fn simulate_trace(
         &self,
         experiment: &Experiment,
@@ -309,78 +325,8 @@ impl ServingScenario {
     ) -> (ServingReport, Vec<f64>) {
         let num_devices = experiment.cluster().num_devices();
         let plan = &self.faults;
-        plan.validate(num_devices);
-        if arrivals.is_empty() {
-            // An idle replica: nothing offered, so nothing served, shed or
-            // failed — availability is 1.0 by convention (no request was
-            // lost). Only the fleet layer can reach this branch;
-            // `with_requests` rejects zero-request scenarios.
-            let k = experiment.streams().streams();
-            let report = ServingReport {
-                workload: workload.dataset_label(),
-                scheme: scheme.paper_label(),
-                device: experiment.gpu().name.clone(),
-                scale: experiment.scale().name().to_string(),
-                seed: self.seed,
-                traffic: self.traffic.name().to_string(),
-                offered_qps: self.traffic.offered_qps(),
-                policy: self.policy.label(),
-                sla_us: self.sla_us,
-                requests: 0,
-                served_requests: 0,
-                shed_requests: 0,
-                failed_requests: 0,
-                retries: 0,
-                hedges: 0,
-                availability: 1.0,
-                goodput_qps: 0.0,
-                fault_events: plan
-                    .events()
-                    .iter()
-                    .map(|event| FaultTimelineEntry {
-                        event: event.label(),
-                        start_us: event.start_us(),
-                        end_us: event.end_us(),
-                        batches_affected: 0,
-                        requests_affected: 0,
-                    })
-                    .collect(),
-                batches: 0,
-                shapes: Vec::new(),
-                achieved_qps: 0.0,
-                latency: LatencyStats::zeroed(),
-                mean_batch_wait_us: 0.0,
-                mean_queue_wait_us: 0.0,
-                sla_violation_rate: 0.0,
-                utilization: (0..num_devices)
-                    .map(|d| DeviceUtilization {
-                        device: experiment.cluster().device(d).name.clone(),
-                        busy_us: 0.0,
-                        utilization: 0.0,
-                    })
-                    .collect(),
-                streams: k,
-                stream_utilization: (0..k)
-                    .map(|s| StreamUtilization {
-                        stream: s,
-                        busy_us: 0.0,
-                        batches: 0,
-                        utilization: 0.0,
-                    })
-                    .collect(),
-                makespan_us: 0.0,
-            };
-            return (report, Vec::new());
-        }
-        let have_faults = !plan.is_empty();
-        // Pricing inherits the fault plan so a resilience study's cells
-        // never alias a fault-free study's in a persisted cache (the
-        // empty plan changes nothing — v1 keys stay byte-identical).
-        let pricing = if have_faults {
-            experiment.clone().with_faults(plan.clone())
-        } else {
-            experiment.clone()
-        };
+        // Folding the plan in validates it against the deployment.
+        let pricing = self.pricing_experiment(experiment);
 
         // What the queue model needs from one priced batch shape: its
         // service latency, its all-to-all share (what interconnect
@@ -435,38 +381,21 @@ impl ServingScenario {
         let mut latencies = Vec::with_capacity(arrivals.len());
         let mut batch_wait_sum = 0.0;
         let mut queue_wait_sum = 0.0;
-        let mut busy_us = vec![0.0f64; num_devices];
-        let mut shape_counts: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut batches = 0u32;
         let mut shed_requests = 0u32;
         let mut failed_requests = 0u32;
         let mut retries = 0u32;
         let mut hedges = 0u32;
-        let mut event_batches = vec![0u32; plan.len()];
-        let mut event_requests = vec![0u32; plan.len()];
-        // One execution horizon per concurrent stream: each batch is
-        // dispatched to the earliest-free stream, ties breaking
-        // deterministically to the lowest stream index. With one stream
-        // this degenerates to the plain FIFO pipeline.
         let k = experiment.streams().streams() as usize;
-        let mut stream_free = vec![0.0f64; k];
-        let mut stream_busy_us = vec![0.0f64; k];
-        let mut stream_batches = vec![0u32; k];
+        let mut ledger = Ledger::new(plan, k, num_devices);
         let mut first = 0usize;
 
         'dispatch: while first < arrivals.len() || !pending.is_empty() {
-            let stream = (0..k)
-                .min_by(|&a, &b| {
-                    stream_free[a]
-                        .partial_cmp(&stream_free[b])
-                        .expect("stream horizons are finite")
-                })
-                .expect("an experiment has at least one stream");
+            let stream = ledger.earliest_stream();
 
             // Queue-depth shedding: head-drop the oldest waiting requests
             // beyond the bound before the next batch forms.
             if self.admission.kind() == AdmissionKind::QueueDepth && first < arrivals.len() {
-                let horizon = stream_free[stream];
+                let horizon = ledger.stream_free[stream];
                 let backlog = arrivals[first..]
                     .iter()
                     .take_while(|&&a| a <= horizon)
@@ -483,8 +412,10 @@ impl ServingScenario {
             // Choose the next launch: the earliest-ready lost batch, or
             // the next fresh batch, whichever comes due sooner (among
             // retries, ties go to the oldest requests).
-            let fresh = (first < arrivals.len())
-                .then(|| self.policy.form(arrivals, first, stream_free[stream]));
+            let fresh = (first < arrivals.len()).then(|| {
+                self.policy
+                    .form(arrivals, first, ledger.stream_free[stream])
+            });
             let retry_idx = (0..pending.len()).min_by(|&a, &b| {
                 pending[a]
                     .ready_us
@@ -510,17 +441,7 @@ impl ServingScenario {
 
             let mut shape = self.policy.shape(len as u32);
             let (mut nominal_us, mut all_to_all_us) = price(&mut priced, shape);
-
-            // Dispatch: the same max(horizon, due) branch as the
-            // fault-free path, then the fault window — for the empty plan
-            // every step below is the identity, bit for bit.
-            let raw_start = if stream_free[stream] > floor_us {
-                stream_free[stream]
-            } else {
-                floor_us
-            };
-            let (mut start, mut service_us, mut crash) =
-                fault_window(plan, raw_start, nominal_us, all_to_all_us);
+            let mut primary = ledger.attempt(stream, floor_us, nominal_us, all_to_all_us);
 
             // SLA-aware shedding: requests whose predicted latency —
             // exact, since the simulation is deterministic — would bust
@@ -528,7 +449,7 @@ impl ServingScenario {
             // re-priced. Applies to every launch, retries included.
             if self.admission.kind() == AdmissionKind::SlaAware {
                 let threshold = self.sla_us * self.admission.sla_headroom();
-                let cutoff = start + service_us - threshold;
+                let cutoff = primary.start_us + primary.service_us - threshold;
                 let doomed = arrivals[batch_first..batch_first + len]
                     .iter()
                     .take_while(|&&a| a < cutoff)
@@ -541,48 +462,20 @@ impl ServingScenario {
                         continue 'dispatch;
                     }
                     shape = self.policy.shape(len as u32);
-                    let repriced = price(&mut priced, shape);
-                    nominal_us = repriced.0;
-                    all_to_all_us = repriced.1;
-                    (start, service_us, crash) =
-                        fault_window(plan, raw_start, nominal_us, all_to_all_us);
+                    (nominal_us, all_to_all_us) = price(&mut priced, shape);
+                    primary = ledger.attempt(stream, floor_us, nominal_us, all_to_all_us);
                 }
             }
 
-            // Launch the primary attempt; `Some((start, service))` when it
-            // completes, `None` when a crash cuts it short.
-            let primary = book_launch(
-                stream,
-                start,
-                service_us,
-                crash,
-                &priced[&shape].busy_us_per_device,
-                shape,
-                &mut stream_free,
-                &mut stream_busy_us,
-                &mut stream_batches,
-                &mut busy_us,
-                &mut shape_counts,
-                &mut batches,
-            );
-            if have_faults {
-                note_attempt(
-                    plan,
-                    &mut event_batches,
-                    &mut event_requests,
-                    raw_start,
-                    start,
-                    crash.map(|(i, _)| i),
-                    len as u32,
-                );
-            }
-
+            let busy_delta = &priced[&shape].busy_us_per_device;
+            let primary_done = ledger.book(&primary, busy_delta, shape, len as u32);
             let outcome = match self.retry.kind() {
-                RetryKind::None => primary,
-                RetryKind::Fixed => match primary {
+                RetryKind::None => primary_done,
+                RetryKind::Fixed => match primary_done {
                     Some(done) => Some(done),
                     None => {
-                        let (_, crash_us) = crash.expect("a lost launch was cut by a crash");
+                        let (_, crash_us) =
+                            primary.crash.expect("a lost launch was cut by a crash");
                         if attempt < self.retry.max_retries() {
                             retries += 1;
                             pending.push(PendingBatch {
@@ -598,8 +491,8 @@ impl ServingScenario {
                     }
                 },
                 RetryKind::Hedged => {
-                    let hedge_at = start + self.retry.hedge_factor() * nominal_us;
-                    let slow = match primary {
+                    let hedge_at = primary.start_us + self.retry.hedge_factor() * nominal_us;
+                    let slow = match primary_done {
                         None => true,
                         Some((s, sv)) => s + sv > hedge_at,
                     };
@@ -610,49 +503,17 @@ impl ServingScenario {
                         // primary's horizon update) — with one stream the
                         // hedge can only follow the primary, which is why
                         // hedging needs K >= 2 to help.
-                        let hedge_stream = (0..k)
-                            .min_by(|&a, &b| {
-                                stream_free[a]
-                                    .partial_cmp(&stream_free[b])
-                                    .expect("stream horizons are finite")
-                            })
-                            .expect("an experiment has at least one stream");
-                        let hedge_raw = if stream_free[hedge_stream] > hedge_at {
-                            stream_free[hedge_stream]
-                        } else {
-                            hedge_at
-                        };
-                        let (hedge_start, hedge_service, hedge_crash) =
-                            fault_window(plan, hedge_raw, nominal_us, all_to_all_us);
-                        let hedge_done = book_launch(
-                            hedge_stream,
-                            hedge_start,
-                            hedge_service,
-                            hedge_crash,
-                            &priced[&shape].busy_us_per_device,
-                            shape,
-                            &mut stream_free,
-                            &mut stream_busy_us,
-                            &mut stream_batches,
-                            &mut busy_us,
-                            &mut shape_counts,
-                            &mut batches,
+                        let hedge = ledger.attempt(
+                            ledger.earliest_stream(),
+                            hedge_at,
+                            nominal_us,
+                            all_to_all_us,
                         );
-                        if have_faults {
-                            note_attempt(
-                                plan,
-                                &mut event_batches,
-                                &mut event_requests,
-                                hedge_raw,
-                                hedge_start,
-                                hedge_crash.map(|(i, _)| i),
-                                len as u32,
-                            );
-                        }
+                        let hedge_done = ledger.book(&hedge, busy_delta, shape, len as u32);
                         // First successful completion wins; the loser is
                         // not cancelled (its capacity cost is the price
                         // of the hedge).
-                        match (primary, hedge_done) {
+                        match (primary_done, hedge_done) {
                             (Some(p), Some(h)) => {
                                 if h.0 + h.1 < p.0 + p.1 {
                                     Some(h)
@@ -664,7 +525,7 @@ impl ServingScenario {
                             (None, done) => done,
                         }
                     } else {
-                        primary
+                        primary_done
                     }
                 }
             };
@@ -688,6 +549,17 @@ impl ServingScenario {
             }
         }
 
+        let Ledger {
+            plan: _,
+            stream_free,
+            stream_busy_us,
+            stream_batches,
+            busy_us,
+            shape_counts,
+            batches,
+            event_batches,
+            event_requests,
+        } = ledger;
         let makespan_us = stream_free.iter().copied().fold(0.0f64, f64::max);
         let served = latencies.len() as u32;
         let offered = arrivals.len() as u32;
@@ -713,7 +585,12 @@ impl ServingScenario {
             failed_requests,
             retries,
             hedges,
-            availability: served_f / offered as f64,
+            // With nothing offered nothing was lost: full availability.
+            availability: if offered == 0 {
+                1.0
+            } else {
+                served_f / offered as f64
+            },
             goodput_qps: if makespan_us > 0.0 {
                 (served_f - violations as f64) / makespan_us * 1e6
             } else {
@@ -795,103 +672,154 @@ impl ServingScenario {
     }
 }
 
-/// Applies the fault timeline to one dispatch attempt: the actual start
-/// (pushed past any crash/drain window), the faulted service time
-/// (straggler factors multiply it; interconnect degradation adds
-/// `(m - 1)` extra all-to-all copies) and the crash, if any, that cuts the
-/// attempt short. For the empty plan this is the identity on both times —
-/// the exact input bits, no arithmetic applied — which is what keeps the
-/// degenerate scenario bit-exact with the fault-free path.
-fn fault_window(
-    plan: &FaultPlan,
-    raw_start_us: f64,
-    nominal_us: f64,
-    all_to_all_us: f64,
-) -> (f64, f64, Option<(usize, f64)>) {
-    let start = plan.next_dispatch_us(raw_start_us);
-    let mut service_us = nominal_us;
-    let straggle = plan.straggler_factor(start);
-    if straggle != 1.0 {
-        service_us *= straggle;
-    }
-    let degrade = plan.degradation_multiplier(start);
-    if degrade != 1.0 {
-        service_us += (degrade - 1.0) * all_to_all_us;
-    }
-    let crash = plan.first_crash_in(start, start + service_us);
-    (start, service_us, crash)
-}
-
-/// Books one launch attempt on `stream`: full accounting when it
-/// completes, pro-rata busy time up to the crash when it is lost (the
-/// stream frees at the crash instant). Returns `Some((start, service))`
-/// on completion, `None` on loss.
-#[allow(clippy::too_many_arguments)]
-fn book_launch(
+/// One dispatch attempt on one stream, with the fault timeline applied:
+/// `raw_us` is when both the stream and the batch were ready, `start_us`
+/// when the timeline let it start (pushed past any crash/drain window),
+/// `service_us` its faulted service time (straggler factors multiply it;
+/// interconnect degradation adds `(m - 1)` extra all-to-all copies) and
+/// `crash` the crash, if any, that cuts it short. For the empty plan both
+/// times are the exact input bits, no arithmetic applied — which is what
+/// keeps the degenerate scenario bit-exact with the fault-free path.
+struct Attempt {
     stream: usize,
-    start: f64,
+    raw_us: f64,
+    start_us: f64,
     service_us: f64,
     crash: Option<(usize, f64)>,
-    busy_delta: &[f64],
-    shape: u32,
-    stream_free: &mut [f64],
-    stream_busy_us: &mut [f64],
-    stream_batches: &mut [u32],
-    busy_us: &mut [f64],
-    shape_counts: &mut BTreeMap<u32, u32>,
-    batches: &mut u32,
-) -> Option<(f64, f64)> {
-    match crash {
-        None => {
-            stream_free[stream] = start + service_us;
-            stream_busy_us[stream] += service_us;
-            for (total, delta) in busy_us.iter_mut().zip(busy_delta) {
-                *total += delta;
-            }
-        }
-        Some((_, crash_us)) => {
-            stream_free[stream] = crash_us;
-            stream_busy_us[stream] += crash_us - start;
-            let fraction = (crash_us - start) / service_us;
-            for (total, delta) in busy_us.iter_mut().zip(busy_delta) {
-                *total += delta * fraction;
-            }
-        }
-    }
-    stream_batches[stream] += 1;
-    *shape_counts.entry(shape).or_insert(0) += 1;
-    *batches += 1;
-    crash.is_none().then_some((start, service_us))
 }
 
-/// Attributes one launch attempt to the fault events that shaped it: a
-/// crash counts the attempts it killed *and* the dispatches it pushed past
-/// its recovery, a drain counts delayed dispatches, and the slowdown kinds
-/// count the attempts that started under a non-unit factor.
-fn note_attempt(
-    plan: &FaultPlan,
-    event_batches: &mut [u32],
-    event_requests: &mut [u32],
-    raw_start_us: f64,
-    start_us: f64,
-    killed_by: Option<usize>,
-    requests: u32,
-) {
-    for (i, event) in plan.events().iter().enumerate() {
-        let delayed =
-            start_us > raw_start_us && event.start_us() < start_us && event.end_us() > raw_start_us;
-        let active_at_start = event.start_us() <= start_us && start_us < event.end_us();
-        let affected = match event.kind() {
-            FaultKind::Crash => killed_by == Some(i) || delayed,
-            FaultKind::Drain => delayed,
-            FaultKind::Straggler | FaultKind::InterconnectDegradation => {
-                active_at_start && event.factor() != 1.0
-            }
-        };
-        if affected {
-            event_batches[i] += 1;
-            event_requests[i] += requests;
+/// The per-trace dispatch state every launch attempt books into: one
+/// execution horizon per concurrent stream (each batch is dispatched to
+/// the earliest-free stream, ties breaking deterministically to the lowest
+/// stream index — with one stream this is the plain FIFO pipeline), the
+/// busy-time and batch counters, and each fault event's tally.
+struct Ledger<'p> {
+    plan: &'p FaultPlan,
+    stream_free: Vec<f64>,
+    stream_busy_us: Vec<f64>,
+    stream_batches: Vec<u32>,
+    busy_us: Vec<f64>,
+    shape_counts: BTreeMap<u32, u32>,
+    batches: u32,
+    event_batches: Vec<u32>,
+    event_requests: Vec<u32>,
+}
+
+impl<'p> Ledger<'p> {
+    fn new(plan: &'p FaultPlan, streams: usize, devices: usize) -> Self {
+        Ledger {
+            plan,
+            stream_free: vec![0.0; streams],
+            stream_busy_us: vec![0.0; streams],
+            stream_batches: vec![0; streams],
+            busy_us: vec![0.0; devices],
+            shape_counts: BTreeMap::new(),
+            batches: 0,
+            event_batches: vec![0; plan.len()],
+            event_requests: vec![0; plan.len()],
         }
+    }
+
+    /// The earliest-free stream, ties to the lowest index.
+    fn earliest_stream(&self) -> usize {
+        (0..self.stream_free.len())
+            .min_by(|&a, &b| {
+                self.stream_free[a]
+                    .partial_cmp(&self.stream_free[b])
+                    .expect("stream horizons are finite")
+            })
+            .expect("an experiment has at least one stream")
+    }
+
+    /// Plans an attempt on `stream` for a batch due at `due_us` with the
+    /// given fault-free service and all-to-all times.
+    fn attempt(&self, stream: usize, due_us: f64, nominal_us: f64, all_to_all_us: f64) -> Attempt {
+        let raw_us = if self.stream_free[stream] > due_us {
+            self.stream_free[stream]
+        } else {
+            due_us
+        };
+        let start_us = self.plan.next_dispatch_us(raw_us);
+        let mut service_us = nominal_us;
+        let straggle = self.plan.straggler_factor(start_us);
+        if straggle != 1.0 {
+            service_us *= straggle;
+        }
+        let degrade = self.plan.degradation_multiplier(start_us);
+        if degrade != 1.0 {
+            service_us += (degrade - 1.0) * all_to_all_us;
+        }
+        let crash = self.plan.first_crash_in(start_us, start_us + service_us);
+        Attempt {
+            stream,
+            raw_us,
+            start_us,
+            service_us,
+            crash,
+        }
+    }
+
+    /// Books `attempt` for a `requests`-request batch of `shape`: full
+    /// accounting when it completes, pro-rata busy time up to the crash
+    /// when it is lost (the stream frees at the crash instant). It then
+    /// counts against the fault events that shaped it: a crash counts the
+    /// attempts it killed *and* the dispatches it pushed past its
+    /// recovery, a drain counts delayed dispatches, and the slowdown kinds
+    /// count the attempts that started under a non-unit factor. Returns
+    /// `Some((start, service))` on completion, `None` on loss.
+    fn book(
+        &mut self,
+        attempt: &Attempt,
+        busy_delta: &[f64],
+        shape: u32,
+        requests: u32,
+    ) -> Option<(f64, f64)> {
+        let Attempt {
+            stream,
+            raw_us,
+            start_us,
+            service_us,
+            crash,
+        } = *attempt;
+        match crash {
+            None => {
+                self.stream_free[stream] = start_us + service_us;
+                self.stream_busy_us[stream] += service_us;
+                for (total, delta) in self.busy_us.iter_mut().zip(busy_delta) {
+                    *total += delta;
+                }
+            }
+            Some((_, crash_us)) => {
+                self.stream_free[stream] = crash_us;
+                self.stream_busy_us[stream] += crash_us - start_us;
+                let fraction = (crash_us - start_us) / service_us;
+                for (total, delta) in self.busy_us.iter_mut().zip(busy_delta) {
+                    *total += delta * fraction;
+                }
+            }
+        }
+        self.stream_batches[stream] += 1;
+        *self.shape_counts.entry(shape).or_insert(0) += 1;
+        self.batches += 1;
+
+        let killed_by = crash.map(|(i, _)| i);
+        for (i, event) in self.plan.events().iter().enumerate() {
+            let delayed =
+                start_us > raw_us && event.start_us() < start_us && event.end_us() > raw_us;
+            let active_at_start = event.start_us() <= start_us && start_us < event.end_us();
+            let affected = match event.kind() {
+                FaultKind::Crash => killed_by == Some(i) || delayed,
+                FaultKind::Drain => delayed,
+                FaultKind::Straggler | FaultKind::InterconnectDegradation => {
+                    active_at_start && event.factor() != 1.0
+                }
+            };
+            if affected {
+                self.event_batches[i] += 1;
+                self.event_requests[i] += requests;
+            }
+        }
+        crash.is_none().then_some((start_us, service_us))
     }
 }
 
@@ -964,8 +892,8 @@ pub fn max_sustainable_qps(
     // Saturation throughput of back-to-back full batches: the natural
     // starting guess for the bracket.
     let max_batch = scenario.policy().max_batch();
-    let full_batch_service_us = experiment
-        .clone()
+    let full_batch_service_us = scenario
+        .pricing_experiment(experiment)
         .with_batch_size(scenario.policy().shape(max_batch))
         .run(workload, scheme)
         .latency_us;
@@ -1422,6 +1350,76 @@ mod tests {
         );
         assert_eq!(report.sla_violation_rate, 0.0);
         assert!(report.availability < 1.0);
+    }
+
+    #[test]
+    fn a_faulted_capacity_search_prices_no_extra_cell() {
+        use crate::cache::CampaignCache;
+
+        let s = service_us(64);
+        let misses = |faults: FaultPlan| {
+            let cache = CampaignCache::new();
+            let scenario = ServingScenario::new(
+                TrafficModel::poisson(2_000.0),
+                BatchingPolicy::fixed_size(64),
+            )
+            .with_requests(64)
+            .with_faults(faults);
+            let experiment = exp().with_cache(cache.clone());
+            max_sustainable_qps(&experiment, &stage(), &Scheme::base(), &scenario);
+            cache.misses()
+        };
+        // The saturation probe and every serving probe price the one
+        // fixed shape on the same (fault-folded) experiment: one cell.
+        let crashed = FaultPlan::new(vec![FaultEvent::crash(0, 2.0 * s, 3.0 * s)]);
+        assert_eq!(misses(FaultPlan::empty()), 1);
+        assert_eq!(misses(crashed), 1);
+    }
+
+    #[test]
+    fn an_empty_trace_reports_an_idle_deployment() {
+        use crate::json::Json;
+        use crate::topology::StreamConfig;
+        use gpu_sim::StreamPartition;
+
+        let experiment = exp().with_streams(StreamConfig::new(2, StreamPartition::Interleaved));
+        let plan = FaultPlan::new(vec![
+            FaultEvent::crash(0, 100.0, 200.0),
+            FaultEvent::straggler(0, 0.0, 400.0, 2.0),
+        ]);
+        let scenario = burst_scenario(32, 96).with_faults(plan.clone());
+        let (report, latencies) =
+            scenario.simulate_trace(&experiment, &stage(), &Scheme::base(), &[]);
+        assert!(latencies.is_empty());
+        assert_eq!(report.availability, 1.0);
+        assert_eq!(
+            (
+                report.requests,
+                report.served_requests,
+                report.shed_requests,
+                report.failed_requests,
+                report.batches,
+            ),
+            (0, 0, 0, 0, 0)
+        );
+        assert_eq!(report.fault_events.len(), plan.len());
+        for (entry, event) in report.fault_events.iter().zip(plan.events()) {
+            assert_eq!(entry.event, event.label());
+            assert_eq!((entry.batches_affected, entry.requests_affected), (0, 0));
+        }
+        assert_eq!(report.utilization.len(), 1);
+        assert!(report
+            .utilization
+            .iter()
+            .all(|d| d.busy_us == 0.0 && d.utilization == 0.0));
+        assert_eq!(report.streams, 2);
+        assert_eq!(report.stream_utilization.len(), 2);
+        assert!(report
+            .stream_utilization
+            .iter()
+            .all(|s| s.batches == 0 && s.busy_us == 0.0 && s.utilization == 0.0));
+        // A NaN would render as an unparseable token.
+        assert!(Json::parse(&report.to_json()).is_ok());
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * [`Cluster`] — N devices (each a full [`GpuConfig`], so heterogeneous
 //!   clusters are allowed) connected by an [`InterconnectConfig`],
 //! * [`ShardPlan`] — a validated assignment of every table to exactly one
-//!   device, produced by a [`ShardingStrategy`],
-//! * the built-in strategies: [`RoundRobinSharding`],
-//!   [`SizeBalancedSharding`] and [`HotColdSharding`], surfaced as the
-//!   serializable [`ShardingSpec`] enum that [`crate::Workload`] carries.
+//!   device,
+//! * [`ShardingSpec`] — the sharding strategies (round-robin, size-balanced
+//!   and hot/cold) as the serializable enum that [`crate::Workload`]
+//!   carries; [`ShardingSpec::plan`] produces a plan.
 //!
 //! # Interconnect model and its assumptions
 //!
@@ -38,13 +38,14 @@
 //!
 //! # Adding a sharding strategy
 //!
-//! Implement [`ShardingStrategy`] — map a [`HeterogeneousMix`] and a device
-//! count to a [`ShardPlan`] over the mix's canonical table order (see
-//! [`table_profiles`]) — and add a variant to [`ShardingSpec`] so the
-//! strategy can ride on a [`crate::Workload`] and be encoded into campaign
-//! cache keys. Strategies must be deterministic: plans are part of a cell's
-//! meaning, so the same mix and device count must always produce the same
-//! plan regardless of thread count or process.
+//! Add a variant to [`ShardingSpec`] with its `name`/`from_name` entries,
+//! and a match arm in [`ShardingSpec::plan`] calling a private function
+//! that maps a [`HeterogeneousMix`] and a device count to per-device lists
+//! of the mix's canonical table indices (`table_profiles` expands that
+//! order). The variant rides on a [`crate::Workload`] and is encoded into
+//! campaign cache keys by name. Strategies must be deterministic: plans
+//! are part of a cell's meaning, so the same mix and device count must
+//! always produce the same plan regardless of thread count or process.
 
 use dlrm_datasets::{pattern_coverage_skew, AccessPattern, HeterogeneousMix};
 use gpu_sim::{GpuConfig, StreamPartition};
@@ -380,45 +381,6 @@ impl std::fmt::Display for StreamConfig {
     }
 }
 
-/// Instantaneous health of one device of a deployment under a
-/// [`crate::FaultPlan`] timeline, as reported by
-/// [`crate::FaultPlan::device_health`]. Overlapping fault windows resolve
-/// to the most severe state: `Down` > `Draining` > `Straggling` > `Up`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceHealth {
-    /// Healthy: accepting dispatch at nominal speed.
-    Up,
-    /// Slowed by an active straggler window; still accepting dispatch.
-    Straggling,
-    /// Finishing in-flight work; not accepting new batches.
-    Draining,
-    /// Crashed: in-flight work lost, not accepting dispatch.
-    Down,
-}
-
-impl DeviceHealth {
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DeviceHealth::Up => "up",
-            DeviceHealth::Straggling => "straggling",
-            DeviceHealth::Draining => "draining",
-            DeviceHealth::Down => "down",
-        }
-    }
-
-    /// Severity rank used to resolve overlapping fault windows
-    /// (higher = more severe).
-    pub(crate) fn severity(&self) -> u8 {
-        match self {
-            DeviceHealth::Up => 0,
-            DeviceHealth::Straggling => 1,
-            DeviceHealth::Draining => 2,
-            DeviceHealth::Down => 3,
-        }
-    }
-}
-
 /// One table of a mix in canonical order, as seen by sharding strategies.
 ///
 /// The canonical order expands [`HeterogeneousMix::composition`] entry by
@@ -427,17 +389,17 @@ impl DeviceHealth {
 /// original composition structure exactly, which is what makes a trivial
 /// single-device plan bit-exact with the unsharded path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableProfile {
+struct TableProfile {
     /// Canonical table index within the mix.
-    pub index: u32,
+    index: u32,
     /// Index of the composition entry this table belongs to.
-    pub entry: usize,
+    entry: usize,
     /// The table's access pattern.
-    pub pattern: AccessPattern,
+    pattern: AccessPattern,
 }
 
 /// The tables of `mix` in canonical order (see [`TableProfile`]).
-pub fn table_profiles(mix: &HeterogeneousMix) -> Vec<TableProfile> {
+fn table_profiles(mix: &HeterogeneousMix) -> Vec<TableProfile> {
     let mut profiles = Vec::with_capacity(mix.total_tables() as usize);
     let mut index = 0u32;
     for (entry, &(pattern, count)) in mix.composition().iter().enumerate() {
@@ -621,159 +583,115 @@ fn greedy_balance(assignments: &mut [Vec<u32>], devices: &[usize], tables: &[(u3
     }
 }
 
-/// How a sharded workload's tables are distributed across a cluster.
-///
-/// Every strategy maps a mix and a device count to a [`ShardPlan`] over the
-/// mix's canonical table order. Implementations must be deterministic and
-/// must never produce empty shards (callers may rely on
-/// [`ShardPlan::new`]'s validation to enforce this).
-pub trait ShardingStrategy {
-    /// Stable machine-readable strategy name (used in reports and cache
-    /// keys).
-    fn name(&self) -> &str;
-
-    /// Produces the plan for `mix` over `num_devices` devices.
-    ///
-    /// # Panics
-    /// Panics if `num_devices` is zero or exceeds the number of tables.
-    fn plan(&self, mix: &HeterogeneousMix, num_devices: usize) -> ShardPlan;
-}
-
 /// Table-wise round-robin: canonical table `i` goes to device `i % n`.
-/// Because the canonical order expands composition groups in order, each
-/// group is spread evenly across devices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobinSharding;
-
-impl ShardingStrategy for RoundRobinSharding {
-    fn name(&self) -> &str {
-        "round_robin"
+fn round_robin(mix: &HeterogeneousMix, num_devices: usize) -> Vec<Vec<u32>> {
+    let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
+    for t in 0..mix.total_tables() {
+        assignments[t as usize % num_devices].push(t);
     }
-
-    fn plan(&self, mix: &HeterogeneousMix, num_devices: usize) -> ShardPlan {
-        check_feasible(mix, num_devices);
-        let total = mix.total_tables();
-        let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
-        for t in 0..total {
-            assignments[t as usize % num_devices].push(t);
-        }
-        ShardPlan::new(self.name(), total, assignments)
-    }
+    assignments
 }
 
-/// Size-balanced greedy sharding: tables are assigned heaviest-first to the
-/// device with the least accumulated cost, where a table's cost is the
-/// analytic per-pattern weight (colder patterns cost more). Balances the
-/// per-device critical path better than round-robin on skewed mixes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SizeBalancedSharding;
+/// Size-balanced greedy sharding over every table's analytic cost weight.
+fn size_balanced(mix: &HeterogeneousMix, num_devices: usize) -> Vec<Vec<u32>> {
+    let profiles = table_profiles(mix);
+    let tables: Vec<(u32, f64)> = profiles
+        .iter()
+        .map(|p| (p.index, table_cost_weight(p.pattern)))
+        .collect();
+    let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
+    let devices: Vec<usize> = (0..num_devices).collect();
+    greedy_balance(&mut assignments, &devices, &tables);
+    assignments
+}
 
-impl ShardingStrategy for SizeBalancedSharding {
-    fn name(&self) -> &str {
-        "size_balanced"
+/// Hot/cold splitting: hot and cold tables on disjoint device groups,
+/// cost-balanced within each group.
+fn hot_cold(mix: &HeterogeneousMix, num_devices: usize) -> Vec<Vec<u32>> {
+    let profiles = table_profiles(mix);
+    // One probe per distinct pattern, not per table: a paper-scale mix
+    // has 250 tables but at most five patterns.
+    let mut skew_by_pattern: Vec<(AccessPattern, f64)> = Vec::new();
+    for &(pattern, _) in mix.composition() {
+        if !skew_by_pattern.iter().any(|&(p, _)| p == pattern) {
+            skew_by_pattern.push((pattern, pattern_coverage_skew(pattern)));
+        }
     }
-
-    fn plan(&self, mix: &HeterogeneousMix, num_devices: usize) -> ShardPlan {
-        check_feasible(mix, num_devices);
-        let profiles = table_profiles(mix);
-        let tables: Vec<(u32, f64)> = profiles
+    let skew_of = |pattern: AccessPattern| -> f64 {
+        skew_by_pattern
             .iter()
-            .map(|p| (p.index, table_cost_weight(p.pattern)))
-            .collect();
-        let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
-        let devices: Vec<usize> = (0..num_devices).collect();
-        greedy_balance(&mut assignments, &devices, &tables);
-        ShardPlan::new(self.name(), mix.total_tables(), assignments)
-    }
-}
+            .find(|&&(p, _)| p == pattern)
+            .expect("every pattern in the mix was probed")
+            .1
+    };
+    let skews: Vec<f64> = profiles.iter().map(|p| skew_of(p.pattern)).collect();
+    let min = skews.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = skews.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let threshold = (min + max) / 2.0;
 
-/// Hot/cold splitting: tables are classified by the coverage skew of their
-/// access pattern ([`pattern_coverage_skew`], i.e. the Zipf/coverage
-/// statistics of `dlrm_datasets`), hot tables are packed onto a dedicated
-/// group of devices and cold tables onto the rest. Concentrating hot tables
-/// keeps their shared working set inside those devices' L2 (where pinning
-/// pays off) while cold, bandwidth-bound tables stop competing with them.
-/// Within each device group, tables are greedily cost-balanced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotColdSharding;
-
-impl ShardingStrategy for HotColdSharding {
-    fn name(&self) -> &str {
-        "hot_cold"
-    }
-
-    fn plan(&self, mix: &HeterogeneousMix, num_devices: usize) -> ShardPlan {
-        check_feasible(mix, num_devices);
-        let profiles = table_profiles(mix);
-        // One probe per distinct pattern, not per table: a paper-scale mix
-        // has 250 tables but at most five patterns.
-        let mut skew_by_pattern: Vec<(AccessPattern, f64)> = Vec::new();
-        for &(pattern, _) in mix.composition() {
-            if !skew_by_pattern.iter().any(|&(p, _)| p == pattern) {
-                skew_by_pattern.push((pattern, pattern_coverage_skew(pattern)));
-            }
-        }
-        let skew_of = |pattern: AccessPattern| -> f64 {
-            skew_by_pattern
-                .iter()
-                .find(|&&(p, _)| p == pattern)
-                .expect("every pattern in the mix was probed")
-                .1
-        };
-        let skews: Vec<f64> = profiles.iter().map(|p| skew_of(p.pattern)).collect();
-        let min = skews.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = skews.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let threshold = (min + max) / 2.0;
-
-        let mut hot: Vec<(u32, f64)> = Vec::new();
-        let mut cold: Vec<(u32, f64)> = Vec::new();
-        for (p, &skew) in profiles.iter().zip(&skews) {
-            let entry = (p.index, table_cost_weight(p.pattern));
-            // `>` (not `>=`) so a uniform mix classifies as one class.
-            if skew > threshold {
-                hot.push(entry);
-            } else {
-                cold.push(entry);
-            }
-        }
-
-        let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
-        if hot.is_empty() || cold.is_empty() || num_devices == 1 {
-            // One class (or one device): plain cost balancing over all
-            // tables.
-            let devices: Vec<usize> = (0..num_devices).collect();
-            let mut all = hot;
-            all.extend(cold);
-            greedy_balance(&mut assignments, &devices, &all);
+    let mut hot: Vec<(u32, f64)> = Vec::new();
+    let mut cold: Vec<(u32, f64)> = Vec::new();
+    for (p, &skew) in profiles.iter().zip(&skews) {
+        let entry = (p.index, table_cost_weight(p.pattern));
+        // `>` (not `>=`) so a uniform mix classifies as one class.
+        if skew > threshold {
+            hot.push(entry);
         } else {
-            // Split the devices proportionally to each class's total cost,
-            // clamped so neither group is empty and no shard ends up empty.
-            let hot_cost: f64 = hot.iter().map(|&(_, w)| w).sum();
-            let cold_cost: f64 = cold.iter().map(|&(_, w)| w).sum();
-            let ideal = num_devices as f64 * hot_cost / (hot_cost + cold_cost);
-            let lower = 1usize.max(num_devices.saturating_sub(cold.len()));
-            let upper = (num_devices - 1).min(hot.len());
-            let hot_devices = (ideal.round() as usize).clamp(lower, upper);
-            let hot_group: Vec<usize> = (0..hot_devices).collect();
-            let cold_group: Vec<usize> = (hot_devices..num_devices).collect();
-            greedy_balance(&mut assignments, &hot_group, &hot);
-            greedy_balance(&mut assignments, &cold_group, &cold);
+            cold.push(entry);
         }
-        ShardPlan::new(self.name(), mix.total_tables(), assignments)
     }
+
+    let mut assignments: Vec<Vec<u32>> = vec![Vec::new(); num_devices];
+    if hot.is_empty() || cold.is_empty() || num_devices == 1 {
+        // One class (or one device): plain cost balancing over all
+        // tables.
+        let devices: Vec<usize> = (0..num_devices).collect();
+        let mut all = hot;
+        all.extend(cold);
+        greedy_balance(&mut assignments, &devices, &all);
+    } else {
+        // Split the devices proportionally to each class's total cost,
+        // clamped so neither group is empty and no shard ends up empty.
+        let hot_cost: f64 = hot.iter().map(|&(_, w)| w).sum();
+        let cold_cost: f64 = cold.iter().map(|&(_, w)| w).sum();
+        let ideal = num_devices as f64 * hot_cost / (hot_cost + cold_cost);
+        let lower = 1usize.max(num_devices.saturating_sub(cold.len()));
+        let upper = (num_devices - 1).min(hot.len());
+        let hot_devices = (ideal.round() as usize).clamp(lower, upper);
+        let hot_group: Vec<usize> = (0..hot_devices).collect();
+        let cold_group: Vec<usize> = (hot_devices..num_devices).collect();
+        greedy_balance(&mut assignments, &hot_group, &hot);
+        greedy_balance(&mut assignments, &cold_group, &cold);
+    }
+    assignments
 }
 
-/// The built-in sharding strategies as a serializable value, so a
+/// How a sharded workload's tables are distributed across a cluster: the
+/// built-in sharding strategies as a serializable value, so a
 /// [`crate::Workload`] can carry one and campaign cache keys can encode it.
-/// Custom strategies implement [`ShardingStrategy`] and get a variant here
-/// (see the [module docs](self)).
+/// Every strategy maps a mix and a device count to a [`ShardPlan`] over
+/// the mix's canonical table order (see the [module docs](self) for adding
+/// one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardingSpec {
-    /// [`RoundRobinSharding`].
+    /// Table-wise round-robin: canonical table `i` goes to device `i % n`.
+    /// Because the canonical order expands composition groups in order,
+    /// each group is spread evenly across devices.
     RoundRobin,
-    /// [`SizeBalancedSharding`].
+    /// Size-balanced greedy sharding: tables are assigned heaviest-first
+    /// to the device with the least accumulated cost, where a table's cost
+    /// is the analytic per-pattern weight (colder patterns cost more).
+    /// Balances the per-device critical path better than round-robin on
+    /// skewed mixes.
     SizeBalanced,
-    /// [`HotColdSharding`].
+    /// Hot/cold splitting: tables are classified by the coverage skew of
+    /// their access pattern ([`pattern_coverage_skew`], i.e. the
+    /// Zipf/coverage statistics of `dlrm_datasets`), hot tables are packed
+    /// onto a dedicated group of devices and cold tables onto the rest.
+    /// Concentrating hot tables keeps their shared working set inside
+    /// those devices' L2 (where pinning pays off) while cold,
+    /// bandwidth-bound tables stop competing with them. Within each device
+    /// group, tables are greedily cost-balanced.
     HotCold,
 }
 
@@ -804,21 +722,18 @@ impl ShardingSpec {
         }
     }
 
-    /// The strategy implementation behind this spec.
-    pub fn strategy(&self) -> Box<dyn ShardingStrategy> {
-        match self {
-            ShardingSpec::RoundRobin => Box::new(RoundRobinSharding),
-            ShardingSpec::SizeBalanced => Box::new(SizeBalancedSharding),
-            ShardingSpec::HotCold => Box::new(HotColdSharding),
-        }
-    }
-
     /// Plans `mix` over `num_devices` devices with this strategy.
     ///
     /// # Panics
     /// Panics if `num_devices` is zero or exceeds the number of tables.
     pub fn plan(&self, mix: &HeterogeneousMix, num_devices: usize) -> ShardPlan {
-        self.strategy().plan(mix, num_devices)
+        check_feasible(mix, num_devices);
+        let assignments = match self {
+            ShardingSpec::RoundRobin => round_robin(mix, num_devices),
+            ShardingSpec::SizeBalanced => size_balanced(mix, num_devices),
+            ShardingSpec::HotCold => hot_cold(mix, num_devices),
+        };
+        ShardPlan::new(self.name(), mix.total_tables(), assignments)
     }
 }
 
@@ -938,7 +853,7 @@ mod tests {
     #[test]
     fn round_robin_interleaves_canonically() {
         let mix = HeterogeneousMix::homogeneous(AccessPattern::MedHot, 5);
-        let plan = RoundRobinSharding.plan(&mix, 2);
+        let plan = ShardingSpec::RoundRobin.plan(&mix, 2);
         assert_eq!(plan.device_tables(0), &[0, 2, 4]);
         assert_eq!(plan.device_tables(1), &[1, 3]);
         assert_eq!(plan.strategy(), "round_robin");
@@ -952,7 +867,7 @@ mod tests {
             "skewed",
             vec![(AccessPattern::Random, 2), (AccessPattern::HighHot, 4)],
         );
-        let plan = SizeBalancedSharding.plan(&mix, 2);
+        let plan = ShardingSpec::SizeBalanced.plan(&mix, 2);
         for d in 0..2 {
             let randoms = plan.device_tables(d).iter().filter(|&&t| t < 2).count();
             assert_eq!(randoms, 1, "each device gets one expensive table");
@@ -962,7 +877,7 @@ mod tests {
     #[test]
     fn hot_cold_separates_classes_onto_disjoint_device_groups() {
         let mix = mix2(0.1); // ~6 tables per pattern class
-        let plan = HotColdSharding.plan(&mix, 4);
+        let plan = ShardingSpec::HotCold.plan(&mix, 4);
         let profiles = table_profiles(&mix);
         let threshold = {
             let skews: Vec<f64> = profiles
@@ -991,7 +906,7 @@ mod tests {
     #[test]
     fn hot_cold_degrades_gracefully_on_homogeneous_mixes() {
         let mix = HeterogeneousMix::homogeneous(AccessPattern::Random, 6);
-        let plan = HotColdSharding.plan(&mix, 3);
+        let plan = ShardingSpec::HotCold.plan(&mix, 3);
         assert_covers_exactly_once(&plan, 6);
         for d in 0..3 {
             assert_eq!(plan.device_tables(d).len(), 2);
@@ -1002,7 +917,7 @@ mod tests {
     #[should_panic(expected = "empty shards")]
     fn more_devices_than_tables_rejected() {
         let mix = HeterogeneousMix::homogeneous(AccessPattern::MedHot, 2);
-        let _ = RoundRobinSharding.plan(&mix, 3);
+        let _ = ShardingSpec::RoundRobin.plan(&mix, 3);
     }
 
     #[test]
@@ -1026,14 +941,14 @@ mod tests {
     #[test]
     fn shard_mix_preserves_composition_structure() {
         let mix = mix2(0.1);
-        let plan = RoundRobinSharding.plan(&mix, 1);
+        let plan = ShardingSpec::RoundRobin.plan(&mix, 1);
         let sub = shard_mix(&mix, &plan, 0);
         // A trivial plan reproduces the composition exactly (only the name
         // differs) — the bit-exactness safety net.
         assert_eq!(sub.composition(), mix.composition());
         assert!(sub.name().starts_with("Mix2["), "{}", sub.name());
 
-        let plan4 = RoundRobinSharding.plan(&mix, 4);
+        let plan4 = ShardingSpec::RoundRobin.plan(&mix, 4);
         let mut per_pattern = std::collections::BTreeMap::new();
         for d in 0..4 {
             let sub = shard_mix(&mix, &plan4, d);
@@ -1049,7 +964,7 @@ mod tests {
     #[test]
     fn identical_shard_compositions_share_a_name() {
         let mix = HeterogeneousMix::homogeneous(AccessPattern::MedHot, 8);
-        let plan = RoundRobinSharding.plan(&mix, 4);
+        let plan = ShardingSpec::RoundRobin.plan(&mix, 4);
         let names: Vec<String> = (0..4)
             .map(|d| shard_mix(&mix, &plan, d).name().to_string())
             .collect();
