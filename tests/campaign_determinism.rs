@@ -4,8 +4,8 @@
 //! execution on wall-clock time for a real grid (the latter is `#[ignore]`d
 //! in normal runs because it executes a Default-scale grid).
 
-use dlrm::WorkloadScale;
-use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
+use dlrm::{DlrmConfig, WorkloadScale};
+use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind, ZipfSampler};
 use gpu_sim::GpuConfig;
 use perf_envelope::{Campaign, CampaignRun, Experiment, RunReport, Scheme, Workload};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
@@ -85,10 +85,10 @@ fn grid_cells_carry_their_coordinates() {
     assert!(run.get(0, 0, 0, 0).tables.is_none());
 }
 
-/// Runs `grid` serially and in parallel, asserting identical results and a
-/// parallel wall-clock win. Returns `false` (skipping the timing assertion)
-/// on single-core machines.
-fn assert_parallel_beats_serial(grid: &dyn Fn() -> Campaign) -> bool {
+/// Runs `grid`, built at `scale`, serially and in parallel, asserting
+/// identical results and a parallel wall-clock win. Returns `false`
+/// (skipping the timing assertion) on single-core machines.
+fn assert_parallel_beats_serial(scale: WorkloadScale, grid: &dyn Fn() -> Campaign) -> bool {
     assert!(
         grid().len() >= 12,
         "the acceptance grid must have at least 12 cells"
@@ -102,6 +102,16 @@ fn assert_parallel_beats_serial(grid: &dyn Fn() -> Campaign) -> bool {
     }
 
     let _cores = CORES.write().unwrap_or_else(PoisonError::into_inner);
+    // Zipf CDF tables are shared process-wide: build the grid's untimed, so
+    // the serial pass does not pay for builds the parallel pass then reuses.
+    let rows = DlrmConfig::at_scale(scale).embedding.trace.num_rows;
+    for exponent in AccessPattern::ALL
+        .iter()
+        .filter_map(AccessPattern::zipf_exponent)
+    {
+        ZipfSampler::new(rows, exponent);
+    }
+
     // audit:allow(wall_clock): times the host-side worker pool for a speedup
     let start = std::time::Instant::now();
     let serial = grid().threads(1).run();
@@ -139,7 +149,7 @@ fn campaign_parallel_beats_serial_wall_clock_at_test_scale() {
             .seeds([1, 2])
     };
     assert_eq!(grid().len(), 24);
-    assert_parallel_beats_serial(&grid);
+    assert_parallel_beats_serial(WorkloadScale::Test, &grid);
 }
 
 /// Acceptance check for parallel execution at Default scale (the original
@@ -169,5 +179,5 @@ fn campaign_parallel_beats_serial_wall_clock() {
             .workloads(AccessPattern::EVALUATED.map(Workload::stage))
             .schemes([Scheme::base(), Scheme::optmt(), Scheme::combined()])
     };
-    assert_parallel_beats_serial(&grid);
+    assert_parallel_beats_serial(WorkloadScale::Default, &grid);
 }
