@@ -6,9 +6,16 @@
 //! into a 16-byte packed entry, so an instruction is generated, encoded
 //! and stored in one step, with no intermediate queue.
 //!
+//! The sink also renames registers. Hazards depend only on register
+//! identity, so the engine packs each raw [`Reg`] id as a dense id from its
+//! run's [`RegMap`]: ids are numbered `0, 1, 2, ...` in order of first
+//! sight, and each resident warp's scoreboard row needs one word per id the
+//! run uses rather than one per possible id.
+//!
 //! [`InstBuffer`] is the same window backed by an owned buffer, for driving
 //! a program outside the engine (tests, benchmarks); [`drain`] collects a
-//! whole program through it.
+//! whole program through it. It keeps raw ids unless built with
+//! [`InstBuffer::dense`].
 
 use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg, SrcSet};
 use crate::launch::WarpProgram;
@@ -39,8 +46,12 @@ pub(crate) const OP_EXT: u64 = 9;
 /// ops), the latency (ALU), or a side-table index (`OP_EXT`).
 ///
 /// Instructions that do not fit (multi-line accesses, byte counts of 2 MiB
-/// or more) are stored verbatim in the slot's side table and referenced by
-/// an `OP_EXT` entry, so the packing is an encoding, never a restriction.
+/// or more) are stored in the slot's side table and referenced by an
+/// `OP_EXT` entry, so the packing is an encoding, never a restriction.
+///
+/// Every register field, in the packed bits and in the side table alike,
+/// holds the id the sink's [`RegMap`] gave it: a dense id in the engine's
+/// decode buffers, the raw id in an [`InstBuffer::new`] buffer.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PackedInst {
     pub(crate) arg: u64,
@@ -51,8 +62,11 @@ pub(crate) struct PackedInst {
 const PACK_MAX_BYTES: u32 = 1 << 21;
 
 impl PackedInst {
+    /// Packs `inst` with its registers renamed through `regs`, or returns
+    /// `None` (touching no register) if it does not fit the encoding.
     #[inline]
-    fn encode(inst: &Instruction) -> Option<PackedInst> {
+    fn encode(inst: &Instruction, regs: &mut RegMap) -> Option<PackedInst> {
+        // `reg0` and `dep` are already renamed.
         let mem_meta = |op: u64, reg0: Reg, dep: Option<Reg>, bytes: u32| -> u64 {
             op | (reg0 as u64) << 4
                 | dep.map_or(0, |r| 1 << 12 | (r as u64) << 13)
@@ -76,7 +90,7 @@ impl PackedInst {
                 };
                 Some(PackedInst {
                     arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, dst, addr_dep, bytes),
+                    meta: mem_meta(op, regs.dense(dst), addr_dep.map(|r| regs.dense(r)), bytes),
                 })
             }
             Instruction::Store {
@@ -95,7 +109,7 @@ impl PackedInst {
                 };
                 Some(PackedInst {
                     arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, src, None, bytes),
+                    meta: mem_meta(op, regs.dense(src), None, bytes),
                 })
             }
             Instruction::Prefetch {
@@ -112,13 +126,13 @@ impl PackedInst {
                 };
                 Some(PackedInst {
                     arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, 0, addr_dep, 0),
+                    meta: mem_meta(op, 0, addr_dep.map(|r| regs.dense(r)), 0),
                 })
             }
             Instruction::Alu { dst, srcs, latency } => {
-                let mut meta = OP_ALU | (dst as u64) << 4 | (srcs.len() as u64) << 12;
+                let mut meta = OP_ALU | (regs.dense(dst) as u64) << 4 | (srcs.len() as u64) << 12;
                 for (i, r) in srcs.iter().enumerate() {
-                    meta |= (r as u64) << (16 + 8 * i);
+                    meta |= (regs.dense(r) as u64) << (16 + 8 * i);
                 }
                 Some(PackedInst {
                     arg: latency as u64,
@@ -209,14 +223,115 @@ impl PackedInst {
     }
 }
 
+/// Marks a raw id with no dense id yet in [`RegMap`].
+const UNMAPPED: u16 = u16::MAX;
+
+/// A bijection from raw register ids to dense ids `0..len`, built as
+/// instructions are packed: the first time the map sees a raw id it gives
+/// it the next dense id.
+///
+/// The engine keeps one per run, so every warp of every stream in a launch
+/// shares one numbering and a scoreboard row needs [`RegMap::len`] words.
+/// [`RegMap::identity`] maps every id to itself.
+#[derive(Clone)]
+pub struct RegMap {
+    /// Dense id of each raw id, or [`UNMAPPED`].
+    dense: [u16; 256],
+    /// Raw id of each dense id below `len`.
+    raw: [Reg; 256],
+    /// Dense ids given out so far.
+    len: u16,
+}
+
+impl Default for RegMap {
+    fn default() -> Self {
+        RegMap::new()
+    }
+}
+
+impl std::fmt::Debug for RegMap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(&self.raw[..self.len()]).finish()
+    }
+}
+
+impl RegMap {
+    /// An empty map that numbers raw ids in order of first sight.
+    pub fn new() -> Self {
+        RegMap {
+            dense: [UNMAPPED; 256],
+            raw: [0; 256],
+            len: 0,
+        }
+    }
+
+    /// The map that sends every raw id to itself.
+    pub fn identity() -> Self {
+        RegMap {
+            dense: std::array::from_fn(|r| r as u16),
+            raw: std::array::from_fn(|r| r as Reg),
+            len: 256,
+        }
+    }
+
+    /// Dense ids given out so far.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether no id has been given out.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The dense id of `raw`, if it has one.
+    pub fn get(&self, raw: Reg) -> Option<Reg> {
+        let d = self.dense[raw as usize];
+        (d != UNMAPPED).then_some(d as Reg)
+    }
+
+    /// The raw id that dense id `dense` stands for.
+    ///
+    /// # Panics
+    /// Panics if `dense` has not been given out.
+    pub fn raw(&self, dense: Reg) -> Reg {
+        assert!(
+            (dense as usize) < self.len(),
+            "dense register id {dense} was never given out"
+        );
+        self.raw[dense as usize]
+    }
+
+    /// The dense id of `raw`, giving it the next one if it has none.
+    #[inline]
+    fn dense(&mut self, raw: Reg) -> Reg {
+        match self.dense[raw as usize] {
+            UNMAPPED => self.assign(raw),
+            d => d as Reg,
+        }
+    }
+
+    #[cold]
+    fn assign(&mut self, raw: Reg) -> Reg {
+        // At most 256 raw ids exist, so `len` stays within `Reg` here.
+        let d = self.len as Reg;
+        self.dense[raw as usize] = self.len;
+        self.raw[d as usize] = raw;
+        self.len += 1;
+        d
+    }
+}
+
 /// A write window over one decode buffer, handed to
 /// [`WarpProgram::fill`]. Each [`InstSink::push`] packs its instruction
-/// straight into the next free entry; instructions that do not fit the
-/// packing go to the buffer's side table.
+/// straight into the next free entry, with its registers renamed through
+/// the sink's [`RegMap`]; instructions that do not fit the packing go,
+/// renamed the same way, to the buffer's side table.
 pub struct InstSink<'a> {
     buf: &'a mut [PackedInst],
     len: usize,
     ext: &'a mut Vec<Instruction>,
+    regs: &'a mut RegMap,
     /// Whether this fill has spilled yet. The side table is cleared on the
     /// first spill rather than up front, so a fill that never spills (every
     /// embedding-kernel fill) never touches it; entries left by an earlier
@@ -226,13 +341,18 @@ pub struct InstSink<'a> {
 
 impl<'a> InstSink<'a> {
     /// A sink over `buf` (its whole length is the capacity) with side
-    /// table `ext`.
+    /// table `ext`, renaming registers through `regs`.
     #[inline]
-    pub(crate) fn new(buf: &'a mut [PackedInst], ext: &'a mut Vec<Instruction>) -> Self {
+    pub(crate) fn new(
+        buf: &'a mut [PackedInst],
+        ext: &'a mut Vec<Instruction>,
+        regs: &'a mut RegMap,
+    ) -> Self {
         InstSink {
             buf,
             len: 0,
             ext,
+            regs,
             ext_claimed: false,
         }
     }
@@ -243,7 +363,7 @@ impl<'a> InstSink<'a> {
     /// Panics if the sink is full.
     #[inline]
     pub fn push(&mut self, inst: Instruction) {
-        let packed = match PackedInst::encode(&inst) {
+        let packed = match PackedInst::encode(&inst, self.regs) {
             Some(p) => p,
             None => self.spill(inst),
         };
@@ -257,7 +377,8 @@ impl<'a> InstSink<'a> {
             self.ext_claimed = true;
             self.ext.clear();
         }
-        self.ext.push(inst);
+        let regs = &mut *self.regs;
+        self.ext.push(inst.map_regs(|r| regs.dense(r)));
         PackedInst {
             arg: self.ext.len() as u64 - 1,
             meta: OP_EXT,
@@ -295,27 +416,49 @@ impl<'a> InstSink<'a> {
 pub struct InstBuffer {
     entries: Vec<PackedInst>,
     ext: Vec<Instruction>,
+    regs: RegMap,
     len: usize,
 }
 
 impl InstBuffer {
-    /// A buffer holding up to `capacity` instructions per fill.
+    /// A buffer holding up to `capacity` instructions per fill, with raw
+    /// register ids.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_map(capacity, RegMap::identity())
+    }
+
+    /// A buffer holding up to `capacity` instructions per fill, with
+    /// register ids renamed to dense ones exactly as the engine packs them.
+    /// One map spans every fill, like one run's map spans its warps.
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn dense(capacity: usize) -> Self {
+        Self::with_map(capacity, RegMap::new())
+    }
+
+    fn with_map(capacity: usize, regs: RegMap) -> Self {
         assert!(capacity > 0, "a decode buffer holds at least one entry");
         InstBuffer {
             entries: vec![PackedInst::default(); capacity],
             ext: Vec::new(),
+            regs,
             len: 0,
         }
+    }
+
+    /// The register map the buffer packs through.
+    pub fn register_map(&self) -> &RegMap {
+        &self.regs
     }
 
     /// Replaces the buffer's contents with the next instructions of
     /// `program` and returns whether the program reported that it is done.
     pub fn fill(&mut self, program: &mut dyn WarpProgram) -> bool {
-        let mut sink = InstSink::new(&mut self.entries, &mut self.ext);
+        let mut sink = InstSink::new(&mut self.entries, &mut self.ext, &mut self.regs);
         let done = program.fill(&mut sink);
         self.len = sink.len();
         done
@@ -372,7 +515,8 @@ mod tests {
     fn round_trip(inst: Instruction) -> (Instruction, bool) {
         let mut entries = [PackedInst::default()];
         let mut ext = Vec::new();
-        let mut sink = InstSink::new(&mut entries, &mut ext);
+        let mut regs = RegMap::identity();
+        let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
         sink.push(inst);
         assert!(sink.is_full());
         (entries[0].decode(&ext), entries[0].op() == OP_EXT)
@@ -496,8 +640,9 @@ mod tests {
         };
         let mut entries = [PackedInst::default(); 2];
         let mut ext = Vec::new();
+        let mut regs = RegMap::identity();
         for round in 0..3u8 {
-            let mut sink = InstSink::new(&mut entries, &mut ext);
+            let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
             sink.push(Instruction::iadd(1, 2));
             sink.push(spill(round));
             assert_eq!(ext.len(), 1, "stale side-table entries survived a fill");
@@ -506,11 +651,45 @@ mod tests {
     }
 
     #[test]
+    fn a_dense_buffer_numbers_registers_in_first_sight_order() {
+        let multi: LineSet = [0u64, 128].into_iter().collect();
+        let spill = |dst, addr_dep| Instruction::Load {
+            space: MemSpace::Global,
+            lines: multi,
+            dst,
+            bytes: 256,
+            addr_dep: Some(addr_dep),
+        };
+        let program = vec![
+            Instruction::fadd(200, 7, 200),
+            spill(9, 7),
+            Instruction::iadd(255, 0),
+        ];
+        let mut buf = InstBuffer::dense(4);
+        assert!(buf.fill(&mut crate::launch::VecProgram::new(program)));
+        let packed: Vec<Instruction> = buf.instructions().collect();
+        assert_eq!(
+            packed,
+            [
+                Instruction::fadd(0, 1, 0),
+                spill(2, 1),
+                Instruction::iadd(3, 4)
+            ]
+        );
+        let map = buf.register_map();
+        assert_eq!(map.len(), 5);
+        let raw: Vec<Reg> = (0..5).map(|d| map.raw(d)).collect();
+        assert_eq!(raw, [200, 7, 9, 255, 0]);
+        assert_eq!((map.get(255), map.get(8)), (Some(3), None));
+    }
+
+    #[test]
     #[should_panic]
     fn pushing_into_a_full_sink_panics() {
         let mut entries = [PackedInst::default()];
         let mut ext = Vec::new();
-        let mut sink = InstSink::new(&mut entries, &mut ext);
+        let mut regs = RegMap::identity();
+        let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
         sink.push(Instruction::iadd(1, 2));
         sink.push(Instruction::iadd(1, 2));
     }

@@ -1098,6 +1098,8 @@ impl<'a> Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{Instruction, SrcSet};
+    use crate::launch::{VecProgram, WarpProgram};
     use crate::programs::{PointerChaseKernel, StreamKernel};
 
     #[test]
@@ -1404,8 +1406,42 @@ mod tests {
         // A differently-shaped launch through the same recycled workspace
         // must match a cold simulator exactly.
         let big = KernelLaunch::new("reshape", 16, 256).with_regs_per_thread(64);
-        let fresh = Simulator::new(cfg).run(&big, &kernel);
+        let fresh = Simulator::new(cfg.clone()).run(&big, &kernel);
         let reused = sim.run(&big, &kernel);
         assert_eq!(fresh, reused, "workspace reshape changed the results");
+
+        // A launch naming raw ids up to 255 widens the scoreboard and dirties
+        // rows far out; the small-id launches around it must still see a
+        // fresh register map, stride and dirty prefix.
+        struct WideIds;
+        impl KernelProgram for WideIds {
+            fn warp_program(&self, info: WarpInfo) -> Box<dyn WarpProgram> {
+                let line = info.global_warp_id * 128;
+                let mut insts = Vec::new();
+                for r in (0..=255u8).rev().step_by(3) {
+                    insts.push(Instruction::global_load(line + r as u64 * 4096, r, 128));
+                    insts.push(Instruction::Alu {
+                        dst: r.wrapping_add(1),
+                        srcs: SrcSet::two(r, 255),
+                        latency: 0,
+                    });
+                }
+                Box::new(VecProgram::new(insts))
+            }
+        }
+        for (launch, kernel) in [
+            (&launch, &kernel as &dyn KernelProgram),
+            (&big, &WideIds),
+            (&launch, &kernel),
+            (&big, &PointerChaseKernel::new(12, 1 << 20)),
+        ] {
+            let fresh = Simulator::new(cfg.clone()).run(launch, kernel);
+            let reused = sim.run(launch, kernel);
+            assert_eq!(
+                fresh, reused,
+                "{}: recycled workspace leaked state",
+                launch.name
+            );
+        }
     }
 }

@@ -191,6 +191,15 @@ impl SrcSet {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// The same operands with every register renamed by `f`, in order.
+    pub fn map(self, mut f: impl FnMut(Reg) -> Reg) -> Self {
+        let mut out = self;
+        for r in &mut out.regs[..self.len as usize] {
+            *r = f(*r);
+        }
+        out
+    }
 }
 
 /// One warp-level instruction.
@@ -287,6 +296,52 @@ impl Instruction {
             dst,
             srcs: SrcSet::one(a),
             latency: 0,
+        }
+    }
+
+    /// This instruction with every register operand renamed by `f`, in
+    /// the order destination or store source, address dependence, ALU
+    /// sources.
+    pub fn map_regs(self, mut f: impl FnMut(Reg) -> Reg) -> Self {
+        match self {
+            Instruction::Load {
+                space,
+                lines,
+                dst,
+                bytes,
+                addr_dep,
+            } => Instruction::Load {
+                space,
+                lines,
+                dst: f(dst),
+                bytes,
+                addr_dep: addr_dep.map(f),
+            },
+            Instruction::Store {
+                space,
+                lines,
+                src,
+                bytes,
+            } => Instruction::Store {
+                space,
+                lines,
+                src: f(src),
+                bytes,
+            },
+            Instruction::Prefetch {
+                target,
+                lines,
+                addr_dep,
+            } => Instruction::Prefetch {
+                target,
+                lines,
+                addr_dep: addr_dep.map(f),
+            },
+            Instruction::Alu { dst, srcs, latency } => Instruction::Alu {
+                dst: f(dst),
+                srcs: srcs.map(f),
+                latency,
+            },
         }
     }
 

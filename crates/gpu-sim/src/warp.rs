@@ -18,14 +18,28 @@
 //!   `[smsp * cap, (smsp + 1) * cap)`, so a scheduler scan reads a handful
 //!   of adjacent `u64`s;
 //! * `ready`/`seq`/`occupant` drive selection, `last_issue`/`dep` drive
-//!   stall attribution, and a flat scoreboard arena (`TRACKED_REGS` packed
-//!   words per slot) replaces the per-warp boxes — a reused slot keeps its
-//!   scoreboard lines hot in cache across warp generations;
+//!   stall attribution, and a flat scoreboard arena replaces the per-warp
+//!   boxes — a reused slot keeps its scoreboard lines hot in cache across
+//!   warp generations;
 //! * a decode-ahead instruction buffer ([`IBUF`] packed 16-byte entries
 //!   per slot) that the warp's [`WarpProgram`] writes straight into: one
 //!   [`WarpProgram::fill`] call per refill packs instructions in place
 //!   through an [`InstSink`], so generation costs one dynamic call per
 //!   buffer, not per instruction, and no per-warp queue sits in between.
+//!
+//! # Scoreboard
+//!
+//! The sink renames every register to a dense id from the run's
+//! [`RegMap`] as it packs, so the scoreboard is indexed by dense id with no
+//! lookup on the issue path. A slot's row holds one packed word per dense
+//! id the run has seen, rounded up to a whole host cache line
+//! (`BOARD_LINE` words). The embedding kernels name 5 to 9 distinct
+//! registers at Default scale, so a row is 8 or 16 words (64 or 128
+//! bytes) where one word per possible id took 2 KiB. A fill that
+//! introduces a new id widens every row before the next issue reads one
+//! (`widen_boards`); rows are only ever written at issue, so no write is
+//! lost. Each slot also keeps the prefix of its row that may be non-zero,
+//! and claiming the slot clears only that prefix.
 //!
 //! The per-smsp capacity `cap` is exact, not heuristic: blocks place their
 //! warps round-robin over a SM's sub-partitions in one burst, so one block
@@ -39,16 +53,17 @@
 
 use crate::config::GpuConfig;
 use crate::decode::{
-    InstSink, PackedInst, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED, OP_PREF_L1,
-    OP_PREF_L2, OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
+    InstSink, PackedInst, RegMap, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED,
+    OP_PREF_L1, OP_PREF_L2, OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
 };
 use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg};
 use crate::launch::{WarpInfo, WarpProgram};
 use crate::mem::MemorySystem;
 use crate::stats::RawCounters;
 
-/// Number of architectural registers whose readiness is tracked per warp.
-const TRACKED_REGS: usize = 256;
+/// Scoreboard words per host cache line; a row's stride is a multiple of
+/// this.
+const BOARD_LINE: usize = 8;
 
 /// Decode-ahead depth: instructions buffered per slot between
 /// [`WarpProgram::fill`] calls.
@@ -166,12 +181,18 @@ pub struct WarpSlots {
     /// first spill of each refill. Empty — and allocation-free — for the
     /// embedding kernels.
     ext: Vec<Vec<Instruction>>,
-    /// Packed scoreboards, [`TRACKED_REGS`] words per slot.
+    /// The run's raw-to-dense register map, which every refill packs
+    /// through.
+    regs: RegMap,
+    /// Scoreboard words per slot: the dense ids `regs` has given out,
+    /// rounded up to [`BOARD_LINE`].
+    stride: usize,
+    /// Packed scoreboards, `stride` words per slot, indexed by dense id.
     boards: Vec<u64>,
-    /// High-water register mark per slot: the prefix of the slot's
-    /// scoreboard that may be non-zero. Claiming a slot clears exactly that
-    /// prefix, so scoreboard reuse costs what the previous warp touched,
-    /// not a full 2 KiB memset.
+    /// High-water dense-id mark per slot: the prefix of the slot's row that
+    /// may be non-zero. Claiming a slot clears exactly that prefix, so
+    /// scoreboard reuse costs what the previous warp touched, not a memset
+    /// of the row.
     board_dirty: Vec<u16>,
     /// Next placement sequence number.
     next_seq: u64,
@@ -198,6 +219,8 @@ impl WarpSlots {
             ibuf_len: Vec::new(),
             ibuf: Vec::new(),
             ext: Vec::new(),
+            regs: RegMap::new(),
+            stride: 0,
             boards: Vec::new(),
             board_dirty: Vec::new(),
             next_seq: 0,
@@ -206,10 +229,9 @@ impl WarpSlots {
         slots
     }
 
-    /// Re-sizes the arena for a new run, keeping allocations (and the
-    /// scoreboard-clearing discipline) from previous runs. Slots grow with
-    /// zeroed scoreboards; shrunk-then-regrown regions are re-zeroed by
-    /// `Vec::resize`, so the dirty-prefix invariant holds across reuse.
+    /// Re-sizes the arena for a new run, keeping allocations from previous
+    /// runs. The register map starts empty and the scoreboard with it; the
+    /// refills that name registers size it.
     pub fn reset(&mut self, smsps: usize, cap: usize) {
         let n = smsps * cap;
         self.cap = cap;
@@ -232,7 +254,10 @@ impl WarpSlots {
         self.ibuf.resize(n * IBUF, PackedInst::default());
         self.ext.clear();
         self.ext.resize_with(n, Vec::new);
-        self.boards.resize(n * TRACKED_REGS, 0);
+        self.regs = RegMap::new();
+        self.stride = 0;
+        self.boards.clear();
+        self.board_dirty.clear();
         self.board_dirty.resize(n, 0);
         self.next_seq = 0;
     }
@@ -401,7 +426,7 @@ impl WarpSlots {
         self.ready[slot] = now + 1;
         self.dep[slot] = DepKind::None;
         let dirty = self.board_dirty[slot] as usize;
-        let base = slot * TRACKED_REGS;
+        let base = slot * self.stride;
         self.boards[base..base + dirty].fill(0);
         self.board_dirty[slot] = 0;
         self.ibuf_pos[slot] = 0;
@@ -411,20 +436,45 @@ impl WarpSlots {
 
     /// Refills `slot`'s decode buffer from `ctx`'s program, which must not
     /// be done yet, and returns how many instructions it pushed (0 only if
-    /// the program turned out to be finished).
+    /// the program turned out to be finished). Widens the scoreboard if the
+    /// fill named a register the run had not seen.
     #[inline]
     fn refill(&mut self, slot: usize, ctx: &mut WarpContext) -> usize {
         debug_assert!(!ctx.prog_done, "refilled a finished program");
         let mut sink = InstSink::new(
             &mut self.ibuf[slot * IBUF..(slot + 1) * IBUF],
             &mut self.ext[slot],
+            &mut self.regs,
         );
         ctx.prog_done = ctx.program.fill(&mut sink);
         debug_assert!(
             ctx.prog_done || !sink.is_empty(),
             "a WarpProgram fill that is not done must push an instruction"
         );
-        sink.len()
+        let len = sink.len();
+        if self.regs.len() > self.stride {
+            self.widen_boards();
+        }
+        len
+    }
+
+    /// Re-lays every slot's scoreboard row at a stride that covers every
+    /// dense id given out so far. Rows move last to first, so none is
+    /// overwritten before it has moved; each keeps its dirty prefix and
+    /// is zero past it.
+    #[cold]
+    fn widen_boards(&mut self) {
+        let old = self.stride;
+        let new = self.regs.len().next_multiple_of(BOARD_LINE);
+        let n = self.board_dirty.len();
+        self.boards.resize(n * new, 0);
+        for slot in (0..n).rev() {
+            let dirty = self.board_dirty[slot] as usize;
+            self.boards
+                .copy_within(slot * old..slot * old + dirty, slot * new);
+            self.boards[slot * new + dirty..(slot + 1) * new].fill(0);
+        }
+        self.stride = new;
     }
 
     /// Frees `slot` after its warp retired. The scoreboard is left as-is
@@ -435,19 +485,20 @@ impl WarpSlots {
         self.ready[slot] = u64::MAX;
     }
 
-    /// `(ready cycle, was written by a long-latency load)` for `reg` of the
-    /// warp in `slot`.
+    /// `(ready cycle, was written by a long-latency load)` for dense
+    /// register `reg` of the row at `base`.
     #[inline]
-    fn board_get(&self, base: usize, reg: u8) -> (u64, bool) {
+    fn board_get(&self, base: usize, reg: Reg) -> (u64, bool) {
         let v = self.boards[base + reg as usize];
         (v & !LONG, v & LONG != 0)
     }
 
-    /// Records that `reg`'s writer completes at `ready`.
+    /// Records that dense register `reg`'s writer completes at `ready`.
     #[inline]
-    fn board_set(&mut self, slot: usize, reg: u8, ready: u64, long: bool) {
+    fn board_set(&mut self, slot: usize, reg: Reg, ready: u64, long: bool) {
         debug_assert!(ready & LONG == 0, "cycle overflows the packing");
-        self.boards[slot * TRACKED_REGS + reg as usize] = ready | if long { LONG } else { 0 };
+        debug_assert!((reg as usize) < self.stride, "register outside the row");
+        self.boards[slot * self.stride + reg as usize] = ready | if long { LONG } else { 0 };
         let mark = reg as u16 + 1;
         if self.board_dirty[slot] < mark {
             self.board_dirty[slot] = mark;
@@ -459,7 +510,7 @@ impl WarpSlots {
     fn packed_readiness(&self, slot: usize, p: PackedInst) -> (u64, DepKind) {
         let mut ready = 0u64;
         let mut kind = DepKind::None;
-        let base = slot * TRACKED_REGS;
+        let base = slot * self.stride;
         let mut consider = |reg: Reg| {
             let (r, long) = self.board_get(base, reg);
             if r > ready {
@@ -489,8 +540,8 @@ impl WarpSlots {
     fn operand_readiness(&self, slot: usize, inst: &Instruction) -> (u64, DepKind) {
         let mut ready = 0u64;
         let mut kind = DepKind::None;
-        let base = slot * TRACKED_REGS;
-        let mut consider = |reg: u8| {
+        let base = slot * self.stride;
+        let mut consider = |reg: Reg| {
             let (r, long) = self.board_get(base, reg);
             if r > ready {
                 ready = r;

@@ -21,7 +21,7 @@ use dlrm_datasets::AccessPattern;
 use embedding_kernels::{
     BufferStation, EmbeddingKernelSpec, EmbeddingWorkload, PinPlan, PrefetchConfig,
 };
-use gpu_sim::{Instruction, KernelProgram, MemSpace, PrefetchTarget, WarpInfo};
+use gpu_sim::{InstBuffer, Instruction, KernelProgram, MemSpace, PrefetchTarget, WarpInfo};
 
 const FIXTURE: &str = include_str!("fixtures/golden_programs.txt");
 
@@ -29,17 +29,71 @@ const FIXTURE: &str = include_str!("fixtures/golden_programs.txt");
 /// in the middle and the last of the Test-scale grid.
 const WARPS: [(u32, u32); 3] = [(0, 0), (13, 5), (31, 7)];
 
-/// The whole instruction stream of one warp.
-fn drain(kernel: &dyn KernelProgram, block: u32, warp: u32) -> Vec<Instruction> {
-    let info = WarpInfo {
+fn info(block: u32, warp: u32) -> WarpInfo {
+    WarpInfo {
         block_id: block,
         warp_in_block: warp,
         warps_per_block: 8,
         threads_per_block: 256,
         global_warp_id: block as u64 * 8 + warp as u64,
         sm_id: 0,
-    };
-    gpu_sim::decode::drain(&mut *kernel.warp_program(info), gpu_sim::warp::IBUF)
+    }
+}
+
+/// The whole instruction stream of one warp.
+fn drain(kernel: &dyn KernelProgram, block: u32, warp: u32) -> Vec<Instruction> {
+    gpu_sim::decode::drain(
+        &mut *kernel.warp_program(info(block, warp)),
+        gpu_sim::warp::IBUF,
+    )
+}
+
+/// The whole instruction stream of one warp as `buf` packs it, through
+/// the buffer's register map.
+fn drain_into(
+    kernel: &dyn KernelProgram,
+    block: u32,
+    warp: u32,
+    buf: &mut InstBuffer,
+) -> Vec<Instruction> {
+    let mut program = kernel.warp_program(info(block, warp));
+    let mut out = Vec::new();
+    loop {
+        let done = buf.fill(&mut *program);
+        out.extend(buf.instructions());
+        if done {
+            return out;
+        }
+    }
+}
+
+/// One kernel build of a pattern's grid and the warps drained from it.
+struct Build {
+    label: String,
+    kernel: Box<dyn KernelProgram>,
+    warps: &'static [(u32, u32)],
+}
+
+/// Every kernel build of one pattern's grid: each spec, then the L2-pin
+/// kernel.
+fn builds(pattern: AccessPattern) -> Vec<Build> {
+    let config = DlrmConfig::at_scale(WorkloadScale::Test).embedding;
+    let workload = EmbeddingWorkload::generate(config, pattern, 1, 7);
+    let mut builds: Vec<Build> = specs()
+        .into_iter()
+        .map(|spec| Build {
+            label: format!("{}/{}", spec.name(), pattern.paper_name()),
+            kernel: Box::new(spec.kernel(&workload)),
+            warps: &WARPS,
+        })
+        .collect();
+    let (_, pin) = PinPlan::for_workload(&workload, 64 * 1024).kernel();
+    builds.push(Build {
+        label: format!("l2_pin/{}", pattern.paper_name()),
+        kernel: Box::new(pin),
+        warps: &[(0, 0), (0, 3)],
+    });
+    builds
 }
 
 /// 64-bit FNV-1a over a canonical byte encoding of instructions.
@@ -141,26 +195,19 @@ fn specs() -> Vec<EmbeddingKernelSpec> {
 
 /// Every golden cell as `(label, hash, instructions)`, in fixture order.
 fn grid() -> Vec<(String, u64, usize)> {
-    let config = DlrmConfig::at_scale(WorkloadScale::Test).embedding;
     let mut cells = Vec::new();
     for pattern in AccessPattern::ALL {
-        let workload = EmbeddingWorkload::generate(config, pattern, 1, 7);
-        let mut cell = |label: String, kernel: &dyn KernelProgram, warps: &[(u32, u32)]| {
+        for build in builds(pattern) {
             let mut h = Fnv::new();
             let mut count = 0;
-            for &(block, warp) in warps {
-                let insts = drain(kernel, block, warp);
+            for &(block, warp) in build.warps {
+                let insts = drain(&*build.kernel, block, warp);
                 h.u64(insts.len() as u64);
                 insts.iter().for_each(|i| h.inst(i));
                 count += insts.len();
             }
-            cells.push((format!("{label}/{}", pattern.paper_name()), h.0, count));
-        };
-        for spec in specs() {
-            cell(spec.name(), &spec.kernel(&workload), &WARPS);
+            cells.push((build.label, h.0, count));
         }
-        let (_, pin) = PinPlan::for_workload(&workload, 64 * 1024).kernel();
-        cell("l2_pin".to_string(), &pin, &[(0, 0), (0, 3)]);
     }
     cells
 }
@@ -197,5 +244,51 @@ fn generated_programs_match_the_golden_fixture() {
             (golden[1].to_string(), golden[2].to_string()),
             "{label}: the generated instruction stream changed"
         );
+    }
+}
+
+/// The engine packs dense register ids through one map per run. That map
+/// must be a bijection onto `0..len` covering exactly the raw ids the
+/// warps name, and undoing it must give back the raw stream exactly;
+/// otherwise two registers share a scoreboard word and hazards change.
+#[test]
+fn dense_register_ids_undo_to_the_raw_stream() {
+    for pattern in AccessPattern::ALL {
+        for Build {
+            label,
+            kernel,
+            warps,
+        } in builds(pattern)
+        {
+            // One map across the build's warps, as one run shares it.
+            let mut buf = InstBuffer::dense(gpu_sim::warp::IBUF);
+            let mut named = [false; 256];
+            for &(block, warp) in warps {
+                let raw = drain(&*kernel, block, warp);
+                let dense = drain_into(&*kernel, block, warp, &mut buf);
+                let map = buf.register_map();
+                let undone: Vec<Instruction> =
+                    dense.iter().map(|i| i.map_regs(|d| map.raw(d))).collect();
+                assert_eq!(undone, raw, "{label}: renaming changed the stream");
+                for inst in raw {
+                    inst.map_regs(|r| {
+                        named[r as usize] = true;
+                        r
+                    });
+                }
+            }
+            let map = buf.register_map();
+            for d in 0..map.len() {
+                let d = d as u8;
+                assert_eq!(map.get(map.raw(d)), Some(d), "{label}: not injective");
+            }
+            for r in 0..=255u8 {
+                assert_eq!(
+                    map.get(r).is_some(),
+                    named[r as usize],
+                    "{label}: raw id {r} mapped iff the warps name it"
+                );
+            }
+        }
     }
 }

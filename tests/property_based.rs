@@ -11,10 +11,14 @@ use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, CoverageCurve, TraceConfig, ZipfSampler};
 use embedding_kernels::{embedding_bag_forward, embedding_bag_forward_simt, SyntheticTable};
 use gpu_sim::config::CacheConfig;
+use gpu_sim::isa::SrcSet;
+use gpu_sim::launch::VecProgram;
 use gpu_sim::mem::Cache;
 use gpu_sim::occupancy::Occupancy;
-use gpu_sim::StreamPartition;
-use gpu_sim::{GpuConfig, KernelLaunch, KernelStats};
+use gpu_sim::{
+    GpuConfig, Instruction, KernelLaunch, KernelProgram, KernelStats, LineSet, MemSpace,
+    PrefetchTarget, Reg, Simulator, StreamPartition, WarpInfo, WarpProgram,
+};
 use perf_envelope::json::Json;
 use perf_envelope::{
     AdmissionPolicy, AutoscaleEvent, AutoscalePolicy, BatchShapeStats, BatchingPolicy,
@@ -1059,5 +1063,88 @@ fn working_set_matches_unique_rows() {
             trace.working_set_bytes(row_bytes),
             trace.unique_rows() * row_bytes
         );
+    });
+}
+
+/// Every warp runs the same instructions.
+struct SameProgram(Vec<Instruction>);
+
+impl KernelProgram for SameProgram {
+    fn warp_program(&self, _: WarpInfo) -> Box<dyn WarpProgram> {
+        Box::new(VecProgram::new(self.0.clone()))
+    }
+}
+
+/// A random instruction over the registers in `pool`; one in eight memory
+/// accesses spans two lines, so it takes the side-table path.
+fn arbitrary_instruction(g: &mut Cases, pool: &[Reg]) -> Instruction {
+    let reg = |g: &mut Cases| pool[g.range(0, pool.len() as u64) as usize];
+    let line = g.range(0, 64) * 128;
+    let lines = if g.range(0, 8) == 0 {
+        LineSet::from_byte_range(line + 64, 128, 128)
+    } else {
+        LineSet::single(line)
+    };
+    let space = [MemSpace::Global, MemSpace::Local, MemSpace::Shared][g.range(0, 3) as usize];
+    match g.range(0, 4) {
+        0 => Instruction::Load {
+            space,
+            lines,
+            dst: reg(g),
+            bytes: 128,
+            addr_dep: (g.range(0, 2) == 0).then(|| reg(g)),
+        },
+        1 => Instruction::Store {
+            space,
+            lines,
+            src: reg(g),
+            bytes: 128,
+        },
+        2 => Instruction::Prefetch {
+            target: [PrefetchTarget::L1, PrefetchTarget::L2EvictLast][g.range(0, 2) as usize],
+            lines,
+            addr_dep: (g.range(0, 2) == 0).then(|| reg(g)),
+        },
+        _ => {
+            let (a, b, c) = (reg(g), reg(g), reg(g));
+            Instruction::Alu {
+                dst: reg(g),
+                srcs: [
+                    SrcSet::none(),
+                    SrcSet::one(a),
+                    SrcSet::two(a, b),
+                    SrcSet::three(a, b, c),
+                ][g.range(0, 4) as usize],
+                latency: g.range(0, 24) as u32,
+            }
+        }
+    }
+}
+
+#[test]
+fn renaming_registers_leaves_the_statistics_unchanged() {
+    // Hazards depend only on which instructions name the same register, so
+    // a bijective renaming of a program's registers, including the extreme
+    // ids 0 and 255, must leave every counter of its run unchanged.
+    check("renaming_registers_leaves_the_statistics_unchanged", |g| {
+        let mut pool: Vec<Reg> = vec![0, 255];
+        pool.extend((0..g.range(1, 10)).map(|_| g.range(0, 256) as Reg));
+        let len = g.range(1, 48);
+        let insts: Vec<Instruction> = (0..len).map(|_| arbitrary_instruction(g, &pool)).collect();
+        // A uniform random permutation of every register id.
+        let mut rename: Vec<Reg> = (0..=255).collect();
+        for i in (1..rename.len()).rev() {
+            rename.swap(i, g.range(0, i as u64 + 1) as usize);
+        }
+        let renamed = insts
+            .iter()
+            .map(|i| i.map_regs(|r| rename[r as usize]))
+            .collect();
+        let sim = Simulator::new(GpuConfig::test_small());
+        let launch = KernelLaunch::new("renamed", g.range(1, 9) as u32, 64);
+        let before = sim.run(&launch, &SameProgram(insts));
+        let after = sim.run(&launch, &SameProgram(renamed));
+        assert_eq!(before.first_difference(&after), None);
+        assert_eq!(before, after);
     });
 }
