@@ -76,7 +76,9 @@ use crate::json::{array, object, render_object, ObjectWriter};
 use crate::runner::Experiment;
 use crate::scheme::Scheme;
 use crate::serving::TrafficModel;
-use crate::serving::{max_sustainable_qps, LatencyStats, ServingReport, ServingScenario};
+use crate::serving::{
+    max_sustainable_qps, sort_latencies, LatencyStats, ServingReport, ServingScenario,
+};
 use crate::workload::Workload;
 
 /// Identifier of the fleet-report JSON schema produced by this crate
@@ -1076,7 +1078,7 @@ impl Fleet {
             device_us += entry.devices as f64 * active_us;
         }
 
-        all_latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        let all_latencies = sort_latencies(all_latencies);
         let served_f = served as f64;
         let offered_f = self.requests as f64;
         FleetReport {

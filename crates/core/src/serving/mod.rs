@@ -113,12 +113,14 @@ use crate::workload::Workload;
 
 pub use batching::BatchingPolicy;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
+pub(crate) use report::sort_latencies;
 pub use report::{
     BatchShapeStats, DeviceUtilization, FaultTimelineEntry, LatencyStats, ServingReport,
     StreamUtilization, SERVING_REPORT_SCHEMA,
 };
 pub use retry::{AdmissionKind, AdmissionPolicy, RetryKind, RetryPolicy};
 pub use traffic::TrafficModel;
+use traffic::UnitGaps;
 
 /// Default arrival-trace seed (distinct from the experiment's embedding
 /// trace seed so the two streams never alias by default).
@@ -566,8 +568,7 @@ impl ServingScenario {
         debug_assert_eq!(served + shed_requests + failed_requests, offered);
         let served_f = served as f64;
         let violations = latencies.iter().filter(|&&l| l > self.sla_us).count();
-        let mut sorted = latencies;
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        let sorted = sort_latencies(latencies);
 
         let report = ServingReport {
             workload: workload.dataset_label(),
@@ -874,6 +875,12 @@ pub struct CapacityResult {
 /// simulation, so the result is reproducible bit-for-bit; distinct batch
 /// shapes are priced through the experiment's cache, so the sweep re-prices
 /// nothing it has already seen.
+///
+/// The search draws its arrival randomness once. A trace's randomness is a
+/// seeded stream of rate-free unit exponential gaps, each divided by the
+/// rate in force, so the first probe draws the gaps and every later probe
+/// rescales the same draw; each probe's report is still the one
+/// [`ServingScenario::simulate`] gives at that rate, bit for bit.
 pub fn max_sustainable_qps(
     experiment: &Experiment,
     workload: &Workload,
@@ -881,12 +888,16 @@ pub fn max_sustainable_qps(
     scenario: &ServingScenario,
 ) -> CapacityResult {
     let probes = std::cell::Cell::new(0u32);
-    let probe = |qps: f64| -> ServingReport {
+    let mut gaps = UnitGaps::new(scenario.seed);
+    let mut probe = |qps: f64| -> ServingReport {
         probes.set(probes.get() + 1);
+        let traffic = scenario.traffic().at_qps(qps);
+        let arrivals = traffic.arrivals_with(scenario.requests, &mut gaps);
         scenario
             .clone()
-            .with_traffic(scenario.traffic().at_qps(qps))
-            .simulate(experiment, workload, scheme)
+            .with_traffic(traffic)
+            .simulate_trace(experiment, workload, scheme, &arrivals)
+            .0
     };
 
     // Saturation throughput of back-to-back full batches: the natural

@@ -9,6 +9,18 @@
 //!
 //! Time is measured in microseconds from the first arrival, which is always
 //! at `0.0` (a trace starts when its first request lands).
+//!
+//! **Unit gaps.** The randomness of a trace does not depend on its rate.
+//! Every random model consumes, in order, one seeded stream of rate-free
+//! *unit* exponential gaps `E = -ln(1 - u)` (`u` uniform in `[0, 1)`), and
+//! turns each into a gap of `E / rate` microseconds at the rate in force:
+//! the request rate (Poisson), the burst rate (bursty) or the
+//! instantaneous rate at the previous arrival (diurnal). Sampling a gap
+//! directly, as `-(1 - u).ln() / rate`, evaluates the same two IEEE
+//! operations in the same order (the negation is exact), so a trace built
+//! from a stored draw is bit-identical to one drawn fresh. That is what
+//! lets the capacity search, whose probes differ only in rate, draw its
+//! unit gaps once ([`UnitGaps`]) and rescale them per probe.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,12 +29,43 @@ use rand::{Rng, SeedableRng};
 /// arrival stream never aliases the embedding-trace stream.
 const ARRIVAL_SEED_SALT: u64 = 0xA441_7A1E_5EED_0001;
 
-/// One exponential inter-arrival gap in microseconds at `rate` requests per
-/// microsecond (inverse-CDF sampling; `u` is uniform in `[0, 1)` so
-/// `1 - u > 0` and the logarithm is finite).
-fn exponential_gap_us(rng: &mut StdRng, rate_per_us: f64) -> f64 {
+fn arrival_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ ARRIVAL_SEED_SALT)
+}
+
+/// One rate-free unit exponential gap (inverse-CDF sampling; `u` is
+/// uniform in `[0, 1)` so `1 - u > 0` and the logarithm is finite). The
+/// gap at `rate` requests per microsecond is this divided by `rate`.
+fn unit_gap(rng: &mut StdRng) -> f64 {
     let u: f64 = rng.gen();
-    -(1.0 - u).ln() / rate_per_us
+    -(1.0 - u).ln()
+}
+
+/// The unit gaps of one arrival seed, drawn on first use and kept: every
+/// trace of that seed built through [`TrafficModel::arrivals_with`] reads
+/// the same gaps, whatever its rate, so only the first pays for the draw.
+pub(crate) struct UnitGaps {
+    rng: StdRng,
+    drawn: Vec<f64>,
+}
+
+impl UnitGaps {
+    /// An empty draw for arrival seed `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        UnitGaps {
+            rng: arrival_rng(seed),
+            drawn: Vec::new(),
+        }
+    }
+
+    /// The `i`-th unit gap of the seed; gaps are asked for in order, so a
+    /// gap not yet drawn is the next one.
+    fn get(&mut self, i: usize) -> f64 {
+        if i == self.drawn.len() {
+            self.drawn.push(unit_gap(&mut self.rng));
+        }
+        self.drawn[i]
+    }
 }
 
 /// A request-arrival process: how offered traffic is spread over time.
@@ -190,8 +233,29 @@ impl TrafficModel {
     /// # Panics
     /// Panics if `requests` is zero.
     pub fn arrival_times_us(&self, requests: u32, seed: u64) -> Vec<f64> {
+        let mut rng = arrival_rng(seed);
+        self.arrivals_from(requests, || unit_gap(&mut rng))
+    }
+
+    /// The trace [`arrival_times_us`](TrafficModel::arrival_times_us)
+    /// generates for `requests` and the seed of `gaps`, bit for bit, built
+    /// from the gaps already drawn (and drawing the rest).
+    ///
+    /// # Panics
+    /// Panics if `requests` is zero.
+    pub(crate) fn arrivals_with(&self, requests: u32, gaps: &mut UnitGaps) -> Vec<f64> {
+        let mut used = 0;
+        self.arrivals_from(requests, || {
+            let gap = gaps.get(used);
+            used += 1;
+            gap
+        })
+    }
+
+    /// The one generation loop: `requests` arrival times built from the
+    /// unit gaps `unit_gap` yields, consumed in order.
+    fn arrivals_from(&self, requests: u32, mut unit_gap: impl FnMut() -> f64) -> Vec<f64> {
         assert!(requests > 0, "an arrival trace needs at least one request");
-        let mut rng = StdRng::seed_from_u64(seed ^ ARRIVAL_SEED_SALT);
         let mut times = Vec::with_capacity(requests as usize);
         match *self {
             TrafficModel::Uniform { qps } => {
@@ -205,7 +269,7 @@ impl TrafficModel {
                 let mut t = 0.0;
                 for i in 0..requests {
                     if i > 0 {
-                        t += exponential_gap_us(&mut rng, rate);
+                        t += unit_gap() / rate;
                     }
                     times.push(t);
                 }
@@ -216,7 +280,7 @@ impl TrafficModel {
                 let mut emitted = 0u32;
                 while emitted < requests {
                     if emitted > 0 {
-                        t += exponential_gap_us(&mut rng, burst_rate);
+                        t += unit_gap() / burst_rate;
                     }
                     for _ in 0..burst_size.min(requests - emitted) {
                         times.push(t);
@@ -239,7 +303,7 @@ impl TrafficModel {
                         let phase = (t / period_us) * std::f64::consts::TAU;
                         let lambda_qps =
                             trough_qps + (peak_qps - trough_qps) * (1.0 - phase.cos()) / 2.0;
-                        t += exponential_gap_us(&mut rng, lambda_qps / 1e6);
+                        t += unit_gap() / (lambda_qps / 1e6);
                     }
                     times.push(t);
                 }
@@ -309,6 +373,44 @@ mod tests {
         // Uniform is the exception: it has no randomness at all.
         let u = TrafficModel::uniform(500.0);
         assert_eq!(u.arrival_times_us(10, 1), u.arrival_times_us(10, 2));
+    }
+
+    #[test]
+    fn traces_built_from_one_shared_draw_match_fresh_traces() {
+        let bits = |times: &[f64]| times.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        // Bursts of 7 do not divide 1,000 requests: the last burst is short.
+        for (model, gaps_per_1000) in [
+            (TrafficModel::uniform(1_000.0), 0),
+            (TrafficModel::poisson(1_000.0), 999),
+            (TrafficModel::bursty(1_000.0, 7), 142),
+            (TrafficModel::diurnal(2_000.0, 200.0, 0.5), 999),
+        ] {
+            for seed in [1, 42] {
+                let mut gaps = UnitGaps::new(seed);
+                // A short trace first, so the longer ones extend the draw,
+                // then rates from far below to far above the model's own.
+                for (requests, factor) in [
+                    (100, 1.0),
+                    (1_000, 0.5),
+                    (1_000, 3.0),
+                    (1, 7.0),
+                    (1_000, 1e-3),
+                    (1_000, 1e9),
+                ] {
+                    let scaled = model.at_qps(factor * model.offered_qps());
+                    assert_eq!(
+                        bits(&scaled.arrivals_with(requests, &mut gaps)),
+                        bits(&scaled.arrival_times_us(requests, seed)),
+                        "{scaled}, {requests} requests, seed {seed}"
+                    );
+                }
+                assert_eq!(
+                    gaps.drawn.len(),
+                    gaps_per_1000,
+                    "{model} draws each gap once"
+                );
+            }
+        }
     }
 
     #[test]
