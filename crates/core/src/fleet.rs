@@ -14,11 +14,10 @@
 //! [`FleetReport`] (exact fleet-wide percentiles, request conservation,
 //! per-replica serving reports, autoscale timeline, and a device-hours
 //! cost summary). A live replica the router sent nothing runs the same
-//! loop on an empty trace and reports idle. Every cell the fleet prices
-//! or keys — replica dispatch, the router probe, the capacity search, the
-//! fleet key and each group's key entry — folds the group's fault plan in
-//! through the scenario's one pricing-experiment function, so fleet cells
-//! share the cache with plain serving runs.
+//! loop on an empty trace and reports idle. Every cell the fleet prices —
+//! replica dispatch, the router probe and the capacity search — folds the
+//! group's fault plan in through the scenario's one pricing-experiment
+//! function, so fleet cells share the cache with plain serving runs.
 //!
 //! Three contracts the test suite (`tests/fleet_equivalence.rs`) anchors:
 //!
@@ -27,9 +26,8 @@
 //!   [`ServingScenario::simulate`] on both engine modes, sharded and
 //!   K-streamed: the router degenerates to "send everything to replica 0"
 //!   and the replica runs the very same dispatch loop on the very same
-//!   arrival trace. The identity fleet's [`Fleet::fingerprint`] is also
-//!   byte-identical to its replica's plain cell key, so a degenerate fleet
-//!   shares persisted cache cells with the scenario it wraps.
+//!   arrival trace. On a shared [`CampaignCache`] it therefore prices no
+//!   cell the scenario has not already priced.
 //! * **Request conservation** — every offered request is routed to exactly
 //!   one replica and accounted exactly once: summed over replicas,
 //!   `served + shed + failed = offered`.
@@ -59,10 +57,8 @@
 //! 3. Implement the decision in [`RoutingPolicy::route`] using only the
 //!    cursor and the views. Break ties toward the lowest replica index so
 //!    the decision stays deterministic.
-//! 4. Extend `label` and `write_fields`. Routing partitions the fleet
-//!    fingerprint, and `write_fields` destructures the policy without a
-//!    `..` rest pattern, so the compiler refuses to build until a new field
-//!    is written or bound to `_` with its reason.
+//! 4. Extend [`RoutingPolicy::label`], which names the policy in
+//!    [`FleetReport::routing`], with any new parameter.
 //!
 //! Autoscaling follows the same pattern: [`AutoscalePolicy::decide`] is a
 //! pure function from (offered rate, live capacity, live/pool counts,
@@ -102,7 +98,7 @@ pub enum RoutingKind {
 }
 
 impl RoutingKind {
-    /// Stable machine name (used in labels and the fingerprint).
+    /// Stable machine name (used in [`RoutingPolicy::label`]).
     pub fn name(&self) -> &'static str {
         match self {
             RoutingKind::RoundRobin => "round_robin",
@@ -176,18 +172,6 @@ impl RoutingPolicy {
         self.kind
     }
 
-    /// The EWMA smoothing factor (`0.0` for policies that keep no EWMA).
-    pub fn ewma_alpha(&self) -> f64 {
-        self.ewma_alpha
-    }
-
-    /// Whether this is the identity policy (round-robin): with one replica
-    /// it routes everything to replica 0, which is what the degenerate
-    /// fleet anchor and the fingerprint identity lean on.
-    pub fn is_identity(&self) -> bool {
-        self.kind == RoutingKind::RoundRobin
-    }
-
     /// Human-readable label, e.g. `"latency_aware(0.3)"`.
     pub fn label(&self) -> String {
         match self.kind {
@@ -210,13 +194,6 @@ impl RoutingPolicy {
             RoutingKind::LeastOutstanding => argmin(views, |v| v.outstanding as f64),
             RoutingKind::LatencyAware => argmin(views, |v| v.ewma_latency_us),
         }
-    }
-
-    /// Writes the policy's part of the fleet fingerprint.
-    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
-        let RoutingPolicy { kind, ewma_alpha } = *self;
-        w.set("ewma_alpha", ewma_alpha);
-        w.set("kind", kind.name());
     }
 }
 
@@ -244,16 +221,6 @@ pub enum AutoscaleKind {
     None,
     /// Threshold-reactive scaling on fleet utilization per interval.
     Reactive,
-}
-
-impl AutoscaleKind {
-    /// Stable machine name (used in labels and the fingerprint).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AutoscaleKind::None => "none",
-            AutoscaleKind::Reactive => "reactive",
-        }
-    }
 }
 
 /// One autoscale decision at an interval boundary.
@@ -355,31 +322,6 @@ impl AutoscalePolicy {
         self.kind
     }
 
-    /// Utilization above which the fleet scales out.
-    pub fn scale_out_threshold(&self) -> f64 {
-        self.scale_out_threshold
-    }
-
-    /// Utilization below which the fleet scales in.
-    pub fn scale_in_threshold(&self) -> f64 {
-        self.scale_in_threshold
-    }
-
-    /// Full intervals to hold after each scaling action.
-    pub fn cooldown_intervals(&self) -> u32 {
-        self.cooldown_intervals
-    }
-
-    /// Fewest replicas the policy keeps live.
-    pub fn min_replicas(&self) -> u32 {
-        self.min_replicas
-    }
-
-    /// Most replicas the policy activates.
-    pub fn max_replicas(&self) -> u32 {
-        self.max_replicas
-    }
-
     /// Human-readable label, e.g. `"reactive(0.8/0.4, cooldown 2, 1..4)"`.
     pub fn label(&self) -> String {
         match self.kind {
@@ -426,24 +368,6 @@ impl AutoscalePolicy {
             AutoscaleAction::Hold
         }
     }
-
-    /// Writes the policy's part of the fleet fingerprint.
-    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
-        let AutoscalePolicy {
-            kind,
-            scale_out_threshold,
-            scale_in_threshold,
-            cooldown_intervals,
-            min_replicas,
-            max_replicas,
-        } = *self;
-        w.set("cooldown_intervals", cooldown_intervals);
-        w.set("kind", kind.name());
-        w.set("max_replicas", max_replicas);
-        w.set("min_replicas", min_replicas);
-        w.set("scale_in_threshold", scale_in_threshold);
-        w.set("scale_out_threshold", scale_out_threshold);
-    }
 }
 
 impl Default for AutoscalePolicy {
@@ -454,108 +378,6 @@ impl Default for AutoscalePolicy {
 
 /// Default autoscale interval: one simulated second.
 pub const DEFAULT_AUTOSCALE_INTERVAL_US: f64 = 1_000_000.0;
-
-/// The pure-data fleet configuration: routing, autoscaling and the
-/// autoscale interval. Everything here partitions the fleet fingerprint
-/// (except for the identity spec on a 1-replica fleet, whose key is
-/// byte-identical to the plain serving cell key).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetSpec {
-    routing: RoutingPolicy,
-    autoscale: AutoscalePolicy,
-    interval_us: f64,
-}
-
-impl FleetSpec {
-    /// The identity spec: round-robin routing, no autoscaling.
-    pub fn new() -> FleetSpec {
-        FleetSpec {
-            routing: RoutingPolicy::round_robin(),
-            autoscale: AutoscalePolicy::none(),
-            interval_us: DEFAULT_AUTOSCALE_INTERVAL_US,
-        }
-    }
-
-    /// Replaces the routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Replaces the autoscale policy.
-    pub fn with_autoscale(mut self, autoscale: AutoscalePolicy) -> Self {
-        self.autoscale = autoscale;
-        self
-    }
-
-    /// Sets the autoscale decision interval in microseconds.
-    ///
-    /// # Panics
-    /// Panics unless the interval is finite and positive.
-    pub fn with_interval_us(mut self, interval_us: f64) -> Self {
-        assert!(
-            interval_us.is_finite() && interval_us > 0.0,
-            "the autoscale interval must be finite and positive"
-        );
-        self.interval_us = interval_us;
-        self
-    }
-
-    /// The routing policy.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.routing
-    }
-
-    /// The autoscale policy.
-    pub fn autoscale(&self) -> AutoscalePolicy {
-        self.autoscale
-    }
-
-    /// The autoscale decision interval in microseconds.
-    pub fn interval_us(&self) -> f64 {
-        self.interval_us
-    }
-
-    /// Whether both policies are the identity (round-robin, no
-    /// autoscaling): on a 1-replica fleet an identity spec changes nothing
-    /// versus plain [`ServingScenario::simulate`].
-    pub fn is_identity(&self) -> bool {
-        self.routing.is_identity() && self.autoscale.is_none()
-    }
-
-    /// Writes the `fleet` axis of [`Fleet::fingerprint`]: the spec's
-    /// fields plus the fleet's replica groups, each relative to `base`, the
-    /// experiment the fleet key is built on.
-    pub(crate) fn write_fields(
-        &self,
-        w: &mut ObjectWriter<'_>,
-        groups: &[ReplicaGroup],
-        base: &Experiment,
-    ) {
-        let FleetSpec {
-            routing,
-            autoscale,
-            interval_us,
-        } = self;
-        w.set("autoscale", object(|a| autoscale.write_fields(a)));
-        w.set("interval_us", *interval_us);
-        w.set(
-            "replicas",
-            array(|a| {
-                for group in groups {
-                    a.push(object(|g| group.write_fields(g, base)));
-                }
-            }),
-        );
-        w.set("routing", object(|r| routing.write_fields(r)));
-    }
-}
-
-impl Default for FleetSpec {
-    fn default() -> Self {
-        FleetSpec::new()
-    }
-}
 
 /// One replica group: a [`ServingScenario`] template over its own
 /// [`Experiment`] deployment, expanded into `replicas` identical replica
@@ -615,23 +437,6 @@ impl ReplicaGroup {
     pub fn replicas(&self) -> u32 {
         self.replicas
     }
-
-    /// Writes the group's entry in the fleet key's `replicas` array; `base`
-    /// is the experiment the fleet key is built on (replica 0's pricing
-    /// experiment).
-    fn write_fields(&self, w: &mut ObjectWriter<'_>, base: &Experiment) {
-        // The scenario reaches the key only through its fault plan, which
-        // the pricing experiment folds in; its batching, SLA, retry and
-        // admission policies shape serving reports, never a priced cell.
-        let ReplicaGroup {
-            experiment,
-            scenario,
-            replicas,
-        } = self;
-        scenario
-            .pricing_experiment(experiment)
-            .write_replica_fields(w, base, *replicas);
-    }
 }
 
 /// A fleet: a fleet-wide arrival trace routed across replica groups, with
@@ -642,7 +447,9 @@ pub struct Fleet {
     traffic: TrafficModel,
     requests: u32,
     seed: u64,
-    spec: FleetSpec,
+    routing: RoutingPolicy,
+    autoscale: AutoscalePolicy,
+    interval_us: f64,
     groups: Vec<ReplicaGroup>,
     cache: Option<Arc<CampaignCache>>,
 }
@@ -650,7 +457,8 @@ pub struct Fleet {
 impl Fleet {
     /// A fleet offering `requests` arrivals drawn from `traffic` with
     /// `seed`, with no replica groups yet (add at least one with
-    /// [`Fleet::with_group`]) and the identity spec.
+    /// [`Fleet::with_group`]), round-robin routing, no autoscaling and the
+    /// default autoscale interval.
     ///
     /// # Panics
     /// Panics if `requests` is zero.
@@ -660,7 +468,9 @@ impl Fleet {
             traffic,
             requests,
             seed,
-            spec: FleetSpec::new(),
+            routing: RoutingPolicy::round_robin(),
+            autoscale: AutoscalePolicy::none(),
+            interval_us: DEFAULT_AUTOSCALE_INTERVAL_US,
             groups: Vec::new(),
             cache: None,
         }
@@ -668,7 +478,8 @@ impl Fleet {
 
     /// The degenerate 1-replica fleet over `scenario`: fleet traffic,
     /// request count and seed are taken from the scenario, so with the
-    /// default identity spec the fleet is bit-exact with
+    /// default round-robin routing and no autoscaling the fleet is
+    /// bit-exact with
     /// `scenario.simulate(&experiment, ...)`.
     pub fn single(experiment: Experiment, scenario: ServingScenario) -> Fleet {
         let traffic = scenario.traffic();
@@ -683,21 +494,15 @@ impl Fleet {
         self
     }
 
-    /// Replaces the whole fleet spec.
-    pub fn with_spec(mut self, spec: FleetSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
     /// Replaces the routing policy.
     pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.spec = self.spec.with_routing(routing);
+        self.routing = routing;
         self
     }
 
     /// Replaces the autoscale policy.
     pub fn with_autoscale(mut self, autoscale: AutoscalePolicy) -> Self {
-        self.spec = self.spec.with_autoscale(autoscale);
+        self.autoscale = autoscale;
         self
     }
 
@@ -706,7 +511,11 @@ impl Fleet {
     /// # Panics
     /// Panics unless the interval is finite and positive.
     pub fn with_interval_us(mut self, interval_us: f64) -> Self {
-        self.spec = self.spec.with_interval_us(interval_us);
+        assert!(
+            interval_us.is_finite() && interval_us > 0.0,
+            "the autoscale interval must be finite and positive"
+        );
+        self.interval_us = interval_us;
         self
     }
 
@@ -733,51 +542,6 @@ impl Fleet {
         self.seed
     }
 
-    /// The fleet spec (routing, autoscaling, interval).
-    pub fn spec(&self) -> FleetSpec {
-        self.spec
-    }
-
-    /// The replica groups.
-    pub fn groups(&self) -> &[ReplicaGroup] {
-        &self.groups
-    }
-
-    /// Total provisioned replicas across all groups.
-    pub fn pool_size(&self) -> u32 {
-        self.groups.iter().map(|g| g.replicas).sum()
-    }
-
-    /// Whether this fleet is the degenerate identity: exactly one replica
-    /// under the identity spec.
-    pub fn is_identity(&self) -> bool {
-        self.pool_size() == 1 && self.spec.is_identity()
-    }
-
-    /// The canonical fleet cell key: the replica-0 cell key extended with a
-    /// `fleet` axis (routing, autoscaling, the autoscale interval and the
-    /// replica groups) — except for the identity fleet, whose key is
-    /// **byte-identical** to its replica's plain
-    /// [`Experiment::fingerprint`] cell key (with the scenario's fault
-    /// plan folded in the way serving pricing folds it), so a degenerate
-    /// fleet shares cells with the scenario it wraps, exactly like K=1
-    /// streams and the empty fault plan omit their axes. Any other fleet
-    /// partitions cells conservatively: distinct routing policies,
-    /// autoscale rules or replica mixes never alias each other.
-    ///
-    /// # Panics
-    /// Panics if the fleet has no replica groups.
-    pub fn fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
-        let g0 = self
-            .groups
-            .first()
-            .expect("a fleet needs at least one replica group");
-        let fleet = (!self.is_identity()).then_some(self);
-        g0.scenario
-            .pricing_experiment(&g0.experiment)
-            .cell_key(workload, scheme, fleet)
-    }
-
     /// Routes the fleet-wide arrival trace across replicas, applies the
     /// autoscale policy per interval, runs every replica's sub-trace
     /// through the [`ServingScenario`] dispatch loop, and aggregates the
@@ -795,9 +559,7 @@ impl Fleet {
             !self.groups.is_empty(),
             "a fleet needs at least one replica group"
         );
-        let routing = self.spec.routing;
-        let autoscale = self.spec.autoscale;
-        let interval_us = self.spec.interval_us;
+        let (routing, autoscale, interval_us) = (self.routing, self.autoscale, self.interval_us);
 
         // Each group's deployment with the shared cache attached, and the
         // replica pool it expands into.
@@ -876,7 +638,7 @@ impl Fleet {
         // min_replicas and the policy takes over at interval boundaries.
         let pool_size = pool.len() as u32;
         let initial = if autoscaling {
-            autoscale.min_replicas().clamp(1, pool_size) as usize
+            autoscale.min_replicas.clamp(1, pool_size) as usize
         } else {
             pool.len()
         };
@@ -913,7 +675,7 @@ impl Fleet {
                 // intervals elapsed since the last action.
                 let cooldown = match events.last() {
                     Some(last) => autoscale
-                        .cooldown_intervals()
+                        .cooldown_intervals
                         .saturating_sub(interval.saturating_sub(last.interval)),
                     None => 0,
                 };
@@ -1485,28 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_one_replica_with_identity_policies() {
-        let experiment = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
-        let scenario = ServingScenario::new(
-            TrafficModel::poisson(5_000.0),
-            BatchingPolicy::fixed_size(64),
-        )
-        .with_requests(8);
-        let fleet = Fleet::single(experiment, scenario);
-        assert!(fleet.is_identity());
-        assert!(!fleet
-            .clone()
-            .with_routing(RoutingPolicy::least_outstanding())
-            .is_identity());
-        assert!(!fleet
-            .clone()
-            .with_autoscale(AutoscalePolicy::reactive(0.8, 0.3, 1, 1, 2))
-            .is_identity());
-        assert!(!test_fleet(1).is_identity()); // two groups -> two replicas
-    }
-
-    #[test]
-    fn later_groups_differing_from_group_zero_key_distinct_cells() {
+    fn later_groups_differing_from_group_zero_change_the_fleet_day() {
         let scenario = ServingScenario::new(
             TrafficModel::poisson(5_000.0),
             BatchingPolicy::fixed_size(64),
@@ -1520,36 +1261,11 @@ mod tests {
             ))
         };
         let (workload, scheme) = (test_workload(), Scheme::base());
-        let (a, b) = (fleet_with_seed(1), fleet_with_seed(2));
-        // The second group's seed changes the fleet day, so it must change
-        // the key too.
+        // The second group's seed changes the fleet day.
         assert_ne!(
-            a.simulate(&workload, &scheme),
-            b.simulate(&workload, &scheme)
+            fleet_with_seed(1).simulate(&workload, &scheme),
+            fleet_with_seed(2).simulate(&workload, &scheme)
         );
-        assert_ne!(
-            a.fingerprint(&workload, &scheme),
-            b.fingerprint(&workload, &scheme)
-        );
-        // A group sharing group 0's values writes none of them, so such
-        // fleets keep their earlier keys.
-        let same = fleet_with_seed(experiment.seed()).fingerprint(&workload, &scheme);
-        let replicas = Json::parse(&same).unwrap();
-        let replicas = replicas
-            .get("fleet")
-            .and_then(|f| f.get("replicas"))
-            .and_then(Json::as_array)
-            .unwrap();
-        assert_eq!(replicas.len(), 2);
-        for field in [
-            "engine_mode",
-            "model",
-            "scale",
-            "seed",
-            "tables_to_simulate",
-        ] {
-            assert!(replicas.iter().all(|r| r.get(field).is_none()), "{field}");
-        }
     }
 
     #[test]

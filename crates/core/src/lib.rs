@@ -43,7 +43,8 @@
 //! [`RoutingPolicy`], resizes the live set with an [`AutoscalePolicy`]
 //! driven by [`max_sustainable_qps`], and aggregates a [`FleetReport`] with
 //! exact fleet-wide percentiles and a device-hours cost model. A 1-replica
-//! fleet under the identity spec is bit-exact with the scenario it wraps.
+//! fleet with round-robin routing and no autoscaling is bit-exact with the
+//! scenario it wraps.
 //!
 //! The remaining modules supply the pieces experiments are made of:
 //!
@@ -118,7 +119,7 @@ pub use dse::{
 };
 pub use fleet::{
     pareto_frontier, AutoscaleAction, AutoscaleEvent, AutoscaleKind, AutoscalePolicy, Fleet,
-    FleetCost, FleetReplicaReport, FleetReport, FleetSpec, ReplicaGroup, ReplicaView, RoutingKind,
+    FleetCost, FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingKind,
     RoutingPolicy, FLEET_REPORT_SCHEMA,
 };
 pub use profiler::{ProfilerReport, ProfilingStep, StaticProfiler, WorkloadHint};

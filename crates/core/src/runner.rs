@@ -29,8 +29,7 @@ use gpu_sim::{EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, S
 
 use crate::cache::CampaignCache;
 use crate::fingerprint;
-use crate::fleet::Fleet;
-use crate::json::{array, object, write_object, ObjectWriter};
+use crate::json::{array, object, write_object};
 use crate::report::{
     ClusterBreakdown, DeviceBreakdown, EndToEndBreakdown, RunReport, TableBreakdown,
 };
@@ -302,21 +301,9 @@ impl Experiment {
     /// shortest-round-trip floats) streamed straight into the key, stable
     /// across processes, which is what lets [`CampaignCache::save_to`] /
     /// [`CampaignCache::load_from`] reuse results between runs. Public so
-    /// studies layered on experiments (the fleet layer, cache-partitioning
-    /// tests) can reason about cell identity without running anything.
+    /// studies and tests can reason about cell identity without running
+    /// anything.
     pub fn fingerprint(&self, workload: &Workload, scheme: &Scheme) -> String {
-        self.cell_key(workload, scheme, None)
-    }
-
-    /// The cell key, extended with the `fleet` axis of `fleet` when given
-    /// (the fleet layer keys its cells on replica 0's pricing experiment
-    /// plus that axis).
-    pub(crate) fn cell_key(
-        &self,
-        workload: &Workload,
-        scheme: &Scheme,
-        fleet: Option<&Fleet>,
-    ) -> String {
         let Experiment {
             cluster,
             // Built from `cluster.root()`; only its engine mode is free.
@@ -345,12 +332,6 @@ impl Experiment {
             if !faults.is_empty() {
                 w.set("faults", array(|a| faults.write_events(a)));
             }
-            if let Some(fleet) = fleet {
-                w.set(
-                    "fleet",
-                    object(|f| fleet.spec().write_fields(f, fleet.groups(), self)),
-                );
-            }
             w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
             w.set("model", object(|m| fingerprint::write_model(m, model)));
             w.set("scale", scale.name());
@@ -367,59 +348,6 @@ impl Experiment {
             w.set("workload", object(|o| workload.write_fields(o)));
         });
         key
-    }
-
-    /// Writes this deployment as one entry of a fleet key's `replicas`
-    /// array: `count` replicas of it. Placement, device and the canonical
-    /// stream and fault axes are always written; the fields the fleet key
-    /// otherwise takes from `base` (replica 0's pricing experiment) are
-    /// written only where this deployment differs from it, so groups that
-    /// share replica 0's values keep their earlier keys byte-identical.
-    pub(crate) fn write_replica_fields(
-        &self,
-        w: &mut ObjectWriter<'_>,
-        base: &Experiment,
-        count: u32,
-    ) {
-        let Experiment {
-            cluster,
-            // Built from `cluster.root()`; only its engine mode is free.
-            sim,
-            model,
-            scale,
-            tables_to_simulate,
-            seed,
-            // Worker threads never change a result.
-            threads: _,
-            streams,
-            faults,
-            // The cache memoizes results; it is not one of their inputs.
-            cache: _,
-        } = self;
-        fingerprint::write_placement(w, cluster);
-        w.set("count", count);
-        if sim.mode() != base.sim.mode() {
-            w.set("engine_mode", sim.mode().name());
-        }
-        if !faults.is_empty() {
-            w.set("faults", array(|a| faults.write_events(a)));
-        }
-        w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
-        if *model != base.model {
-            w.set("model", object(|m| fingerprint::write_model(m, model)));
-        }
-        if *scale != base.scale {
-            w.set("scale", scale.name());
-        }
-        if *seed != base.seed {
-            w.set("seed", *seed);
-        }
-        if !streams.is_single() {
-            w.set("streams", object(|s| streams.write_fields(s)));
-        }
-        if *tables_to_simulate != base.tables_to_simulate {
-            w.set("tables_to_simulate", *tables_to_simulate);
-        }
     }
 
     /// Executes the cell unconditionally (the non-memoized path behind

@@ -63,7 +63,7 @@
 //! empty trace — an idle fleet replica — runs it too, dispatching nothing.
 //! Pricing folds the plan into the experiment in one place,
 //! `ServingScenario::pricing_experiment`, which dispatch, the capacity
-//! search and the fleet layer's keys and probes all share.
+//! search and the fleet layer's dispatch and probes all share.
 //!
 //! On top of the simulator, [`select_scheme`] picks the cheapest
 //! [`Scheme`] meeting the SLA at a target load, and [`max_sustainable_qps`]
@@ -267,7 +267,7 @@ impl ServingScenario {
     /// never alias a fault-free study's in a persisted cache. The empty
     /// plan changes nothing, so fault-free keys stay byte-identical. Every
     /// priced cell of a scenario — dispatch, the capacity search's
-    /// saturation probe, and the fleet's keys and router probe — goes
+    /// saturation probe, and the fleet's dispatch and router probe — goes
     /// through here.
     pub(crate) fn pricing_experiment(&self, experiment: &Experiment) -> Experiment {
         if self.faults.is_empty() {

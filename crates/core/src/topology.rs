@@ -182,19 +182,6 @@ impl Cluster {
         Cluster::homogeneous(GpuConfig::a100(), devices, InterconnectConfig::nvlink3())
     }
 
-    /// Replica-group preset: `devices` H100 NVLs on NVLink4 — the premium
-    /// fleet tier (faster devices and fabric, higher device-hour cost).
-    ///
-    /// # Panics
-    /// Panics if `devices` is zero.
-    pub fn h100_replica(devices: usize) -> Self {
-        Cluster::homogeneous(
-            GpuConfig::h100_nvl(),
-            devices,
-            InterconnectConfig::nvlink4(),
-        )
-    }
-
     /// Replica-group preset: `devices` A100s over PCIe Gen4 — the budget
     /// fleet tier (commodity hosts without an NVLink fabric).
     ///

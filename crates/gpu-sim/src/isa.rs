@@ -269,18 +269,6 @@ impl Instruction {
         }
     }
 
-    /// Convenience constructor for a single-line global load whose address
-    /// depends on a previously loaded register (an indirect gather).
-    pub fn global_gather(line: u64, dst: Reg, bytes: u32, addr_dep: Reg) -> Self {
-        Instruction::Load {
-            space: MemSpace::Global,
-            lines: LineSet::single(line),
-            dst,
-            bytes,
-            addr_dep: Some(addr_dep),
-        }
-    }
-
     /// Convenience constructor for a default-latency ALU op with two sources.
     pub fn fadd(dst: Reg, a: Reg, b: Reg) -> Self {
         Instruction::Alu {

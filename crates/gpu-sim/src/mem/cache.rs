@@ -141,11 +141,6 @@ impl Cache {
         self.persistent_capacity_lines = bytes / self.cfg.line_bytes;
     }
 
-    /// Currently configured persisting carve-out in bytes.
-    pub fn persisting_capacity_bytes(&self) -> u64 {
-        self.persistent_capacity_lines * self.cfg.line_bytes
-    }
-
     /// Number of currently resident persistent lines.
     pub fn persistent_lines(&self) -> u64 {
         self.persistent_lines

@@ -197,14 +197,6 @@ impl KernelStats {
         self.counters.long_scoreboard_cycles as f64 / self.counters.insts_issued as f64
     }
 
-    /// Average not-selected stall cycles per executed instruction.
-    pub fn not_selected_per_inst(&self) -> f64 {
-        if self.counters.insts_issued == 0 {
-            return 0.0;
-        }
-        self.counters.not_selected_cycles as f64 / self.counters.insts_issued as f64
-    }
-
     /// L1 data-cache hit rate in percent.
     pub fn l1_hit_rate_pct(&self) -> f64 {
         if self.l1_accesses == 0 {
@@ -241,15 +233,6 @@ impl KernelStats {
     /// Average HBM read bandwidth as a percentage of the device peak.
     pub fn hbm_read_bw_utilization_pct(&self) -> f64 {
         100.0 * self.avg_hbm_read_bw_gbps() / self.peak_dram_bandwidth_gbps
-    }
-
-    /// Achieved average resident warps per SM.
-    pub fn achieved_warps_per_sm(&self) -> f64 {
-        if self.elapsed_cycles == 0 {
-            return 0.0;
-        }
-        let sms = self.total_schedulers as f64 / 4.0;
-        self.counters.resident_warp_cycles as f64 / self.elapsed_cycles as f64 / sms
     }
 
     /// Merges another kernel execution into this record by summing counters

@@ -293,12 +293,6 @@ impl WarpSlots {
         self.ready[slot]
     }
 
-    /// Placement sequence number of `slot`'s resident warp.
-    #[inline]
-    pub fn seq_of(&self, slot: usize) -> u64 {
-        self.seq[slot]
-    }
-
     /// Greedy-then-oldest selection at cycle `now` over `smsp`'s slot
     /// range, ignoring the greedy pointer (the caller checks it): the ready
     /// slot with the smallest placement sequence number.

@@ -7,10 +7,10 @@
 //! * **Degenerate equivalence** — a 1-replica fleet with identity routing
 //!   (round-robin) and no autoscaling is **bit-exact** with
 //!   [`ServingScenario::simulate`], on both engine modes, sharded across a
-//!   multi-device cluster, K-streamed, and under a fault plan; and the
-//!   identity fleet's fingerprint is **byte-identical** to the plain
-//!   serving cell key, so a degenerate fleet shares persisted cache cells
-//!   with the scenario it wraps.
+//!   multi-device cluster, K-streamed, and under a fault plan; and, run
+//!   after the scenario on one shared [`CampaignCache`], the identity fleet
+//!   misses no cell, so a degenerate fleet shares cache cells with the
+//!   scenario it wraps.
 //! * **Routing invariance** — every routing policy is a deterministic pure
 //!   decision function: fleet reports are identical across repeated runs
 //!   and across pricing thread counts.
@@ -55,7 +55,8 @@ fn scenario() -> ServingScenario {
 
 /// Asserts that the identity fleet over (`experiment`, `scenario`)
 /// reproduces `scenario.simulate(experiment, ..)` bit-for-bit, embedded
-/// report and aggregates alike.
+/// report and aggregates alike, and that on a cache the scenario filled it
+/// prices nothing new.
 fn assert_identity_anchor(
     experiment: &Experiment,
     scenario: &ServingScenario,
@@ -65,7 +66,6 @@ fn assert_identity_anchor(
 ) {
     let direct = scenario.simulate(experiment, workload, scheme);
     let fleet = Fleet::single(experiment.clone(), scenario.clone());
-    assert!(fleet.is_identity());
     let report = fleet.simulate(workload, scheme);
 
     assert_eq!(report.replicas.len(), 1, "{label}: one replica expected");
@@ -99,6 +99,27 @@ fn assert_identity_anchor(
         );
     }
     assert!(report.autoscale_events.is_empty());
+
+    // The fleet keys every cell it prices exactly as the scenario does, so
+    // run after it on one shared cache it only hits.
+    let cache = CampaignCache::new();
+    scenario.simulate(
+        &experiment.clone().with_cache(cache.clone()),
+        workload,
+        scheme,
+    );
+    let (misses, hits) = (cache.misses(), cache.hits());
+    assert!(misses > 0, "{label}: the scenario priced nothing");
+    fleet.with_cache(cache.clone()).simulate(workload, scheme);
+    assert_eq!(
+        cache.misses(),
+        misses,
+        "{label}: the identity fleet priced a cell the scenario did not"
+    );
+    assert!(
+        cache.hits() > hits,
+        "{label}: the fleet did not price through the cache"
+    );
 }
 
 #[test]
@@ -158,43 +179,6 @@ fn identity_fleet_is_bit_exact_under_a_fault_plan() {
         &Scheme::base(),
         "faulted",
     );
-}
-
-#[test]
-fn identity_fleet_fingerprint_is_byte_identical_to_the_serving_cell_key() {
-    let workload = Workload::stage(AccessPattern::MedHot);
-    let scheme = Scheme::combined();
-    let fleet = Fleet::single(exp(), scenario());
-    assert_eq!(
-        fleet.fingerprint(&workload, &scheme),
-        exp().fingerprint(&workload, &scheme),
-        "the identity fleet must share cache cells with the plain experiment"
-    );
-
-    // With a fault plan the identity fleet keys like the faulted pricing
-    // experiment — exactly what serving dispatch prices through.
-    let plan = FaultPlan::new(vec![FaultEvent::straggler(0, 0.0, 1_000.0, 1.5)]);
-    let faulted_fleet = Fleet::single(exp(), scenario().with_faults(plan.clone()));
-    assert_eq!(
-        faulted_fleet.fingerprint(&workload, &scheme),
-        exp().with_faults(plan).fingerprint(&workload, &scheme),
-    );
-
-    // Any non-identity axis partitions the key away from the plain cell.
-    let plain = exp().fingerprint(&workload, &scheme);
-    let routed = Fleet::single(exp(), scenario())
-        .with_routing(RoutingPolicy::least_outstanding())
-        .fingerprint(&workload, &scheme);
-    let scaled = Fleet::single(exp(), scenario())
-        .with_autoscale(AutoscalePolicy::reactive(0.8, 0.3, 1, 1, 1))
-        .fingerprint(&workload, &scheme);
-    let multi = Fleet::single(exp(), scenario())
-        .with_group(ReplicaGroup::new(exp(), scenario()))
-        .fingerprint(&workload, &scheme);
-    assert_ne!(routed, plain);
-    assert_ne!(scaled, plain);
-    assert_ne!(multi, plain);
-    assert_ne!(routed, scaled);
 }
 
 // ---------------------------------------------------------------------------

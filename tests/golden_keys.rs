@@ -12,8 +12,7 @@
 //! * A100 and H100 devices, Default scale, seeds, pooling factors, batch
 //!   shapes, tables-to-simulate;
 //! * K=2 and K=4 streams, fault plans and cycle-accurate mode;
-//! * identity fleets and non-identity fleets (routing, autoscaling,
-//!   intervals, heterogeneous replica groups).
+//! * the cells of identity fleets, which are their replicas' plain cells.
 //!
 //! The fixture is a record of what earlier builds persisted, so it must
 //! never be regenerated from the code it checks. To extend the grid, add
@@ -29,9 +28,8 @@ use embedding_kernels::BufferStation;
 use gpu_sim::{EngineMode, GpuConfig, StreamPartition};
 use perf_envelope::json::Json;
 use perf_envelope::{
-    AutoscalePolicy, BatchingPolicy, Cluster, Experiment, FaultEvent, FaultPlan, Fleet,
-    InterconnectConfig, Multithreading, ReplicaGroup, RoutingPolicy, Scheme, ServingScenario,
-    ShardingSpec, StreamConfig, TrafficModel, Workload,
+    Cluster, Experiment, FaultEvent, FaultPlan, InterconnectConfig, Multithreading, Scheme,
+    ShardingSpec, StreamConfig, Workload,
 };
 
 const FIXTURE: &str = include_str!("fixtures/golden_keys.txt");
@@ -42,15 +40,6 @@ fn exp() -> Experiment {
 
 fn mix(kind: MixKind) -> HeterogeneousMix {
     HeterogeneousMix::paper_mix(kind, 0.02)
-}
-
-fn scenario() -> ServingScenario {
-    ServingScenario::new(
-        TrafficModel::poisson(20_000.0),
-        BatchingPolicy::fixed_size(64),
-    )
-    .with_requests(256)
-    .with_seed(0xA1)
 }
 
 fn fault_plan() -> FaultPlan {
@@ -253,57 +242,22 @@ fn grid() -> Vec<(String, String)> {
         );
     }
 
-    // Fleets.
+    // Identity fleets: the cells a 1-replica, round-robin, unscaled fleet
+    // prices are its replica's plain cells, the scenario's fault plan folded
+    // in.
     let stage = Workload::stage(AccessPattern::MedHot);
     let combined = Scheme::combined();
-    let two_device = exp()
-        .with_cluster(Cluster::homogeneous(
-            GpuConfig::test_small(),
-            2,
-            InterconnectConfig::pcie_gen4(),
-        ))
-        .with_streams(StreamConfig::new(2, StreamPartition::SmPartitioned));
-    for (name, fleet) in [
-        ("identity", Fleet::single(exp(), scenario())),
-        (
-            "identity/faulted",
-            Fleet::single(exp(), scenario().with_faults(fault_plan())),
-        ),
+    for (name, experiment) in [
+        ("identity", exp()),
+        ("identity/faulted", exp().with_faults(fault_plan())),
         (
             "identity/k2",
-            Fleet::single(
-                exp().with_streams(StreamConfig::new(2, StreamPartition::Interleaved)),
-                scenario(),
-            ),
-        ),
-        (
-            "least_outstanding",
-            Fleet::single(exp(), scenario()).with_routing(RoutingPolicy::least_outstanding()),
-        ),
-        (
-            "latency_aware",
-            Fleet::single(exp(), scenario()).with_routing(RoutingPolicy::latency_aware(0.3)),
-        ),
-        (
-            "autoscaled",
-            Fleet::single(exp(), scenario())
-                .with_autoscale(AutoscalePolicy::reactive(0.8, 0.25, 2, 1, 6))
-                .with_interval_us(12_500.5),
-        ),
-        (
-            "groups",
-            Fleet::new(TrafficModel::poisson(40_000.0), 512, 9)
-                .with_group(ReplicaGroup::new(exp(), scenario()).with_replicas(3))
-                .with_group(
-                    ReplicaGroup::new(two_device, scenario().with_faults(fault_plan()))
-                        .with_replicas(2),
-                )
-                .with_routing(RoutingPolicy::latency_aware(0.125)),
+            exp().with_streams(StreamConfig::new(2, StreamPartition::Interleaved)),
         ),
     ] {
         cell(
             format!("fleet/{name}"),
-            fleet.fingerprint(&stage, &combined),
+            experiment.fingerprint(&stage, &combined),
         );
     }
     cells
