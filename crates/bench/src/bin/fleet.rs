@@ -315,6 +315,6 @@ fn main() {
     );
     assert!(
         cache.hits() > 0,
-        "identical replicas must share priced shapes through the campaign cache"
+        "fleets over the same replicas must share priced shapes through the campaign cache"
     );
 }

@@ -113,12 +113,12 @@ impl CampaignCache {
         report.clone()
     }
 
-    /// Number of requests served from cache.
+    /// Number of lookups served from cache.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of requests that had to execute their cell.
+    /// Number of lookups that had to execute their cell.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }

@@ -40,7 +40,9 @@
 //! and latency-aware routing run on router-side estimates (a per-replica
 //! service-time probe priced through the ordinary experiment path, so the
 //! probe cell caches and shares like any other) updated as requests are
-//! assigned. Round-robin needs no estimates and prices no probe.
+//! assigned. Round-robin needs no estimates and prices no probe. Each
+//! replica group prices a batch shape once per fleet day: its router
+//! probe, capacity search and replicas share one shape-price memo.
 //!
 //! # Adding a routing policy
 //!
@@ -63,6 +65,8 @@
 //! Autoscaling follows the same pattern: [`AutoscalePolicy::decide`] is a
 //! pure function from (offered rate, live capacity, live/pool counts,
 //! cooldown) to an [`AutoscaleAction`].
+//!
+//! [`max_sustainable_qps`]: crate::max_sustainable_qps
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -73,7 +77,7 @@ use crate::runner::Experiment;
 use crate::scheme::Scheme;
 use crate::serving::TrafficModel;
 use crate::serving::{
-    max_sustainable_qps, sort_latencies, LatencyStats, ServingReport, ServingScenario,
+    search_capacity, sort_latencies, LatencyStats, ServingReport, ServingScenario, ShapePrices,
 };
 use crate::workload::Workload;
 
@@ -167,11 +171,6 @@ impl RoutingPolicy {
         }
     }
 
-    /// Which decision this policy makes.
-    pub fn kind(&self) -> RoutingKind {
-        self.kind
-    }
-
     /// Human-readable label, e.g. `"latency_aware(0.3)"`.
     pub fn label(&self) -> String {
         match self.kind {
@@ -215,7 +214,7 @@ fn argmin(views: &[ReplicaView], key: impl Fn(&ReplicaView) -> f64) -> usize {
 
 /// Whether an [`AutoscalePolicy`] is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AutoscaleKind {
+enum AutoscaleKind {
     /// No autoscaling: the whole replica pool serves for the whole day —
     /// the identity policy (static provisioning).
     None,
@@ -247,7 +246,7 @@ impl AutoscaleAction {
 }
 
 /// When and how the fleet resizes its live replica set, driven by the
-/// [`max_sustainable_qps`] capacity search: fleet utilization is the
+/// [`crate::max_sustainable_qps`] capacity search: fleet utilization is the
 /// interval's offered rate over the summed capacity of the live replicas.
 ///
 /// [`AutoscalePolicy::none`] — the default — keeps every pool replica live
@@ -317,11 +316,6 @@ impl AutoscalePolicy {
         self.kind == AutoscaleKind::None
     }
 
-    /// Whether the policy is active.
-    pub fn kind(&self) -> AutoscaleKind {
-        self.kind
-    }
-
     /// Human-readable label, e.g. `"reactive(0.8/0.4, cooldown 2, 1..4)"`.
     pub fn label(&self) -> String {
         match self.kind {
@@ -339,7 +333,7 @@ impl AutoscalePolicy {
 
     /// The pure scaling decision at one interval boundary: `offered_qps`
     /// is the upcoming interval's mean offered rate, `live_capacity_qps`
-    /// the summed [`max_sustainable_qps`] capacity of the live replicas,
+    /// the summed [`crate::max_sustainable_qps`] capacity of the live replicas,
     /// `live`/`pool` the live and provisioned replica counts, and
     /// `cooldown_remaining` how many intervals of a previous action's
     /// cooldown are still pending.
@@ -421,21 +415,6 @@ impl ReplicaGroup {
         assert!(replicas > 0, "a replica group needs at least one replica");
         self.replicas = replicas;
         self
-    }
-
-    /// The group's deployment template.
-    pub fn experiment(&self) -> &Experiment {
-        &self.experiment
-    }
-
-    /// The group's serving-scenario template.
-    pub fn scenario(&self) -> &ServingScenario {
-        &self.scenario
-    }
-
-    /// Number of replica instances the group expands into.
-    pub fn replicas(&self) -> u32 {
-        self.replicas
     }
 }
 
@@ -561,8 +540,7 @@ impl Fleet {
         );
         let (routing, autoscale, interval_us) = (self.routing, self.autoscale, self.interval_us);
 
-        // Each group's deployment with the shared cache attached, and the
-        // replica pool it expands into.
+        // The replica pool the groups expand into.
         struct Replica {
             group: u32,
             arrivals: Vec<f64>,
@@ -576,12 +554,23 @@ impl Fleet {
             est_service_us: f64,
             ewma_us: f64,
         }
-        let experiments: Vec<Experiment> = self
+        // One shape-price memo per group, over the group's deployment with
+        // the shared cache attached: the router probe, the capacity search
+        // and every replica of the group price each shape once between
+        // them.
+        let mut prices: Vec<ShapePrices<'_>> = self
             .groups
             .iter()
-            .map(|group| match &self.cache {
-                Some(cache) => group.experiment.clone().with_cache(cache.clone()),
-                None => group.experiment.clone(),
+            .map(|group| {
+                let experiment = match &self.cache {
+                    Some(cache) => group.experiment.clone().with_cache(cache.clone()),
+                    None => group.experiment.clone(),
+                };
+                ShapePrices::new(
+                    group.scenario.pricing_experiment(&experiment),
+                    workload,
+                    scheme,
+                )
             })
             .collect();
         let mut pool: Vec<Replica> = Vec::new();
@@ -600,20 +589,17 @@ impl Fleet {
             }
         }
 
-        // Router-side service estimates: one probe per replica, priced
-        // through the ordinary (cached) experiment path. Round-robin
-        // needs none.
+        // Router-side service estimates: one single-request probe per
+        // replica, priced through its group's memo. Round-robin needs
+        // none.
         let needs_estimates = routing.kind != RoutingKind::RoundRobin;
         if needs_estimates {
             for replica in &mut pool {
                 let g = replica.group as usize;
-                let scenario = &self.groups[g].scenario;
-                let report = scenario
-                    .pricing_experiment(&experiments[g])
-                    .with_batch_size(scenario.policy().shape(1))
-                    .run(workload, scheme);
-                replica.est_service_us = report.latency_us;
-                replica.ewma_us = report.latency_us;
+                let shape = self.groups[g].scenario.policy().shape(1);
+                let latency_us = prices[g].price(shape).latency_us;
+                replica.est_service_us = latency_us;
+                replica.ewma_us = latency_us;
             }
         }
 
@@ -622,10 +608,8 @@ impl Fleet {
         let group_capacity: Vec<f64> = if autoscaling {
             self.groups
                 .iter()
-                .zip(&experiments)
-                .map(|(group, experiment)| {
-                    max_sustainable_qps(experiment, workload, scheme, &group.scenario).max_qps
-                })
+                .zip(&mut prices)
+                .map(|(group, prices)| search_capacity(&group.scenario, prices).max_qps)
                 .collect()
         } else {
             vec![0.0; self.groups.len()]
@@ -648,6 +632,7 @@ impl Fleet {
         }
         let mut events: Vec<AutoscaleEvent> = Vec::new();
         let mut cursor = 0u64;
+        let mut views: Vec<ReplicaView> = Vec::with_capacity(pool.len());
 
         // Walk arrivals in order; at each interval boundary (autoscaling
         // only) decide on the upcoming interval's offered rate before
@@ -739,15 +724,13 @@ impl Fleet {
                     }
                 }
             }
-            let views: Vec<ReplicaView> = live
-                .iter()
-                .map(|&r| ReplicaView {
-                    replica: r as u32,
-                    routed: pool[r].routed,
-                    outstanding: pool[r].outstanding.len() as u32,
-                    ewma_latency_us: pool[r].ewma_us,
-                })
-                .collect();
+            views.clear();
+            views.extend(live.iter().map(|&r| ReplicaView {
+                replica: r as u32,
+                routed: pool[r].routed,
+                outstanding: pool[r].outstanding.len() as u32,
+                ewma_latency_us: pool[r].ewma_us,
+            }));
             let choice = live[routing.route(cursor, &views)];
             let replica = &mut pool[choice];
             replica.arrivals.push(t);
@@ -787,10 +770,10 @@ impl Fleet {
                 debug_assert!(replica.arrivals.is_empty());
                 continue;
             }
-            let experiment = &experiments[replica.group as usize];
-            let scenario = &self.groups[replica.group as usize].scenario;
+            let group = &self.groups[replica.group as usize];
+            let scenario = &group.scenario;
             let (report, latencies) =
-                scenario.simulate_trace(experiment, workload, scheme, &replica.arrivals);
+                scenario.simulate_trace(&mut prices[replica.group as usize], &replica.arrivals);
             served += report.served_requests;
             shed += report.shed_requests;
             failed += report.failed_requests;
@@ -803,8 +786,8 @@ impl Fleet {
             replicas.push(FleetReplicaReport {
                 replica: r as u32,
                 group: replica.group,
-                device: experiment.gpu().name.clone(),
-                devices: experiment.cluster().num_devices() as u32,
+                device: group.experiment.gpu().name.clone(),
+                devices: group.experiment.cluster().num_devices() as u32,
                 routed_requests: report.requests,
                 active_from_us: replica.windows[0].0,
                 active_until_us: 0.0, // patched below once the makespan is known

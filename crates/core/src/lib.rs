@@ -118,9 +118,9 @@ pub use dse::{
     PoolingSweepPoint, RegisterSweepPoint, StationComparisonPoint, PAPER_WARP_SWEEP,
 };
 pub use fleet::{
-    pareto_frontier, AutoscaleAction, AutoscaleEvent, AutoscaleKind, AutoscalePolicy, Fleet,
-    FleetCost, FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingKind,
-    RoutingPolicy, FLEET_REPORT_SCHEMA,
+    pareto_frontier, AutoscaleAction, AutoscaleEvent, AutoscalePolicy, Fleet, FleetCost,
+    FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingKind, RoutingPolicy,
+    FLEET_REPORT_SCHEMA,
 };
 pub use profiler::{ProfilerReport, ProfilingStep, StaticProfiler, WorkloadHint};
 pub use report::{

@@ -11,9 +11,10 @@
 //! 2. a [`BatchingPolicy`] groups arrivals into inference batches
 //!    (fixed-size, timeout-bounded or adaptive) and pads each batch to a
 //!    launch **shape**,
-//! 3. every distinct shape is priced by [`Experiment::run`] — through the
-//!    attached [`crate::CampaignCache`] when there is one, so repeated
-//!    shapes simulate exactly once — and batches drain through the
+//! 3. every distinct shape is priced by [`Experiment::run`] once per
+//!    simulation, once per capacity search ([`max_sustainable_qps`]) and
+//!    once per fleet replica group ([`crate::Fleet`]) — once ever through
+//!    an attached [`crate::CampaignCache`] — and batches drain through the
 //!    deployment's K per-device execution streams
 //!    ([`Experiment::with_streams`]; one stream, i.e. plain FIFO, by
 //!    default): each batch is dispatched to the earliest-free stream,
@@ -21,7 +22,9 @@
 //! 4. the per-request queueing + service delays accumulate into a
 //!    [`ServingReport`]: p50/p95/p99/max latency, achieved QPS,
 //!    SLA-violation rate, per-device and per-stream utilization, rendered
-//!    to JSON by [`ServingReport::to_json`].
+//!    to JSON by [`ServingReport::to_json`]. Each served batch emits its
+//!    latencies as one ascending run, so sorting them for the percentiles
+//!    only merges runs.
 //!
 //! With `K > 1` the pricing layer models the co-residency cost too: every
 //! priced batch runs alongside `K - 1` co-resident kernel copies in the
@@ -268,7 +271,7 @@ impl ServingScenario {
     /// plan changes nothing, so fault-free keys stay byte-identical. Every
     /// priced cell of a scenario — dispatch, the capacity search's
     /// saturation probe, and the fleet's dispatch and router probe — goes
-    /// through here.
+    /// through here, as the experiment of a [`ShapePrices`] memo.
     pub(crate) fn pricing_experiment(&self, experiment: &Experiment) -> Experiment {
         if self.faults.is_empty() {
             experiment.clone()
@@ -284,7 +287,9 @@ impl ServingScenario {
     /// Batches are priced by [`Experiment::run`] with the batch's padded
     /// shape as the model's batch size; each distinct shape is priced once
     /// per call (and once *ever* when a [`crate::CampaignCache`] is
-    /// attached). The simulation itself is single-threaded and pure, so
+    /// attached). A capacity search ([`max_sustainable_qps`]) prices each
+    /// shape once per search, and a [`crate::Fleet`] once per replica
+    /// group. The simulation itself is single-threaded and pure, so
     /// reports are deterministic and — because the experiment layer is
     /// thread-count-invariant — independent of the worker-thread setting
     /// even for sharded workloads. That stays true under a fault plan: the
@@ -301,13 +306,18 @@ impl ServingScenario {
         scheme: &Scheme,
     ) -> ServingReport {
         let arrivals = self.traffic.arrival_times_us(self.requests, self.seed);
-        self.simulate_trace(experiment, workload, scheme, &arrivals)
-            .0
+        let mut prices = ShapePrices::new(self.pricing_experiment(experiment), workload, scheme);
+        self.simulate_trace(&mut prices, &arrivals).0
     }
 
     /// The arrival-trace-driven core of [`ServingScenario::simulate`]: runs
     /// the same dispatch loop over an explicit (ascending) arrival trace
-    /// instead of one generated from the scenario's own traffic model.
+    /// instead of one generated from the scenario's own traffic model, on
+    /// the deployment, workload and scheme `prices` was built for.
+    ///
+    /// The caller owns `prices`, so a caller that runs many traces on one
+    /// deployment prices each shape once across all of them: a capacity
+    /// search once per search, a fleet once per replica group.
     ///
     /// This is what lets the fleet layer route one fleet-wide trace across
     /// replicas and still inherit bit-exactness: when `arrivals` is exactly
@@ -315,58 +325,23 @@ impl ServingScenario {
     /// the [`simulate`](ServingScenario::simulate) report, bit for bit.
     /// Also returns the sorted per-request latencies of the served
     /// requests, so a caller merging several traces can compute exact
-    /// fleet-wide percentiles. An empty trace (an idle fleet replica) runs
-    /// the same path: nothing is dispatched, so every count and time is
-    /// zero, and availability is 1.0 because no request was lost.
+    /// fleet-wide percentiles. They are emitted as one ascending run per
+    /// served batch and then sorted, which merges the runs. An empty trace
+    /// (an idle fleet replica) runs the same path: nothing is dispatched,
+    /// so every count and time is zero, and availability is 1.0 because no
+    /// request was lost.
     pub(crate) fn simulate_trace(
         &self,
-        experiment: &Experiment,
-        workload: &Workload,
-        scheme: &Scheme,
+        prices: &mut ShapePrices<'_>,
         arrivals: &[f64],
     ) -> (ServingReport, Vec<f64>) {
-        let num_devices = experiment.cluster().num_devices();
+        debug_assert!(
+            prices.pricing.faults() == &self.faults,
+            "shape prices come from this scenario's pricing experiment"
+        );
+        let (workload, scheme) = (prices.workload, prices.scheme);
+        let num_devices = prices.pricing.cluster().num_devices();
         let plan = &self.faults;
-        // Folding the plan in validates it against the deployment.
-        let pricing = self.pricing_experiment(experiment);
-
-        // What the queue model needs from one priced batch shape: its
-        // service latency, its all-to-all share (what interconnect
-        // degradation taxes) and the per-device busy time one such batch
-        // contributes (the full RunReport is not kept per batch).
-        struct PricedShape {
-            latency_us: f64,
-            all_to_all_us: f64,
-            busy_us_per_device: Vec<f64>,
-        }
-        // Price each distinct shape once per simulation; the experiment's
-        // cache (when attached) extends that to once per process or beyond.
-        let mut priced: BTreeMap<u32, PricedShape> = BTreeMap::new();
-        let price = |priced: &mut BTreeMap<u32, PricedShape>, shape: u32| -> (f64, f64) {
-            let entry = priced.entry(shape).or_insert_with(|| {
-                let report = pricing.clone().with_batch_size(shape).run(workload, scheme);
-                let mut busy = vec![0.0f64; num_devices];
-                let mut all_to_all_us = 0.0;
-                match &report.devices {
-                    Some(cluster) => {
-                        for (d, device) in cluster.per_device.iter().enumerate() {
-                            busy[d] += device.embedding_us;
-                        }
-                        if let Some(e2e) = report.end_to_end {
-                            busy[0] += e2e.non_embedding_us;
-                        }
-                        all_to_all_us = cluster.all_to_all_us;
-                    }
-                    None => busy[0] = report.latency_us,
-                }
-                PricedShape {
-                    latency_us: report.latency_us,
-                    all_to_all_us,
-                    busy_us_per_device: busy,
-                }
-            });
-            (entry.latency_us, entry.all_to_all_us)
-        };
 
         // A batch lost to a crash and awaiting re-dispatch under a fixed
         // retry policy: its original request window and close time (the
@@ -387,7 +362,7 @@ impl ServingScenario {
         let mut failed_requests = 0u32;
         let mut retries = 0u32;
         let mut hedges = 0u32;
-        let k = experiment.streams().streams() as usize;
+        let k = prices.pricing.streams().streams() as usize;
         let mut ledger = Ledger::new(plan, k, num_devices);
         let mut first = 0usize;
 
@@ -442,8 +417,8 @@ impl ServingScenario {
             };
 
             let mut shape = self.policy.shape(len as u32);
-            let (mut nominal_us, mut all_to_all_us) = price(&mut priced, shape);
-            let mut primary = ledger.attempt(stream, floor_us, nominal_us, all_to_all_us);
+            let mut priced = prices.price(shape);
+            let mut primary = ledger.attempt(stream, floor_us, priced);
 
             // SLA-aware shedding: requests whose predicted latency —
             // exact, since the simulation is deterministic — would bust
@@ -464,13 +439,12 @@ impl ServingScenario {
                         continue 'dispatch;
                     }
                     shape = self.policy.shape(len as u32);
-                    (nominal_us, all_to_all_us) = price(&mut priced, shape);
-                    primary = ledger.attempt(stream, floor_us, nominal_us, all_to_all_us);
+                    priced = prices.price(shape);
+                    primary = ledger.attempt(stream, floor_us, priced);
                 }
             }
 
-            let busy_delta = &priced[&shape].busy_us_per_device;
-            let primary_done = ledger.book(&primary, busy_delta, shape, len as u32);
+            let primary_done = ledger.book(&primary, priced, shape, len as u32);
             let outcome = match self.retry.kind() {
                 RetryKind::None => primary_done,
                 RetryKind::Fixed => match primary_done {
@@ -493,7 +467,7 @@ impl ServingScenario {
                     }
                 },
                 RetryKind::Hedged => {
-                    let hedge_at = primary.start_us + self.retry.hedge_factor() * nominal_us;
+                    let hedge_at = primary.start_us + self.retry.hedge_factor() * priced.latency_us;
                     let slow = match primary_done {
                         None => true,
                         Some((s, sv)) => s + sv > hedge_at,
@@ -505,13 +479,8 @@ impl ServingScenario {
                         // primary's horizon update) — with one stream the
                         // hedge can only follow the primary, which is why
                         // hedging needs K >= 2 to help.
-                        let hedge = ledger.attempt(
-                            ledger.earliest_stream(),
-                            hedge_at,
-                            nominal_us,
-                            all_to_all_us,
-                        );
-                        let hedge_done = ledger.book(&hedge, busy_delta, shape, len as u32);
+                        let hedge = ledger.attempt(ledger.earliest_stream(), hedge_at, priced);
+                        let hedge_done = ledger.book(&hedge, priced, shape, len as u32);
                         // First successful completion wins; the loser is
                         // not cancelled (its capacity cost is the price
                         // of the hedge).
@@ -540,12 +509,24 @@ impl ServingScenario {
                     // *bit-exactly* the service latency — the
                     // degenerate-equivalence anchor.
                     let queue_wait = winner_start - close_us;
+                    let run_start = latencies.len();
                     for &arrival in &arrivals[batch_first..batch_first + len] {
                         let batch_wait = close_us - arrival;
                         batch_wait_sum += batch_wait;
                         queue_wait_sum += queue_wait;
                         latencies.push(batch_wait + queue_wait + winner_service);
                     }
+                    // Arrivals ascend, and IEEE subtraction and addition
+                    // are monotone, so a batch's latencies never increase
+                    // in arrival order: reversed, the batch is one
+                    // ascending run, and the final sort only merges runs.
+                    // (The wait sums above stay in arrival order.)
+                    let run = &mut latencies[run_start..];
+                    run.reverse();
+                    debug_assert!(
+                        run.windows(2).all(|pair| pair[0] <= pair[1]),
+                        "a served batch's latencies form one ascending run"
+                    );
                 }
                 None => failed_requests += len as u32,
             }
@@ -569,6 +550,7 @@ impl ServingScenario {
         let served_f = served as f64;
         let violations = latencies.iter().filter(|&&l| l > self.sla_us).count();
         let sorted = sort_latencies(latencies);
+        let experiment = &prices.pricing;
 
         let report = ServingReport {
             workload: workload.dataset_label(),
@@ -615,7 +597,7 @@ impl ServingScenario {
                 .map(|(&shape, &count)| BatchShapeStats {
                     shape,
                     batches: count,
-                    latency_us: priced[&shape].latency_us,
+                    latency_us: prices.priced[&shape].latency_us,
                 })
                 .collect(),
             achieved_qps: if makespan_us > 0.0 {
@@ -670,6 +652,77 @@ impl ServingScenario {
             makespan_us,
         };
         (report, sorted)
+    }
+}
+
+/// What the queue model needs from one priced batch shape: its service
+/// latency, its all-to-all share (what interconnect degradation taxes) and
+/// the per-device busy time one such batch contributes (the full
+/// [`crate::RunReport`] is not kept per batch).
+pub(crate) struct PricedShape {
+    pub(crate) latency_us: f64,
+    all_to_all_us: f64,
+    busy_us_per_device: Vec<f64>,
+}
+
+/// The batch-shape prices of one deployment: a scenario's pricing
+/// experiment ([`ServingScenario::pricing_experiment`]), a workload and a
+/// scheme, with each distinct shape priced once by [`Experiment::run`]. The
+/// experiment's cache, when attached, extends that to once per process or
+/// beyond. The caller owns the memo and decides how long it lives:
+/// [`ServingScenario::simulate`] builds one per call, [`max_sustainable_qps`]
+/// one per search (saturation probe included) and [`crate::Fleet::simulate`]
+/// one per replica group. Because it holds the experiment, workload and
+/// scheme it was built from, it cannot price for another deployment.
+pub(crate) struct ShapePrices<'a> {
+    pricing: Experiment,
+    workload: &'a Workload,
+    scheme: &'a Scheme,
+    priced: BTreeMap<u32, PricedShape>,
+}
+
+impl<'a> ShapePrices<'a> {
+    /// An empty memo over `pricing`, which must be a scenario's
+    /// [`ServingScenario::pricing_experiment`].
+    pub(crate) fn new(pricing: Experiment, workload: &'a Workload, scheme: &'a Scheme) -> Self {
+        ShapePrices {
+            pricing,
+            workload,
+            scheme,
+            priced: BTreeMap::new(),
+        }
+    }
+
+    /// The price of a `shape`-request batch, running the cell on first use.
+    pub(crate) fn price(&mut self, shape: u32) -> &PricedShape {
+        let ShapePrices {
+            pricing,
+            workload,
+            scheme,
+            priced,
+        } = self;
+        priced.entry(shape).or_insert_with(|| {
+            let report = pricing.clone().with_batch_size(shape).run(workload, scheme);
+            let mut busy = vec![0.0f64; pricing.cluster().num_devices()];
+            let mut all_to_all_us = 0.0;
+            match &report.devices {
+                Some(cluster) => {
+                    for (d, device) in cluster.per_device.iter().enumerate() {
+                        busy[d] += device.embedding_us;
+                    }
+                    if let Some(e2e) = report.end_to_end {
+                        busy[0] += e2e.non_embedding_us;
+                    }
+                    all_to_all_us = cluster.all_to_all_us;
+                }
+                None => busy[0] = report.latency_us,
+            }
+            PricedShape {
+                latency_us: report.latency_us,
+                all_to_all_us,
+                busy_us_per_device: busy,
+            }
+        })
     }
 }
 
@@ -733,8 +786,9 @@ impl<'p> Ledger<'p> {
     }
 
     /// Plans an attempt on `stream` for a batch due at `due_us` with the
-    /// given fault-free service and all-to-all times.
-    fn attempt(&self, stream: usize, due_us: f64, nominal_us: f64, all_to_all_us: f64) -> Attempt {
+    /// fault-free service and all-to-all times of its priced shape.
+    fn attempt(&self, stream: usize, due_us: f64, priced: &PricedShape) -> Attempt {
+        let (nominal_us, all_to_all_us) = (priced.latency_us, priced.all_to_all_us);
         let raw_us = if self.stream_free[stream] > due_us {
             self.stream_free[stream]
         } else {
@@ -760,18 +814,19 @@ impl<'p> Ledger<'p> {
         }
     }
 
-    /// Books `attempt` for a `requests`-request batch of `shape`: full
-    /// accounting when it completes, pro-rata busy time up to the crash
-    /// when it is lost (the stream frees at the crash instant). It then
-    /// counts against the fault events that shaped it: a crash counts the
-    /// attempts it killed *and* the dispatches it pushed past its
-    /// recovery, a drain counts delayed dispatches, and the slowdown kinds
-    /// count the attempts that started under a non-unit factor. Returns
+    /// Books `attempt` for a `requests`-request batch of `shape`, priced as
+    /// `priced`: full accounting when it completes, pro-rata busy time up
+    /// to the crash when it is lost (the stream frees at the crash
+    /// instant). It then counts against the fault events that shaped it:
+    /// a crash counts the attempts it killed *and* the dispatches it
+    /// pushed past its recovery, a drain counts delayed dispatches, and
+    /// the slowdown kinds count the attempts that started under a non-unit
+    /// factor. Returns
     /// `Some((start, service))` on completion, `None` on loss.
     fn book(
         &mut self,
         attempt: &Attempt,
-        busy_delta: &[f64],
+        priced: &PricedShape,
         shape: u32,
         requests: u32,
     ) -> Option<(f64, f64)> {
@@ -782,6 +837,7 @@ impl<'p> Ledger<'p> {
             service_us,
             crash,
         } = *attempt;
+        let busy_delta = &priced.busy_us_per_device;
         match crash {
             None => {
                 self.stream_free[stream] = start_us + service_us;
@@ -872,9 +928,10 @@ pub struct CapacityResult {
 /// The search seeds itself with the deployment's saturation throughput
 /// (`max_batch / full-batch service latency`), brackets the SLA boundary by
 /// doubling/halving, then bisects. Every step is a deterministic serving
-/// simulation, so the result is reproducible bit-for-bit; distinct batch
-/// shapes are priced through the experiment's cache, so the sweep re-prices
-/// nothing it has already seen.
+/// simulation, so the result is reproducible bit-for-bit. The saturation
+/// probe and every serving probe share one shape-price memo, so each
+/// distinct batch shape is priced once per search (through the
+/// experiment's cache, when one is attached).
 ///
 /// The search draws its arrival randomness once. A trace's randomness is a
 /// seeded stream of rate-free unit exponential gaps, each divided by the
@@ -887,6 +944,22 @@ pub fn max_sustainable_qps(
     scheme: &Scheme,
     scenario: &ServingScenario,
 ) -> CapacityResult {
+    let mut prices = ShapePrices::new(scenario.pricing_experiment(experiment), workload, scheme);
+    search_capacity(scenario, &mut prices)
+}
+
+/// The [`max_sustainable_qps`] search on the deployment `prices` was built
+/// for, pricing through the caller's memo (a fleet shares one per replica
+/// group between its router probe, this search and its replicas).
+pub(crate) fn search_capacity(
+    scenario: &ServingScenario,
+    prices: &mut ShapePrices<'_>,
+) -> CapacityResult {
+    // Saturation throughput of back-to-back full batches: the natural
+    // starting guess for the bracket.
+    let max_batch = scenario.policy().max_batch();
+    let full_batch_service_us = prices.price(scenario.policy().shape(max_batch)).latency_us;
+
     let probes = std::cell::Cell::new(0u32);
     let mut gaps = UnitGaps::new(scenario.seed);
     let mut probe = |qps: f64| -> ServingReport {
@@ -896,18 +969,9 @@ pub fn max_sustainable_qps(
         scenario
             .clone()
             .with_traffic(traffic)
-            .simulate_trace(experiment, workload, scheme, &arrivals)
+            .simulate_trace(prices, &arrivals)
             .0
     };
-
-    // Saturation throughput of back-to-back full batches: the natural
-    // starting guess for the bracket.
-    let max_batch = scenario.policy().max_batch();
-    let full_batch_service_us = scenario
-        .pricing_experiment(experiment)
-        .with_batch_size(scenario.policy().shape(max_batch))
-        .run(workload, scheme)
-        .latency_us;
     let saturation_qps = max_batch as f64 / full_batch_service_us * 1e6;
 
     // Bracket the boundary: grow/shrink by powers of two until it flips.
@@ -1330,6 +1394,38 @@ mod tests {
     }
 
     #[test]
+    fn retried_and_hedged_batches_emit_ascending_runs() {
+        use crate::topology::StreamConfig;
+        use gpu_sim::StreamPartition;
+
+        // `simulate_trace` debug-asserts that every served batch emits one
+        // ascending latency run; this drives that assert through crashed,
+        // retried, straggling and hedged launches on two streams.
+        let s = service_us(32);
+        let experiment = exp().with_streams(StreamConfig::new(2, StreamPartition::Interleaved));
+        let plan = FaultPlan::new(vec![
+            FaultEvent::straggler(0, 0.0, 1.2 * s, 4.0),
+            FaultEvent::crash(0, 1.5 * s, 2.5 * s),
+        ]);
+        for retry in [RetryPolicy::fixed(3, 100.0), RetryPolicy::hedged(1.5)] {
+            let scenario = burst_scenario(32, 192)
+                .with_faults(plan.clone())
+                .with_retry(retry);
+            let report = scenario.simulate(&experiment, &stage(), &Scheme::base());
+            match retry.kind() {
+                RetryKind::Fixed => assert!(report.retries >= 1, "a crashed batch is retried"),
+                _ => assert!(report.hedges >= 1, "a straggling batch is hedged"),
+            }
+            assert_eq!(
+                report.served_requests + report.failed_requests,
+                report.requests
+            );
+            assert_eq!(report.fault_events.len(), 2);
+            assert!(report.fault_events.iter().all(|e| e.batches_affected > 0));
+        }
+    }
+
+    #[test]
     fn queue_depth_admission_sheds_the_backlog_head() {
         let report = burst_scenario(8, 128)
             .with_admission(AdmissionPolicy::queue_depth(16))
@@ -1399,8 +1495,11 @@ mod tests {
             FaultEvent::straggler(0, 0.0, 400.0, 2.0),
         ]);
         let scenario = burst_scenario(32, 96).with_faults(plan.clone());
-        let (report, latencies) =
-            scenario.simulate_trace(&experiment, &stage(), &Scheme::base(), &[]);
+        let workload = stage();
+        let scheme = Scheme::base();
+        let mut prices =
+            ShapePrices::new(scenario.pricing_experiment(&experiment), &workload, &scheme);
+        let (report, latencies) = scenario.simulate_trace(&mut prices, &[]);
         assert!(latencies.is_empty());
         assert_eq!(report.availability, 1.0);
         assert_eq!(

@@ -90,6 +90,9 @@ fn main() {
     let cache = CampaignCache::new();
     let experiment = Experiment::new(GpuConfig::a100(), scale).with_cache(cache.clone());
     let policy = BatchingPolicy::adaptive(16, 256);
+    // Batches the study's printed simulations served: what a per-batch
+    // pricing lookup would have cost.
+    let mut batches_served = 0u64;
 
     let scenario_for = |experiment: &Experiment, workload: &Workload| {
         // Size the trace so a saturated backlog overshoots the SLA: the
@@ -114,6 +117,7 @@ fn main() {
         println!("\n--- {} ({} tables) ---", mix.name(), mix.total_tables());
         for scheme in &schemes {
             let report = scenario.simulate(&experiment, &workload, scheme);
+            batches_served += u64::from(report.batches);
             println!(
                 "{:<16} p99 {:>7.2} ms  viol {:>5.1}%  util {:>5.1}%  {}",
                 report.scheme,
@@ -246,6 +250,7 @@ fn main() {
         no_retry.requests
     );
     for (label, report) in [("no retries", &no_retry), ("hedged(1.5x)", &hedged)] {
+        batches_served += u64::from(report.batches);
         println!(
             "  {:<12} availability {:>6.3}  failed {:>4}  hedges {:>2}  \
              p99 {:>7.2} ms  goodput {:>8.0} qps",
@@ -265,12 +270,25 @@ fn main() {
     }
 
     println!(
-        "\ncache: {} distinct cells simulated once, {} requests served from cache",
+        "\ncache: {} distinct cells simulated once, {} lookups served from cache",
         cache.misses(),
         cache.hits()
     );
+    assert_eq!(
+        cache.misses(),
+        cache.len() as u64,
+        "the shared cache must simulate each distinct cell exactly once"
+    );
     assert!(
-        cache.hits() > cache.misses(),
-        "the shared cache must collapse repeated batch shapes across the study"
+        cache.hits() > 0,
+        "the shared cache must serve the cells later runs of the study repeat"
+    );
+    // Each simulation and capacity search prices a shape once, so the whole
+    // study, searches included, looks up fewer cells than the batches its
+    // printed simulations alone served.
+    assert!(
+        cache.hits() + cache.misses() < batches_served,
+        "{} lookups for {batches_served} batches: repeated batch shapes must be priced once",
+        cache.hits() + cache.misses()
     );
 }

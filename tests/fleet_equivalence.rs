@@ -22,7 +22,9 @@
 //!   request even while replicas drain, so autoscaling never loses
 //!   in-flight work.
 //! * **Cross-replica cache sharing** — N identical replicas behind one
-//!   [`CampaignCache`] price each distinct batch shape exactly once.
+//!   [`CampaignCache`] price each distinct batch shape exactly once, and a
+//!   capacity search or a fleet replica group looks each shape up once,
+//!   however many probes or replicas it runs.
 //!
 //! This suite runs in release mode in CI, including under
 //! `--features gpu-sim/contract-checks`.
@@ -374,14 +376,77 @@ fn identical_replicas_price_each_distinct_shape_once() {
         fleet.simulate(&workload, &scheme);
         (cache.misses(), cache.hits())
     };
-    let (misses_one, _) = misses_for(1);
+    let (misses_one, hits_one) = misses_for(1);
     let (misses_three, hits_three) = misses_for(3);
+    assert!(misses_one > 0, "the fleet prices through the shared cache");
+    // Replicas 2 and 3 price from their group's shape memo, so they cost
+    // no cache lookup at all: neither a miss nor a hit.
     assert_eq!(
-        misses_three, misses_one,
+        (misses_three, hits_three),
+        (misses_one, hits_one),
         "N identical replicas must price each distinct shape exactly once"
     );
+}
+
+#[test]
+fn a_capacity_search_prices_each_shape_once() {
+    let workload = Workload::stage(AccessPattern::MedHot);
+    let scheme = Scheme::base();
+    // An SLA of three full-batch service times makes the larger traces
+    // bisect (18 probes) while the 64-request one runs to the 65-probe cap.
+    let sla_us = 3.0 * exp().with_batch_size(64).run(&workload, &scheme).latency_us;
+    for policy in [
+        BatchingPolicy::fixed_size(64),
+        BatchingPolicy::adaptive(4, 64),
+    ] {
+        for requests in [64, 256, 1024] {
+            let cache = CampaignCache::new();
+            let experiment = exp().with_cache(cache.clone());
+            let scenario = ServingScenario::new(TrafficModel::poisson(20_000.0), policy)
+                .with_requests(requests)
+                .with_sla_us(sla_us);
+            let first = max_sustainable_qps(&experiment, &workload, &scheme, &scenario);
+            // A fresh cache misses each distinct cell once: the misses
+            // count the distinct shapes the search priced.
+            let (hits, shapes) = (cache.hits(), cache.misses());
+            let label = format!("{} at {requests} requests", policy.label());
+            assert_eq!(hits, 0, "{label}: the search looked a shape up twice");
+            assert!(
+                first.probes > shapes as u32,
+                "{label}: {} probes must outnumber the {shapes} shapes",
+                first.probes
+            );
+            if policy.name() == "fixed_size" {
+                assert_eq!(shapes, 1, "{label}: a fixed size has one shape");
+            }
+            // The same search again on the now-warm cache: one hit per
+            // shape, whatever the probe count.
+            let again = max_sustainable_qps(&experiment, &workload, &scheme, &scenario);
+            assert_eq!(again, first);
+            assert_eq!((cache.hits(), cache.misses()), (shapes, shapes), "{label}");
+        }
+    }
+
+    // An autoscaled, probe-routed fleet of two identical groups: the
+    // router probe, the capacity search and the replicas of a group share
+    // one memo, so each group looks each shape up at most once, and the
+    // second group's lookups hit what the first priced.
+    let cache = CampaignCache::new();
+    let group = ReplicaGroup::new(exp(), scenario().with_sla_us(sla_us)).with_replicas(2);
+    let report = Fleet::new(TrafficModel::poisson(20_000.0), 600, 0xE5)
+        .with_group(group.clone())
+        .with_group(group)
+        .with_routing(RoutingPolicy::least_outstanding())
+        .with_autoscale(AutoscalePolicy::reactive(0.8, 0.3, 0, 1, 4))
+        .with_interval_us(5_000.0)
+        .with_cache(cache.clone())
+        .simulate(&workload, &scheme);
+    assert_eq!(report.served_requests, 600);
+    let (hits, shapes) = (cache.hits(), cache.misses());
+    assert!(hits > 0, "the second group prices from the shared cache");
+    // The first group misses each shape once; the second may hit each.
     assert!(
-        hits_three > 0,
-        "replicas 2 and 3 must serve their pricing from the shared cache"
+        hits <= shapes,
+        "{hits} hits and {shapes} misses: a group looked a shape up twice"
     );
 }
