@@ -13,7 +13,7 @@
 //! | rule | what it flags | where |
 //! |------|---------------|-------|
 //! | `unordered_collection` | `HashMap`/`HashSet` use sites — iteration order is randomized per process, so any iteration feeding a result breaks run-to-run determinism | result-producing crates: `gpu-sim`, `core` (perf-envelope), `kernels`, `datasets` |
-//! | `wall_clock` | `Instant`/`SystemTime` — host timing must never reach a simulated result | everywhere except `crates/bench` (the one crate allowed to time things) |
+//! | `wall_clock` | `Instant`/`SystemTime` — host timing must never reach a simulated result | everywhere; host timing is allowed only behind an `audit:allow(wall_clock)` with a reason (today the benchmark's clock in `perfbench/src/clock.rs` and the ignored speedup test) |
 //! | `thread_accumulation` | shared-state accumulation shapes (`Mutex<Vec`, `RwLock<Vec`, `fetch_add(`, `fetch_sub(`, locked `push`) whose value or order depends on thread interleaving | result-producing crates (same set as `unordered_collection`) |
 //! | `malformed_allow` | an `audit:allow` directive naming an unknown rule or missing its justification | anywhere directives appear |
 //!
@@ -116,16 +116,9 @@ const RESULT_CRATE_DIRS: &[&str] = &[
     "crates/datasets/src",
 ];
 
-/// Path prefixes never scanned: vendored deps, build output, the bench
-/// harness (exempt from `wall_clock` by design) and this crate itself
-/// (its sources and fixtures spell out every needle).
-const SKIP_DIRS: &[&str] = &[
-    "vendor",
-    "target",
-    "crates/bench",
-    "crates/analysis",
-    ".git",
-];
+/// Path prefixes never scanned: vendored deps, build output and this crate
+/// itself (its sources and fixtures spell out every needle).
+const SKIP_DIRS: &[&str] = &["vendor", "target", "crates/analysis", ".git"];
 
 /// Recursively collects `.rs` files under `dir`, sorted, as
 /// workspace-relative paths. Sorted traversal keeps the audit output (and

@@ -38,13 +38,14 @@ pub const UNORDERED_COLLECTION: TokenRule = TokenRule {
               justify with audit:allow",
 };
 
-/// Wall-clock reads make results depend on the host machine; only the
-/// benchmark harness (crates/bench) may time things.
+/// Wall-clock reads make results depend on the host machine; host timing
+/// is allowed only behind an `audit:allow(wall_clock)` with a reason.
 pub const WALL_CLOCK: TokenRule = TokenRule {
     name: "wall_clock",
     kind: MatchKind::Identifier(&["Instant", "SystemTime"]),
-    message: "wall-clock time outside crates/bench: simulated results must \
-              not depend on host timing",
+    message: "wall-clock time: simulated results must not depend on host \
+              timing; time the host only behind audit:allow(wall_clock) \
+              with a reason",
 };
 
 /// Shared-state accumulation whose value (or order) depends on thread

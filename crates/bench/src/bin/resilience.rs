@@ -209,7 +209,6 @@ fn main() {
 
     let mut cache_doc = Json::object();
     cache_doc.set("distinct_cells_simulated", Json::UInt(cache.misses()));
-    cache_doc.set("served_from_cache", Json::UInt(cache.hits()));
     doc.set("cache", cache_doc);
 
     let rendered = doc.render();

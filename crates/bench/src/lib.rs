@@ -12,11 +12,10 @@
 //! Both accept `--scale test|default|paper` (default: `default`) and
 //! `--device a100|h100` where applicable. The `sharding`, `serving`,
 //! `resilience` and `fleet` binaries run the scaling and serving studies
-//! and write their `BENCH_*.json` reports. Criterion benches under
-//! `benches/` time the simulator, the kernels, the campaign executor and
-//! the end-to-end pipeline. Host throughput of the simulator itself,
-//! layer by layer, is measured by the separate `perfbench` package at the
-//! repository root.
+//! and write their `BENCH_*.json` reports, which hold simulated results
+//! only and regenerate byte for byte. Nothing here reads the host clock:
+//! host throughput of the simulator, layer by layer, is measured by the
+//! separate `perfbench` package at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

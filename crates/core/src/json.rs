@@ -629,14 +629,20 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads the four hex digits of a `\u` escape (the `\u` itself already
-    /// consumed).
+    /// consumed): exactly four ASCII hex digits, with no sign, which
+    /// `u32::from_str_radix` would accept.
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.error("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            code = code << 4 | digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -691,9 +697,13 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error("invalid number"))
+        // An overflowing literal parses to infinity, which renders as
+        // `null`: reject it rather than load what cannot be written back.
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+            Ok(_) => Err(self.error("number out of range")),
+            Err(_) => Err(self.error("invalid number")),
+        }
     }
 }
 
@@ -765,6 +775,26 @@ mod tests {
         assert!(Json::parse("\"\\ud83d\"").is_err());
         assert!(Json::parse("\"\\ud83d\\u0041\"").is_err());
         assert!(Json::parse("\"\\ude00\"").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse("\"\\u0041\"").unwrap(),
+            Json::Str("A".to_string())
+        );
+        assert!(Json::parse("\"\\u+041\"").is_err());
+        assert!(Json::parse("\"\\u-041\"").is_err());
+        assert!(Json::parse("\"\\u004\"").is_err());
+    }
+
+    #[test]
+    fn numbers_that_cannot_render_back_are_rejected() {
+        assert!(Json::parse("1e400").is_err());
+        assert!(Json::parse("-1e400").is_err());
+        assert!(Json::parse(&format!("1{}", "0".repeat(400))).is_err());
+        assert_eq!(Json::parse("1e300").unwrap(), Json::Num(1e300));
+        assert_eq!(Json::parse("1e-400").unwrap(), Json::Num(0.0));
     }
 
     #[test]
