@@ -27,6 +27,19 @@
 //! earlier archived sweep only executes its genuinely new cells. Loading
 //! rejects malformed files, however deeply nested, with an error.
 //!
+//! Below the cells sits a second, in-memory-only memo: the **stage run**.
+//! An embedding stage simulates `min(count, tables_to_simulate)` tables of
+//! each pattern group and extrapolates to the real counts, so shards and
+//! cells with different table counts often simulate the identical table
+//! sequence. The cache memoizes that simulation (the merged statistics and
+//! each group's simulated time) keyed by [`Experiment::fingerprint`] of the
+//! canonical stage workload over the clamped sequence — every field the
+//! engine reads (device, engine mode, streams, scheme, seed, model, ...) is
+//! in that key, so, for instance, a cycle-accurate run never reads an
+//! event-driven entry. Each report is still assembled from its own real
+//! counts. The stage-run memo is never persisted: [`CampaignCache::save_to`]
+//! writes cells only, and a loaded cache starts with an empty memo.
+//!
 //! ```
 //! use dlrm::WorkloadScale;
 //! use dlrm_datasets::AccessPattern;
@@ -52,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::{array, object, render_object, Json, JsonError};
 use crate::report::RunReport;
-use crate::runner::Experiment;
+use crate::runner::{Experiment, StageRun};
 use crate::scheme::Scheme;
 use crate::workload::Workload;
 
@@ -67,13 +80,37 @@ pub const CAMPAIGN_CACHE_SCHEMA: &str = "perf-envelope/campaign-cache/v1";
 /// Each distinct cell runs exactly once at any thread count: workers that
 /// request a cell while another worker is simulating it wait for that
 /// result and count as hits, so `misses` counts distinct cells executed.
+///
+/// Beside the cells it keeps, in memory only, a stage-run memo: the
+/// simulation of each distinct per-device table sequence, shared by every
+/// cell and shard whose stage clamps to that sequence (see the module
+/// docs). The memo is never persisted and never counted in `hits`,
+/// `misses` or `len`.
 #[derive(Debug, Default)]
 pub struct CampaignCache {
-    // audit:allow(unordered_collection): keyed fingerprint lookups only;
-    // to_json sorts the cells' keys before streaming them out
-    map: Mutex<HashMap<String, Arc<OnceLock<RunReport>>>>,
+    map: Slots<RunReport>,
+    stages: Slots<StageRun>,
     hits: AtomicU64,
     misses: AtomicU64,
+    stage_runs: AtomicU64,
+}
+
+/// Single-flight slots keyed by fingerprint.
+// audit:allow(unordered_collection): keyed fingerprint lookups only;
+// to_json sorts the cells' keys before streaming them out, and the
+// stage-run memo is never iterated
+type Slots<T> = Mutex<HashMap<String, Arc<OnceLock<T>>>>;
+
+/// The single-flight slot for `key`, created on first request. A new key is
+/// shrunk to its length before it is stored, since fingerprints reserve
+/// more than they use; a lookup that finds its slot allocates nothing.
+fn slot<T>(slots: &Slots<T>, mut key: String) -> Arc<OnceLock<T>> {
+    let mut map = slots.lock().expect("cache poisoned");
+    if let Some(slot) = map.get(&key) {
+        return Arc::clone(slot);
+    }
+    key.shrink_to_fit();
+    Arc::clone(map.entry(key).or_default())
 }
 
 impl CampaignCache {
@@ -93,14 +130,7 @@ impl CampaignCache {
         workload: &Workload,
         scheme: &Scheme,
     ) -> RunReport {
-        let key = experiment.fingerprint(workload, scheme);
-        let slot = Arc::clone(
-            self.map
-                .lock()
-                .expect("cache poisoned")
-                .entry(key)
-                .or_default(),
-        );
+        let slot = slot(&self.map, experiment.fingerprint(workload, scheme));
         let mut ran = false;
         let report = slot.get_or_init(|| {
             ran = true;
@@ -111,6 +141,27 @@ impl CampaignCache {
         // order-insensitive and never feeds a simulated result
         counter.fetch_add(1, Ordering::Relaxed);
         report.clone()
+    }
+
+    /// Returns the memoized simulation of one device's table sequence, or
+    /// runs `simulate` and memoizes its result under `key` (the fingerprint
+    /// of the sequence's canonical stage workload), single-flight like the
+    /// cells.
+    pub(crate) fn stage_run(&self, key: String, simulate: impl FnOnce() -> StageRun) -> StageRun {
+        let slot = slot(&self.stages, key);
+        let run = slot.get_or_init(|| {
+            // audit:allow(thread_accumulation): monotonic counter; the total
+            // is order-insensitive and never feeds a simulated result
+            self.stage_runs.fetch_add(1, Ordering::Relaxed);
+            simulate()
+        });
+        run.clone()
+    }
+
+    /// Number of table sequences simulated through the stage-run memo.
+    #[cfg(test)]
+    pub(crate) fn stage_runs(&self) -> u64 {
+        self.stage_runs.load(Ordering::Relaxed)
     }
 
     /// Number of lookups served from cache.
@@ -139,9 +190,11 @@ impl CampaignCache {
         self.len() == 0
     }
 
-    /// Drops every cached report (statistics are preserved).
+    /// Drops every cached report and every memoized stage run (statistics
+    /// are preserved).
     pub fn clear(&self) {
         self.map.lock().expect("cache poisoned").clear();
+        self.stages.lock().expect("cache poisoned").clear();
     }
 
     /// Serializes the cache as a JSON document: every cell's canonical
@@ -193,7 +246,7 @@ impl CampaignCache {
             .get("cells")
             .and_then(Json::as_array)
             .ok_or_else(|| JsonError::schema("field 'cells' is not an array"))?;
-        // audit:allow(unordered_collection): keyed lookups only (see the map field)
+        // audit:allow(unordered_collection): keyed lookups only (see `Slots`)
         let mut map = HashMap::with_capacity(cells.len());
         for cell in cells {
             let key = cell
@@ -208,8 +261,7 @@ impl CampaignCache {
         }
         Ok(Arc::new(CampaignCache {
             map: Mutex::new(map),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            ..CampaignCache::default()
         }))
     }
 
@@ -267,8 +319,9 @@ impl std::error::Error for CacheLoadError {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
+    use crate::topology::{Cluster, InterconnectConfig, ShardingSpec};
     use dlrm::WorkloadScale;
-    use dlrm_datasets::AccessPattern;
+    use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
     use gpu_sim::{EngineMode, GpuConfig};
 
     fn cached_experiment(cache: &Arc<CampaignCache>) -> Experiment {
@@ -468,11 +521,138 @@ mod tests {
     fn clear_empties_the_cache() {
         let cache = CampaignCache::new();
         let e = cached_experiment(&cache);
-        let _ = e.run(&Workload::kernel(AccessPattern::MedHot), &Scheme::base());
+        let w = Workload::stage(AccessPattern::MedHot);
+        let _ = e.run(&w, &Scheme::base());
         assert!(!cache.is_empty());
+        assert_eq!(cache.stage_runs(), 1);
         cache.clear();
         assert!(cache.is_empty());
-        let _ = e.run(&Workload::kernel(AccessPattern::MedHot), &Scheme::base());
-        assert_eq!(cache.misses(), 2);
+        // The stage-run memo goes too: the cell simulates again.
+        let _ = e.run(&w, &Scheme::base());
+        assert_eq!((cache.misses(), cache.stage_runs()), (2, 2));
+    }
+
+    fn nvlink3(devices: usize) -> Cluster {
+        Cluster::homogeneous(
+            GpuConfig::test_small(),
+            devices,
+            InterconnectConfig::nvlink3(),
+        )
+    }
+
+    fn mix2(scale: f64) -> HeterogeneousMix {
+        HeterogeneousMix::paper_mix(MixKind::Mix2, scale)
+    }
+
+    #[test]
+    fn shards_that_clamp_to_one_sequence_simulate_it_once() {
+        // Round-robin splits Mix2(0.05) into two shards with different
+        // group counts, so both shard cells run; at one simulated table per
+        // group they clamp to the same sequence.
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache)
+            .with_cluster(nvlink3(2))
+            .with_threads(1);
+        let w = Workload::stage(mix2(0.05)).with_sharding(ShardingSpec::RoundRobin);
+        let report = e.run(&w, &Scheme::base());
+        assert_eq!(cache.misses(), 3, "one top-level and two shard cells");
+        assert_eq!(cache.stage_runs(), 1);
+        let plain =
+            Experiment::new(GpuConfig::test_small(), WorkloadScale::Test).with_cluster(nvlink3(2));
+        assert_eq!(report, plain.run(&w, &Scheme::base()));
+    }
+
+    #[test]
+    fn the_rerun_grid_simulates_nine_sequences_per_scheme_and_seed() {
+        let cache = CampaignCache::new();
+        for devices in [1, 2, 4] {
+            let e = cached_experiment(&cache)
+                .with_cluster(nvlink3(devices))
+                .with_threads(1);
+            for spec in ShardingSpec::ALL {
+                let w = Workload::end_to_end(mix2(0.05)).with_sharding(spec);
+                let _ = e.run(&w, &Scheme::combined());
+            }
+        }
+        assert_eq!(cache.stage_runs(), 9);
+    }
+
+    #[test]
+    fn cycle_accurate_runs_never_read_event_driven_stage_runs() {
+        let cache = CampaignCache::new();
+        let grid = |mode: EngineMode| {
+            let e = cached_experiment(&cache)
+                .with_cluster(nvlink3(2))
+                .with_engine_mode(mode)
+                .with_threads(1);
+            ShardingSpec::ALL.map(|spec| {
+                e.run(
+                    &Workload::stage(mix2(0.05)).with_sharding(spec),
+                    &Scheme::optmt(),
+                )
+            })
+        };
+        let event_driven = grid(EngineMode::EventDriven);
+        let simulated = cache.stage_runs();
+        assert!(simulated > 0);
+        let cycle_accurate = grid(EngineMode::CycleAccurate);
+        assert_eq!(
+            cache.stage_runs(),
+            2 * simulated,
+            "the oracle must simulate every sequence itself"
+        );
+        assert_eq!(cycle_accurate, event_driven);
+    }
+
+    #[test]
+    fn stored_keys_are_shrunk_to_their_length() {
+        let cache = CampaignCache::new();
+        let e = cached_experiment(&cache);
+        let _ = e.run(&Workload::stage(mix2(0.05)), &Scheme::base());
+        let map = cache.map.lock().unwrap();
+        let stages = cache.stages.lock().unwrap();
+        assert_eq!((map.len(), stages.len()), (1, 1));
+        for key in map.keys().chain(stages.keys()) {
+            assert_eq!(key.capacity(), key.len());
+        }
+    }
+
+    #[test]
+    fn saved_bytes_do_not_depend_on_stage_run_hits() {
+        // At one simulated table per group, every Mix2 scale and kind
+        // clamps to the same sequence: the cached run hits the memo.
+        let cells = [
+            Workload::stage(mix2(0.05)),
+            Workload::stage(mix2(0.1)),
+            Workload::end_to_end(mix2(0.05)),
+            Workload::end_to_end(mix2(0.1)),
+        ];
+        let cache = CampaignCache::new();
+        let cached = cached_experiment(&cache);
+        for w in &cells {
+            let _ = cached.run(w, &Scheme::combined());
+        }
+        assert_eq!((cache.misses(), cache.stage_runs()), (4, 1));
+
+        // The same cells run uncached, stored by hand: no memo involved.
+        let plain = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test);
+        let direct = CampaignCache::new();
+        for w in &cells {
+            direct.map.lock().unwrap().insert(
+                plain.fingerprint(w, &Scheme::combined()),
+                Arc::new(OnceLock::from(plain.run(w, &Scheme::combined()))),
+            );
+        }
+
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let saved = |cache: &CampaignCache, name: &str| {
+            let path = dir.join(format!("perf-envelope-stage-memo-{name}-{pid}.json"));
+            cache.save_to(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        };
+        assert_eq!(saved(&cache, "memo"), saved(&direct, "direct"));
     }
 }

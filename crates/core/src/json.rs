@@ -671,21 +671,52 @@ impl<'a> Parser<'a> {
         char::from_u32(code).ok_or_else(|| self.error("invalid \\u code point"))
     }
 
+    /// Skips a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Parses a number by JSON's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: a leading
+    /// zero, a bare `.` or a dangling exponent is an error.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                    return Err(self.error("leading zero in number"));
                 }
-                _ => break,
             }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.error("expected a digit")),
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.error("expected a digit after '.'"));
+            }
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.error("expected a digit in the exponent"));
+            }
+            is_float = true;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number"))?;
@@ -795,6 +826,25 @@ mod tests {
         assert!(Json::parse(&format!("1{}", "0".repeat(400))).is_err());
         assert_eq!(Json::parse("1e300").unwrap(), Json::Num(1e300));
         assert_eq!(Json::parse("1e-400").unwrap(), Json::Num(0.0));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for text in [
+            "01", "00", "-01", "1.", "1.e3", ".5", "1e", "+1", "-", "1e+", "[01]",
+        ] {
+            assert!(Json::parse(text).is_err(), "{text} must be rejected");
+        }
+        for (text, value) in [
+            ("0", Json::UInt(0)),
+            ("-0", Json::Int(0)),
+            ("0.5", Json::Num(0.5)),
+            ("1e3", Json::Num(1e3)),
+            ("1E+3", Json::Num(1e3)),
+            ("-1.5e-3", Json::Num(-1.5e-3)),
+        ] {
+            assert_eq!(Json::parse(text).unwrap(), value, "{text}");
+        }
     }
 
     #[test]

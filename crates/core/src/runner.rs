@@ -7,6 +7,12 @@
 //! identical, the runner simulates a configurable sample of them and
 //! extrapolates the group's latency, which keeps paper-scale experiments
 //! (250 tables) tractable without changing any per-table behaviour.
+//! The simulated part of a stage is therefore a function of its clamped
+//! sequence `[(pattern, min(count, tables_to_simulate))]`, not of the real
+//! counts: with a [`CampaignCache`] attached, each distinct sequence is
+//! simulated once per device configuration, keyed by the fingerprint of the
+//! canonical stage workload over that sequence, and held in memory only
+//! (never persisted). The extrapolation to the real counts runs per report.
 //!
 //! A workload carrying a sharding spec ([`Workload::with_sharding`]) fans
 //! out as one embedding-stage simulation per shard — reusing the parallel
@@ -44,6 +50,19 @@ use crate::workload::{Workload, WorkloadKind, WorkloadTarget};
 /// *other* in-flight batches rather than bit-identical mirrors of the
 /// primary one. Stream 0 always keeps the unsalted seed.
 const STREAM_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The name of the canonical mix a stage-run memo key describes: the key
+/// is the fingerprint of `Workload::stage` over this mix and the simulated
+/// sequence, so it covers every experiment field the cell key covers.
+const STAGE_RUN_MIX: &str = "stage-run";
+
+/// One simulated table sequence ([`Experiment::simulate_stage`]): the
+/// sequentially merged statistics, and each group's simulated time in µs.
+#[derive(Debug, Clone)]
+pub(crate) struct StageRun {
+    stats: KernelStats,
+    group_us: Vec<f64>,
+}
 
 /// A reusable experiment: cluster (a single device by default), model,
 /// workload scale and seeds. Its one entry point, [`Experiment::run`],
@@ -467,24 +486,63 @@ impl Experiment {
             .expect("run_concurrent returns one statistics record per stream")
     }
 
+    /// Runs the embedding stage of `mix` and extrapolates it to every
+    /// table: each group's simulated time, divided by the tables simulated
+    /// and scaled by the group's real count. The simulated sequence depends
+    /// only on the groups' clamped counts, so with a cache attached it runs
+    /// once per distinct sequence ([`CampaignCache`]'s stage-run memo).
     fn run_stage_report(
         &self,
         workload: &Workload,
         mix: &HeterogeneousMix,
         scheme: &Scheme,
     ) -> RunReport {
+        let sequence: Vec<(AccessPattern, u32)> = mix
+            .composition()
+            .iter()
+            .map(|&(pattern, count)| (pattern, count.min(self.tables_to_simulate)))
+            .collect();
+        let StageRun { stats, group_us } = match &self.cache {
+            Some(cache) => {
+                let canonical =
+                    Workload::stage(HeterogeneousMix::new(STAGE_RUN_MIX, sequence.clone()));
+                cache.stage_run(self.fingerprint(&canonical, scheme), || {
+                    self.simulate_stage(&sequence, scheme)
+                })
+            }
+            None => self.simulate_stage(&sequence, scheme),
+        };
+
+        let mut total_latency_us = 0.0;
+        for ((&(_, group_count), &(_, n_sim)), group_simulated_us) in
+            mix.composition().iter().zip(&sequence).zip(group_us)
+        {
+            total_latency_us += group_simulated_us / n_sim as f64 * group_count as f64;
+        }
+
+        let mut report = self.report_skeleton(workload, scheme, stats);
+        report.latency_us = total_latency_us;
+        report.tables = Some(TableBreakdown {
+            per_table_us: total_latency_us / mix.total_tables() as f64,
+            tables_total: mix.total_tables(),
+            tables_simulated: sequence.iter().map(|&(_, n_sim)| n_sim).sum(),
+        });
+        report
+    }
+
+    /// Simulates one device's table sequence, `(pattern, tables)` in order,
+    /// on one memory system: the tables run back to back, each starting at
+    /// the clock its predecessor ended on.
+    fn simulate_stage(&self, sequence: &[(AccessPattern, u32)], scheme: &Scheme) -> StageRun {
         let spec = scheme.kernel_spec(self.gpu());
         let mut mem = MemorySystem::new(self.gpu());
         let mut clock: u64 = 0;
-        let mut merged = KernelStats::empty(&scheme.paper_label(), self.gpu());
-        let mut total_latency_us = 0.0;
-        let mut tables_simulated = 0u32;
-
-        for &(pattern, group_count) in mix.composition() {
-            let n_sim = group_count.min(self.tables_to_simulate);
+        let mut stats = KernelStats::empty(&scheme.paper_label(), self.gpu());
+        let mut group_us = Vec::with_capacity(sequence.len());
+        for &(pattern, n_sim) in sequence {
             let mut group_simulated_us = 0.0;
             for t in 0..n_sim {
-                let stats = self.priced_stats(
+                let table = self.priced_stats(
                     &spec,
                     pattern,
                     t,
@@ -493,22 +551,13 @@ impl Experiment {
                     &mut mem,
                     clock,
                 );
-                clock += stats.elapsed_cycles;
-                group_simulated_us += self.gpu().cycles_to_us(stats.elapsed_cycles);
-                merged.merge_sequential(&stats);
-                tables_simulated += 1;
+                clock += table.elapsed_cycles;
+                group_simulated_us += self.gpu().cycles_to_us(table.elapsed_cycles);
+                stats.merge_sequential(&table);
             }
-            total_latency_us += group_simulated_us / n_sim as f64 * group_count as f64;
+            group_us.push(group_simulated_us);
         }
-
-        let mut report = self.report_skeleton(workload, scheme, merged);
-        report.latency_us = total_latency_us;
-        report.tables = Some(TableBreakdown {
-            per_table_us: total_latency_us / mix.total_tables() as f64,
-            tables_total: mix.total_tables(),
-            tables_simulated,
-        });
-        report
+        StageRun { stats, group_us }
     }
 
     /// A single-device experiment for one shard: the shard's device with
@@ -537,10 +586,13 @@ impl Experiment {
             .collect();
 
         // Shards whose sub-mix AND device configuration are equal are the
-        // identical simulation (round-robin over a homogeneous mix produces
-        // at most a few distinct shard shapes however many devices there
-        // are), so only distinct shards execute — with or without a cache —
-        // and every other shard clones its representative's report.
+        // identical cell (round-robin over a homogeneous mix produces at
+        // most a few distinct shard shapes however many devices there are),
+        // so only distinct shard cells run — with or without a cache — and
+        // every other shard clones its representative's report. Distinct
+        // cells can still share a simulation: with a cache attached, shards
+        // whose sub-mixes clamp to the same table sequence share one stage
+        // run (see the module docs).
         let mut distinct: Vec<usize> = Vec::new();
         let mut rep_of: Vec<usize> = Vec::with_capacity(shard_workloads.len());
         for (d, workload) in shard_workloads.iter().enumerate() {

@@ -7,14 +7,16 @@
 //! mode. On multi-device clusters, plans must be deterministic and cover
 //! every table exactly once, the reported critical path must equal the
 //! per-device latency maximum, degenerate (empty) shards must be rejected,
-//! and per-shard cells must hit the [`CampaignCache`] individually.
+//! and per-shard cells must hit the [`CampaignCache`] individually. Shards
+//! that share a simulated table sequence through the cache's stage-run memo
+//! must report exactly what an uncached run reports.
 
 use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
-use gpu_sim::{EngineMode, GpuConfig};
+use gpu_sim::{EngineMode, GpuConfig, StreamPartition};
 use perf_envelope::{
     Campaign, CampaignCache, Cluster, Experiment, InterconnectConfig, RunReport, Scheme,
-    ShardingSpec, Workload,
+    ShardingSpec, StreamConfig, Workload,
 };
 
 fn exp() -> Experiment {
@@ -252,4 +254,47 @@ fn persisted_cache_serves_sharded_cells_across_processes() {
     let served = e2.run(&workload, &Scheme::base());
     assert_eq!(served, original);
     assert_eq!((reloaded.hits(), reloaded.misses()), (1, 0));
+}
+
+#[test]
+fn memoized_stage_runs_are_bit_exact_with_uncached_cells() {
+    // One shared cache over the whole grid: after the first few cells
+    // nearly every shard's table sequence is a stage-run memo hit, within
+    // a cell, across cells, and across stage and end-to-end workloads.
+    let cache = CampaignCache::new();
+    let workloads = [
+        Workload::stage(HeterogeneousMix::paper_mix(MixKind::Mix2, 0.05)),
+        Workload::end_to_end(HeterogeneousMix::paper_mix(MixKind::Mix2, 0.1)),
+    ];
+    let streams = [
+        StreamConfig::single(),
+        StreamConfig::new(2, StreamPartition::Interleaved),
+    ];
+    for devices in [1usize, 2, 4, 8] {
+        for tables in [1, 2] {
+            for stream in streams {
+                let experiment = || {
+                    exp()
+                        .with_cluster(cluster(devices))
+                        .with_streams(stream)
+                        .with_tables_to_simulate(tables)
+                };
+                let cached = experiment().with_cache(cache.clone());
+                for workload in &workloads {
+                    for spec in ShardingSpec::ALL {
+                        let workload = workload.clone().with_sharding(spec);
+                        for scheme in [Scheme::base(), Scheme::combined()] {
+                            assert_eq!(
+                                cached.run(&workload, &scheme),
+                                experiment().run(&workload, &scheme),
+                                "{workload} under {scheme} on {devices} devices, \
+                                 {tables} table(s) per group, {} stream(s)",
+                                stream.streams()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
