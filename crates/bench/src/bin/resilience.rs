@@ -134,10 +134,10 @@ fn main() {
                 report.requests,
                 "every request must be served, shed or failed"
             );
-            if *crashes == "1" && retry.is_none() {
+            if *crashes == "1" && *retry == RetryPolicy::None {
                 one_crash_no_retry_availability = report.availability;
             }
-            if !retry.is_none() {
+            if *retry != RetryPolicy::None {
                 retried_always_full &= report.availability == 1.0 && report.failed_requests == 0;
             }
             let mut point = Json::object();

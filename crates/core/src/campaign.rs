@@ -168,6 +168,10 @@ impl Campaign {
     /// ([`Experiment::with_cluster`]): sharded workloads in the grid then
     /// fan out across this cluster's devices, each cell reducing its shards
     /// with the cluster's interconnect model.
+    ///
+    /// # Panics
+    /// Panics where [`Experiment::with_cluster`] does: the base's streams
+    /// or fault plan do not fit the new cluster.
     pub fn on_cluster(mut self, cluster: Cluster) -> Self {
         self.base = self.base.with_cluster(cluster);
         self

@@ -53,17 +53,18 @@
 //! no I/O, no clocks, no randomness, so fleet reports stay deterministic
 //! and thread-count-invariant. To add a policy:
 //!
-//! 1. Add a variant to [`RoutingKind`] and wire its `name`.
-//! 2. Add a constructor on [`RoutingPolicy`] validating its parameters
-//!    (panic on invalid values, like `latency_aware` does).
-//! 3. Implement the decision in [`RoutingPolicy::route`] using only the
-//!    cursor and the views. Break ties toward the lowest replica index so
-//!    the decision stays deterministic.
-//! 4. Extend [`RoutingPolicy::label`], which names the policy in
-//!    [`FleetReport::routing`], with any new parameter.
+//! 1. Add a variant to [`RoutingPolicy`] carrying exactly its own
+//!    parameters, and a constructor that validates them (panic on invalid
+//!    values, like `latency_aware` does).
+//! 2. Add its arm to [`RoutingPolicy::route`], deciding from the bound
+//!    parameters, the cursor and the views only. Break ties toward the
+//!    lowest replica index so the decision stays deterministic.
+//! 3. Add its arm to [`RoutingPolicy::label`], which names the policy and
+//!    its parameters in [`FleetReport::routing`].
 //!
-//! Autoscaling follows the same pattern: [`AutoscalePolicy::decide`] is a
-//! pure function from (offered rate, live capacity, live/pool counts,
+//! Autoscaling follows the same pattern: [`AutoscalePolicy`] variants
+//! carry their own parameters, and [`AutoscalePolicy::decide`] is a pure
+//! function from (offered rate, live capacity, live/pool counts,
 //! cooldown) to an [`AutoscaleAction`].
 //!
 //! [`max_sustainable_qps`]: crate::max_sustainable_qps
@@ -85,33 +86,6 @@ use crate::workload::Workload;
 /// version.
 pub const FLEET_REPORT_SCHEMA: &str = "perf-envelope/fleet-report/v1";
 
-/// Which routing decision a [`RoutingPolicy`] makes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingKind {
-    /// Cycle through live replicas in index order — the identity policy
-    /// (with one replica it degenerates to "always replica 0").
-    RoundRobin,
-    /// Send each request to the live replica with the fewest
-    /// requests outstanding on the router's estimate, ties to the lowest
-    /// index.
-    LeastOutstanding,
-    /// Send each request to the live replica with the lowest
-    /// exponentially-weighted moving average of estimated latency, ties to
-    /// the lowest index.
-    LatencyAware,
-}
-
-impl RoutingKind {
-    /// Stable machine name (used in [`RoutingPolicy::label`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RoutingKind::RoundRobin => "round_robin",
-            RoutingKind::LeastOutstanding => "least_outstanding",
-            RoutingKind::LatencyAware => "latency_aware",
-        }
-    }
-}
-
 /// The router's view of one live replica — everything a
 /// [`RoutingPolicy::route`] decision may depend on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,29 +103,37 @@ pub struct ReplicaView {
 
 /// How the fleet router picks a replica for each arriving request: a
 /// deterministic pure decision function in the style of
-/// [`BatchingPolicy`](crate::BatchingPolicy).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoutingPolicy {
-    kind: RoutingKind,
-    ewma_alpha: f64,
+/// [`BatchingPolicy`](crate::BatchingPolicy), whose variants carry exactly
+/// their own parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum RoutingPolicy {
+    /// Cycle through live replicas in index order — the identity policy
+    /// (with one replica it degenerates to "always replica 0").
+    #[default]
+    RoundRobin,
+    /// Send each request to the live replica with the fewest
+    /// requests outstanding on the router's estimate, ties to the lowest
+    /// index.
+    LeastOutstanding,
+    /// Send each request to the live replica with the lowest
+    /// exponentially-weighted moving average of estimated latency, ties to
+    /// the lowest index.
+    LatencyAware {
+        /// The EWMA smoothing factor (the weight of the newest sample).
+        alpha: f64,
+    },
 }
 
 impl RoutingPolicy {
     /// Round-robin over live replicas — the identity policy.
     pub fn round_robin() -> RoutingPolicy {
-        RoutingPolicy {
-            kind: RoutingKind::RoundRobin,
-            ewma_alpha: 0.0,
-        }
+        RoutingPolicy::RoundRobin
     }
 
     /// Route to the live replica with the fewest outstanding requests on
     /// the router's estimate.
     pub fn least_outstanding() -> RoutingPolicy {
-        RoutingPolicy {
-            kind: RoutingKind::LeastOutstanding,
-            ewma_alpha: 0.0,
-        }
+        RoutingPolicy::LeastOutstanding
     }
 
     /// Route to the live replica with the lowest EWMA of estimated
@@ -165,17 +147,15 @@ impl RoutingPolicy {
             alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
             "the EWMA smoothing factor must be in (0, 1]"
         );
-        RoutingPolicy {
-            kind: RoutingKind::LatencyAware,
-            ewma_alpha: alpha,
-        }
+        RoutingPolicy::LatencyAware { alpha }
     }
 
     /// Human-readable label, e.g. `"latency_aware(0.3)"`.
     pub fn label(&self) -> String {
-        match self.kind {
-            RoutingKind::LatencyAware => format!("latency_aware({})", self.ewma_alpha),
-            kind => kind.name().to_string(),
+        match *self {
+            RoutingPolicy::RoundRobin => "round_robin".to_string(),
+            RoutingPolicy::LeastOutstanding => "least_outstanding".to_string(),
+            RoutingPolicy::LatencyAware { alpha } => format!("latency_aware({alpha})"),
         }
     }
 
@@ -188,17 +168,11 @@ impl RoutingPolicy {
     /// Panics if `views` is empty.
     pub fn route(&self, cursor: u64, views: &[ReplicaView]) -> usize {
         assert!(!views.is_empty(), "routing needs at least one live replica");
-        match self.kind {
-            RoutingKind::RoundRobin => (cursor % views.len() as u64) as usize,
-            RoutingKind::LeastOutstanding => argmin(views, |v| v.outstanding as f64),
-            RoutingKind::LatencyAware => argmin(views, |v| v.ewma_latency_us),
+        match self {
+            RoutingPolicy::RoundRobin => (cursor % views.len() as u64) as usize,
+            RoutingPolicy::LeastOutstanding => argmin(views, |v| v.outstanding as f64),
+            RoutingPolicy::LatencyAware { .. } => argmin(views, |v| v.ewma_latency_us),
         }
-    }
-}
-
-impl Default for RoutingPolicy {
-    fn default() -> Self {
-        RoutingPolicy::round_robin()
     }
 }
 
@@ -210,16 +184,6 @@ fn argmin(views: &[ReplicaView], key: impl Fn(&ReplicaView) -> f64) -> usize {
         }
     }
     best
-}
-
-/// Whether an [`AutoscalePolicy`] is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AutoscaleKind {
-    /// No autoscaling: the whole replica pool serves for the whole day —
-    /// the identity policy (static provisioning).
-    None,
-    /// Threshold-reactive scaling on fleet utilization per interval.
-    Reactive,
 }
 
 /// One autoscale decision at an interval boundary.
@@ -248,31 +212,36 @@ impl AutoscaleAction {
 /// When and how the fleet resizes its live replica set, driven by the
 /// [`crate::max_sustainable_qps`] capacity search: fleet utilization is the
 /// interval's offered rate over the summed capacity of the live replicas.
+/// Each variant carries exactly its own parameters.
 ///
-/// [`AutoscalePolicy::none`] — the default — keeps every pool replica live
+/// [`AutoscalePolicy::None`] — the default — keeps every pool replica live
 /// for the whole day (static provisioning) and is the identity the
 /// degenerate-fleet anchor leans on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscalePolicy {
-    kind: AutoscaleKind,
-    scale_out_threshold: f64,
-    scale_in_threshold: f64,
-    cooldown_intervals: u32,
-    min_replicas: u32,
-    max_replicas: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum AutoscalePolicy {
+    /// No autoscaling: the whole replica pool serves for the whole day —
+    /// the identity policy (static provisioning).
+    #[default]
+    None,
+    /// Threshold-reactive scaling on fleet utilization per interval.
+    Reactive {
+        /// Utilization above which one more replica is activated.
+        scale_out_threshold: f64,
+        /// Utilization below which one live replica is drained.
+        scale_in_threshold: f64,
+        /// Full intervals to wait after each action before the next.
+        cooldown_intervals: u32,
+        /// Fewest live replicas; the day starts with this many.
+        min_replicas: u32,
+        /// Most live replicas (also capped by the provisioned pool).
+        max_replicas: u32,
+    },
 }
 
 impl AutoscalePolicy {
     /// No autoscaling (static provisioning) — the identity policy.
     pub fn none() -> AutoscalePolicy {
-        AutoscalePolicy {
-            kind: AutoscaleKind::None,
-            scale_out_threshold: 0.0,
-            scale_in_threshold: 0.0,
-            cooldown_intervals: 0,
-            min_replicas: 0,
-            max_replicas: 0,
-        }
+        AutoscalePolicy::None
     }
 
     /// Threshold-reactive scaling: scale out when interval utilization
@@ -301,8 +270,7 @@ impl AutoscalePolicy {
             min_replicas >= 1 && min_replicas <= max_replicas,
             "replica bounds must satisfy 1 <= min <= max"
         );
-        AutoscalePolicy {
-            kind: AutoscaleKind::Reactive,
+        AutoscalePolicy::Reactive {
             scale_out_threshold,
             scale_in_threshold,
             cooldown_intervals,
@@ -311,22 +279,19 @@ impl AutoscalePolicy {
         }
     }
 
-    /// Whether this is the no-op identity policy.
-    pub fn is_none(&self) -> bool {
-        self.kind == AutoscaleKind::None
-    }
-
     /// Human-readable label, e.g. `"reactive(0.8/0.4, cooldown 2, 1..4)"`.
     pub fn label(&self) -> String {
-        match self.kind {
-            AutoscaleKind::None => "none".to_string(),
-            AutoscaleKind::Reactive => format!(
-                "reactive({}/{}, cooldown {}, {}..{})",
-                self.scale_out_threshold,
-                self.scale_in_threshold,
-                self.cooldown_intervals,
-                self.min_replicas,
-                self.max_replicas
+        match *self {
+            AutoscalePolicy::None => "none".to_string(),
+            AutoscalePolicy::Reactive {
+                scale_out_threshold,
+                scale_in_threshold,
+                cooldown_intervals,
+                min_replicas,
+                max_replicas,
+            } => format!(
+                "reactive({scale_out_threshold}/{scale_in_threshold}, \
+                 cooldown {cooldown_intervals}, {min_replicas}..{max_replicas})"
             ),
         }
     }
@@ -345,7 +310,17 @@ impl AutoscalePolicy {
         pool: u32,
         cooldown_remaining: u32,
     ) -> AutoscaleAction {
-        if self.kind == AutoscaleKind::None || cooldown_remaining > 0 {
+        let AutoscalePolicy::Reactive {
+            scale_out_threshold,
+            scale_in_threshold,
+            min_replicas,
+            max_replicas,
+            ..
+        } = *self
+        else {
+            return AutoscaleAction::Hold;
+        };
+        if cooldown_remaining > 0 {
             return AutoscaleAction::Hold;
         }
         let utilization = if live_capacity_qps > 0.0 {
@@ -353,20 +328,14 @@ impl AutoscalePolicy {
         } else {
             f64::INFINITY
         };
-        let ceiling = self.max_replicas.min(pool);
-        if utilization > self.scale_out_threshold && live < ceiling {
+        let ceiling = max_replicas.min(pool);
+        if utilization > scale_out_threshold && live < ceiling {
             AutoscaleAction::ScaleOut
-        } else if utilization < self.scale_in_threshold && live > self.min_replicas.max(1) {
+        } else if utilization < scale_in_threshold && live > min_replicas.max(1) {
             AutoscaleAction::ScaleIn
         } else {
             AutoscaleAction::Hold
         }
-    }
-}
-
-impl Default for AutoscalePolicy {
-    fn default() -> Self {
-        AutoscalePolicy::none()
     }
 }
 
@@ -592,7 +561,7 @@ impl Fleet {
         // Router-side service estimates: one single-request probe per
         // replica, priced through its group's memo. Round-robin needs
         // none.
-        let needs_estimates = routing.kind != RoutingKind::RoundRobin;
+        let needs_estimates = routing != RoutingPolicy::RoundRobin;
         if needs_estimates {
             for replica in &mut pool {
                 let g = replica.group as usize;
@@ -604,7 +573,7 @@ impl Fleet {
         }
 
         // Per-group replica capacity, driving autoscale utilization.
-        let autoscaling = !autoscale.is_none();
+        let autoscaling = autoscale != AutoscalePolicy::None;
         let group_capacity: Vec<f64> = if autoscaling {
             self.groups
                 .iter()
@@ -621,10 +590,16 @@ impl Fleet {
         // whole pool serves all day; with it, the day starts at
         // min_replicas and the policy takes over at interval boundaries.
         let pool_size = pool.len() as u32;
-        let initial = if autoscaling {
-            autoscale.min_replicas.clamp(1, pool_size) as usize
-        } else {
-            pool.len()
+        let (initial, cooldown_intervals) = match autoscale {
+            AutoscalePolicy::None => (pool.len(), 0),
+            AutoscalePolicy::Reactive {
+                min_replicas,
+                cooldown_intervals,
+                ..
+            } => (
+                min_replicas.clamp(1, pool_size) as usize,
+                cooldown_intervals,
+            ),
         };
         let mut live: Vec<usize> = (0..initial).collect();
         for &r in &live {
@@ -659,9 +634,9 @@ impl Fleet {
                 // Remaining cooldown = the policy's cooldown minus full
                 // intervals elapsed since the last action.
                 let cooldown = match events.last() {
-                    Some(last) => autoscale
-                        .cooldown_intervals
-                        .saturating_sub(interval.saturating_sub(last.interval)),
+                    Some(last) => {
+                        cooldown_intervals.saturating_sub(interval.saturating_sub(last.interval))
+                    }
                     None => 0,
                 };
                 let live_capacity: f64 = live
@@ -745,8 +720,7 @@ impl Fleet {
                 let done = start + replica.est_service_us;
                 replica.est_free_us = done;
                 replica.outstanding.push_back(done);
-                if routing.kind == RoutingKind::LatencyAware {
-                    let alpha = routing.ewma_alpha;
+                if let RoutingPolicy::LatencyAware { alpha } = routing {
                     replica.ewma_us = alpha * (done - t) + (1.0 - alpha) * replica.ewma_us;
                 }
             }
@@ -1200,6 +1174,24 @@ mod tests {
             .collect();
         views[2].ewma_latency_us = 450.0;
         assert_eq!(RoutingPolicy::latency_aware(0.3).route(7, &views), 2);
+    }
+
+    #[test]
+    fn policy_labels_are_stable() {
+        assert_eq!(RoutingPolicy::round_robin().label(), "round_robin");
+        assert_eq!(
+            RoutingPolicy::least_outstanding().label(),
+            "least_outstanding"
+        );
+        assert_eq!(
+            RoutingPolicy::latency_aware(0.3).label(),
+            "latency_aware(0.3)"
+        );
+        assert_eq!(AutoscalePolicy::none().label(), "none");
+        assert_eq!(
+            AutoscalePolicy::reactive(0.8, 0.4, 2, 1, 4).label(),
+            "reactive(0.8/0.4, cooldown 2, 1..4)"
+        );
     }
 
     #[test]

@@ -119,8 +119,7 @@ pub use dse::{
 };
 pub use fleet::{
     pareto_frontier, AutoscaleAction, AutoscaleEvent, AutoscalePolicy, Fleet, FleetCost,
-    FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingKind, RoutingPolicy,
-    FLEET_REPORT_SCHEMA,
+    FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingPolicy, FLEET_REPORT_SCHEMA,
 };
 pub use profiler::{ProfilerReport, ProfilingStep, StaticProfiler, WorkloadHint};
 pub use report::{
@@ -130,11 +129,10 @@ pub use report::{
 pub use runner::Experiment;
 pub use scheme::{Multithreading, Scheme};
 pub use serving::{
-    best_stream_config, max_sustainable_qps, select_scheme, stream_capacity_sweep, AdmissionKind,
-    AdmissionPolicy, BatchShapeStats, BatchingPolicy, CapacityResult, DeviceUtilization,
-    FaultEvent, FaultKind, FaultPlan, FaultTimelineEntry, LatencyStats, RetryKind, RetryPolicy,
-    SchemeChoice, ServingReport, ServingScenario, StreamCapacityPoint, StreamUtilization,
-    TrafficModel, SERVING_REPORT_SCHEMA,
+    best_stream_config, max_sustainable_qps, select_scheme, stream_capacity_sweep, AdmissionPolicy,
+    BatchShapeStats, BatchingPolicy, CapacityResult, DeviceUtilization, FaultEvent, FaultKind,
+    FaultPlan, FaultTimelineEntry, LatencyStats, RetryPolicy, SchemeChoice, ServingReport,
+    ServingScenario, StreamCapacityPoint, StreamUtilization, TrafficModel, SERVING_REPORT_SCHEMA,
 };
 pub use topology::{Cluster, InterconnectConfig, ShardPlan, ShardingSpec, StreamConfig};
 pub use workload::{Dataset, Workload, WorkloadKind, WorkloadTarget};

@@ -108,7 +108,15 @@ impl Experiment {
     /// Replaces the topology this experiment runs on. Unsharded workloads
     /// execute entirely on the cluster's root device; sharded workloads
     /// distribute their tables across every device.
+    ///
+    /// # Panics
+    /// Panics if the configured streams exceed the new cluster's
+    /// [`Cluster::stream_capacity`] or the fault plan names a device
+    /// outside it, exactly as [`Experiment::with_streams`] and
+    /// [`Experiment::with_faults`] would: the builder order never matters.
     pub fn with_cluster(mut self, cluster: Cluster) -> Self {
+        check_stream_capacity(&cluster, self.streams);
+        self.faults.validate(cluster.num_devices());
         let mode = self.sim.mode();
         self.sim = Simulator::new(cluster.root().clone()).with_mode(mode);
         self.cluster = cluster;
@@ -145,12 +153,6 @@ impl Experiment {
     /// The attached campaign cache, if any.
     pub fn cache(&self) -> Option<&Arc<CampaignCache>> {
         self.cache.as_ref()
-    }
-
-    /// Overrides the DLRM model configuration.
-    pub fn with_model(mut self, model: DlrmConfig) -> Self {
-        self.model = model;
-        self
     }
 
     /// Overrides how many tables of each homogeneous group are simulated
@@ -246,15 +248,9 @@ impl Experiment {
     ///
     /// # Panics
     /// Panics if the configuration asks for more streams than every device
-    /// of the cluster supports ([`Cluster::stream_capacity`]); set the
-    /// cluster before the streams.
+    /// of the cluster supports ([`Cluster::stream_capacity`]).
     pub fn with_streams(mut self, streams: StreamConfig) -> Self {
-        let capacity = self.cluster.stream_capacity();
-        assert!(
-            streams.streams() as usize <= capacity,
-            "{} concurrent streams exceed the cluster's capacity of {capacity}",
-            streams.streams()
-        );
+        check_stream_capacity(&self.cluster, streams);
         self.streams = streams;
         self
     }
@@ -271,6 +267,9 @@ impl Experiment {
     /// alias a fault-free one in a persisted [`CampaignCache`], so a
     /// non-empty plan is part of the cell fingerprint; the empty plan
     /// (the default) is omitted and keeps v1 keys byte-identical.
+    ///
+    /// # Panics
+    /// Panics if the plan names a device outside the cluster.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         faults.validate(self.cluster.num_devices());
         self.faults = faults;
@@ -561,10 +560,17 @@ impl Experiment {
     }
 
     /// A single-device experiment for one shard: the shard's device with
-    /// this experiment's model, scale, seeds, engine mode and cache.
+    /// this experiment's model, scale, seeds, streams, engine mode, cache
+    /// and fault plan. It skips [`Experiment::with_cluster`]'s checks: the
+    /// plan's device indices still name the whole deployment's devices,
+    /// and the shard cell's key carries that plan unchanged.
     fn shard_experiment(&self, device: usize) -> Experiment {
-        self.clone()
-            .with_cluster(Cluster::single(self.cluster.device(device).clone()))
+        let gpu = self.cluster.device(device).clone();
+        Experiment {
+            sim: Simulator::new(gpu.clone()).with_mode(self.sim.mode()),
+            cluster: Cluster::single(gpu),
+            ..self.clone()
+        }
     }
 
     /// Executes a sharded workload: plans the shard layout, runs one
@@ -700,6 +706,16 @@ impl Experiment {
     }
 }
 
+/// Asserts every device of `cluster` can hold `streams` concurrent streams.
+fn check_stream_capacity(cluster: &Cluster, streams: StreamConfig) {
+    let capacity = cluster.stream_capacity();
+    assert!(
+        streams.streams() as usize <= capacity,
+        "{} concurrent streams exceed the cluster's capacity of {capacity}",
+        streams.streams()
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,6 +844,26 @@ mod tests {
     #[should_panic(expected = "at least one table")]
     fn zero_simulated_tables_rejected() {
         let _ = exp().with_tables_to_simulate(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the cluster's capacity of 4")]
+    fn a_later_cluster_still_checks_stream_capacity() {
+        let streams = StreamConfig::new(6, gpu_sim::StreamPartition::Interleaved);
+        let _ = Experiment::new(GpuConfig::a100(), WorkloadScale::Test)
+            .with_streams(streams)
+            .with_cluster(Cluster::single(GpuConfig::test_small()));
+    }
+
+    #[test]
+    #[should_panic(expected = "targets device 1 of a 1-device deployment")]
+    fn a_later_cluster_still_checks_fault_devices() {
+        use crate::serving::FaultEvent;
+        let pair = Cluster::homogeneous(GpuConfig::test_small(), 2, InterconnectConfig::nvlink3());
+        let _ = exp()
+            .with_cluster(pair)
+            .with_faults(FaultPlan::new(vec![FaultEvent::crash(1, 0.0, 10.0)]))
+            .with_cluster(Cluster::single(GpuConfig::test_small()));
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub use report::{
     BatchShapeStats, DeviceUtilization, FaultTimelineEntry, LatencyStats, ServingReport,
     StreamUtilization, SERVING_REPORT_SCHEMA,
 };
-pub use retry::{AdmissionKind, AdmissionPolicy, RetryKind, RetryPolicy};
+pub use retry::{AdmissionPolicy, RetryPolicy};
 pub use traffic::TrafficModel;
 use traffic::UnitGaps;
 
@@ -371,13 +371,13 @@ impl ServingScenario {
 
             // Queue-depth shedding: head-drop the oldest waiting requests
             // beyond the bound before the next batch forms.
-            if self.admission.kind() == AdmissionKind::QueueDepth && first < arrivals.len() {
+            if let AdmissionPolicy::QueueDepth { max_queue_depth } = self.admission {
                 let horizon = ledger.stream_free[stream];
                 let backlog = arrivals[first..]
                     .iter()
                     .take_while(|&&a| a <= horizon)
                     .count();
-                let depth = self.admission.max_queue_depth() as usize;
+                let depth = max_queue_depth as usize;
                 if backlog > depth {
                     let dropped = backlog - depth;
                     shed_requests += dropped as u32;
@@ -424,8 +424,8 @@ impl ServingScenario {
             // exact, since the simulation is deterministic — would bust
             // the budget are shed at formation and the smaller batch
             // re-priced. Applies to every launch, retries included.
-            if self.admission.kind() == AdmissionKind::SlaAware {
-                let threshold = self.sla_us * self.admission.sla_headroom();
+            if let AdmissionPolicy::SlaAware { sla_headroom } = self.admission {
+                let threshold = self.sla_us * sla_headroom;
                 let cutoff = primary.start_us + primary.service_us - threshold;
                 let doomed = arrivals[batch_first..batch_first + len]
                     .iter()
@@ -445,29 +445,32 @@ impl ServingScenario {
             }
 
             let primary_done = ledger.book(&primary, priced, shape, len as u32);
-            let outcome = match self.retry.kind() {
-                RetryKind::None => primary_done,
-                RetryKind::Fixed => match primary_done {
+            let outcome = match self.retry {
+                RetryPolicy::None => primary_done,
+                RetryPolicy::Fixed {
+                    max_retries,
+                    backoff_us,
+                } => match primary_done {
                     Some(done) => Some(done),
                     None => {
                         let (_, crash_us) =
                             primary.crash.expect("a lost launch was cut by a crash");
-                        if attempt < self.retry.max_retries() {
+                        if attempt < max_retries {
                             retries += 1;
                             pending.push(PendingBatch {
                                 first: batch_first,
                                 len,
                                 close_us,
                                 attempt: attempt + 1,
-                                ready_us: crash_us + self.retry.backoff_us() * (attempt + 1) as f64,
+                                ready_us: crash_us + backoff_us * (attempt + 1) as f64,
                             });
                             continue 'dispatch;
                         }
                         None
                     }
                 },
-                RetryKind::Hedged => {
-                    let hedge_at = primary.start_us + self.retry.hedge_factor() * priced.latency_us;
+                RetryPolicy::Hedged { hedge_factor } => {
+                    let hedge_at = primary.start_us + hedge_factor * priced.latency_us;
                     let slow = match primary_done {
                         None => true,
                         Some((s, sv)) => s + sv > hedge_at,
@@ -1412,8 +1415,10 @@ mod tests {
                 .with_faults(plan.clone())
                 .with_retry(retry);
             let report = scenario.simulate(&experiment, &stage(), &Scheme::base());
-            match retry.kind() {
-                RetryKind::Fixed => assert!(report.retries >= 1, "a crashed batch is retried"),
+            match retry {
+                RetryPolicy::Fixed { .. } => {
+                    assert!(report.retries >= 1, "a crashed batch is retried")
+                }
                 _ => assert!(report.hedges >= 1, "a straggling batch is hedged"),
             }
             assert_eq!(

@@ -2,12 +2,19 @@
 //! happens to batches lost to a crash, and when to hedge a slow one) and
 //! [`AdmissionPolicy`] (which requests to shed under overload).
 //!
+//! Both are written in the [`BatchingPolicy`](super::BatchingPolicy)
+//! idiom: an enum whose variants carry exactly their own parameters,
+//! built through validating constructors that panic on invalid values,
+//! and read by matching on the variant. The serving dispatch loop matches
+//! once per decision and binds the parameters it needs.
+//!
 //! Both are pure dispatch-time decision rules — they never touch the
 //! priced kernel cells, so they are *not* part of the cache-cell
-//! fingerprint; they shape the [`crate::ServingReport`] only. Their degenerate configurations
-//! ([`RetryPolicy::none`], [`AdmissionPolicy::none`]) are exact no-ops:
-//! a scenario using them is bit-identical to one that never heard of
-//! resilience (held by `tests/resilience_equivalence.rs`).
+//! fingerprint; they shape the [`crate::ServingReport`] only. Their
+//! identity variants ([`RetryPolicy::None`], [`AdmissionPolicy::None`],
+//! also the defaults) are exact no-ops: a scenario using them is
+//! bit-identical to one that never heard of resilience (held by
+//! `tests/resilience_equivalence.rs`).
 //!
 //! # Retry semantics
 //!
@@ -39,56 +46,37 @@
 //! Shed requests are accounted as `shed_requests` (never `failed`):
 //! shedding is a *choice* that trades availability for bounded latency.
 
-/// Discriminates the [`RetryPolicy`] variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryKind {
+/// What the serving simulator does with batches lost to a crash (and,
+/// for hedging, batches running slow). Each variant carries exactly its
+/// own parameters; build them with the validating constructors. See the
+/// [serving module docs](super) for the exact semantics of each variant.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum RetryPolicy {
     /// Lost batches fail permanently.
+    #[default]
     None,
     /// Lost batches are re-enqueued with linear backoff, bounded times.
-    Fixed,
+    Fixed {
+        /// Maximum re-dispatches of one batch.
+        max_retries: u32,
+        /// Linear backoff step between the crash and the re-dispatch, in
+        /// microseconds.
+        backoff_us: f64,
+    },
     /// Lost or slow batches get a duplicate dispatch; first completion
     /// wins.
-    Hedged,
-}
-
-impl RetryKind {
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RetryKind::None => "none",
-            RetryKind::Fixed => "fixed",
-            RetryKind::Hedged => "hedged",
-        }
-    }
-}
-
-/// What the serving simulator does with batches lost to a crash (and,
-/// for hedging, batches running slow). See the [serving module docs](super)
-/// for the exact semantics of each variant.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    kind: RetryKind,
-    max_retries: u32,
-    backoff_us: f64,
-    hedge_factor: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
+    Hedged {
+        /// Multiple of the nominal service latency after which a hedge
+        /// launches.
+        hedge_factor: f64,
+    },
 }
 
 impl RetryPolicy {
     /// No retries: a lost batch fails permanently. Exact no-op on a
     /// fault-free timeline.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            kind: RetryKind::None,
-            max_retries: 0,
-            backoff_us: 0.0,
-            hedge_factor: 1.0,
-        }
+        RetryPolicy::None
     }
 
     /// Up to `max_retries` re-dispatches of a lost batch, the n-th
@@ -103,11 +91,9 @@ impl RetryPolicy {
             backoff_us.is_finite() && backoff_us >= 0.0,
             "retry backoff must be finite and >= 0 (got {backoff_us})"
         );
-        RetryPolicy {
-            kind: RetryKind::Fixed,
+        RetryPolicy::Fixed {
             max_retries,
             backoff_us,
-            hedge_factor: 1.0,
         }
     }
 
@@ -121,95 +107,47 @@ impl RetryPolicy {
             hedge_factor.is_finite() && hedge_factor >= 1.0,
             "a hedge factor must be finite and >= 1 (got {hedge_factor})"
         );
-        RetryPolicy {
-            kind: RetryKind::Hedged,
-            max_retries: 0,
-            backoff_us: 0.0,
-            hedge_factor,
-        }
-    }
-
-    /// The policy variant.
-    pub fn kind(&self) -> RetryKind {
-        self.kind
-    }
-
-    /// Maximum re-dispatches of one batch (0 unless [`RetryKind::Fixed`]).
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
-    /// Linear backoff step between the crash and the re-dispatch.
-    pub fn backoff_us(&self) -> f64 {
-        self.backoff_us
-    }
-
-    /// Multiple of the nominal service latency after which a hedge
-    /// launches (1.0 unless [`RetryKind::Hedged`]).
-    pub fn hedge_factor(&self) -> f64 {
-        self.hedge_factor
-    }
-
-    /// Whether this is the no-op policy.
-    pub fn is_none(&self) -> bool {
-        self.kind == RetryKind::None
+        RetryPolicy::Hedged { hedge_factor }
     }
 
     /// Human-readable label, e.g. `"fixed(3, 500us)"`.
     pub fn label(&self) -> String {
-        match self.kind {
-            RetryKind::None => "none".to_string(),
-            RetryKind::Fixed => format!("fixed({}, {}us)", self.max_retries, self.backoff_us),
-            RetryKind::Hedged => format!("hedged({}x)", self.hedge_factor),
-        }
-    }
-}
-
-/// Discriminates the [`AdmissionPolicy`] variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionKind {
-    /// Admit everything.
-    None,
-    /// Shed the oldest waiting requests beyond a queue-depth bound.
-    QueueDepth,
-    /// Shed requests whose predicted latency would bust the SLA budget.
-    SlaAware,
-}
-
-impl AdmissionKind {
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdmissionKind::None => "none",
-            AdmissionKind::QueueDepth => "queue_depth",
-            AdmissionKind::SlaAware => "sla_aware",
+        match *self {
+            RetryPolicy::None => "none".to_string(),
+            RetryPolicy::Fixed {
+                max_retries,
+                backoff_us,
+            } => format!("fixed({max_retries}, {backoff_us}us)"),
+            RetryPolicy::Hedged { hedge_factor } => format!("hedged({hedge_factor}x)"),
         }
     }
 }
 
 /// Which requests the serving simulator sheds under overload — the
-/// graceful-degradation knob. See the [serving module docs](super).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    kind: AdmissionKind,
-    max_queue_depth: u32,
-    sla_headroom: f64,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy::none()
-    }
+/// graceful-degradation knob. Each variant carries exactly its own
+/// parameters; see the [serving module docs](super).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum AdmissionPolicy {
+    /// Admit everything.
+    #[default]
+    None,
+    /// Shed the oldest waiting requests beyond a queue-depth bound.
+    QueueDepth {
+        /// Most requests that may wait undispatched.
+        max_queue_depth: u32,
+    },
+    /// Shed requests whose predicted latency would bust the SLA budget.
+    SlaAware {
+        /// The SLA multiple a predicted latency may reach before its
+        /// request is shed.
+        sla_headroom: f64,
+    },
 }
 
 impl AdmissionPolicy {
     /// Admit every request. Exact no-op.
     pub fn none() -> AdmissionPolicy {
-        AdmissionPolicy {
-            kind: AdmissionKind::None,
-            max_queue_depth: 0,
-            sla_headroom: 1.0,
-        }
+        AdmissionPolicy::None
     }
 
     /// Shed the oldest waiting requests whenever more than
@@ -222,11 +160,7 @@ impl AdmissionPolicy {
             max_queue_depth >= 1,
             "queue-depth admission needs max_queue_depth >= 1"
         );
-        AdmissionPolicy {
-            kind: AdmissionKind::QueueDepth,
-            max_queue_depth,
-            sla_headroom: 1.0,
-        }
+        AdmissionPolicy::QueueDepth { max_queue_depth }
     }
 
     /// Shed requests whose predicted latency would exceed
@@ -239,40 +173,17 @@ impl AdmissionPolicy {
             sla_headroom.is_finite() && sla_headroom > 0.0,
             "an SLA headroom must be finite and > 0 (got {sla_headroom})"
         );
-        AdmissionPolicy {
-            kind: AdmissionKind::SlaAware,
-            max_queue_depth: 0,
-            sla_headroom,
-        }
-    }
-
-    /// The policy variant.
-    pub fn kind(&self) -> AdmissionKind {
-        self.kind
-    }
-
-    /// The queue-depth bound (0 unless [`AdmissionKind::QueueDepth`]).
-    pub fn max_queue_depth(&self) -> u32 {
-        self.max_queue_depth
-    }
-
-    /// The SLA multiple a predicted latency may reach before its request
-    /// is shed (1.0 unless [`AdmissionKind::SlaAware`]).
-    pub fn sla_headroom(&self) -> f64 {
-        self.sla_headroom
-    }
-
-    /// Whether this is the admit-everything policy.
-    pub fn is_none(&self) -> bool {
-        self.kind == AdmissionKind::None
+        AdmissionPolicy::SlaAware { sla_headroom }
     }
 
     /// Human-readable label, e.g. `"queue_depth(256)"`.
     pub fn label(&self) -> String {
-        match self.kind {
-            AdmissionKind::None => "none".to_string(),
-            AdmissionKind::QueueDepth => format!("queue_depth({})", self.max_queue_depth),
-            AdmissionKind::SlaAware => format!("sla_aware({}x)", self.sla_headroom),
+        match *self {
+            AdmissionPolicy::None => "none".to_string(),
+            AdmissionPolicy::QueueDepth { max_queue_depth } => {
+                format!("queue_depth({max_queue_depth})")
+            }
+            AdmissionPolicy::SlaAware { sla_headroom } => format!("sla_aware({sla_headroom}x)"),
         }
     }
 }
@@ -282,22 +193,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn retry_constructors_and_accessors() {
+    fn retry_constructors_carry_their_parameters() {
         let none = RetryPolicy::none();
-        assert!(none.is_none());
-        assert_eq!(none.kind(), RetryKind::None);
+        assert_eq!(none, RetryPolicy::None);
         assert_eq!(none.label(), "none");
 
         let fixed = RetryPolicy::fixed(3, 500.0);
-        assert!(!fixed.is_none());
-        assert_eq!(fixed.kind(), RetryKind::Fixed);
-        assert_eq!(fixed.max_retries(), 3);
-        assert_eq!(fixed.backoff_us(), 500.0);
+        assert_eq!(
+            fixed,
+            RetryPolicy::Fixed {
+                max_retries: 3,
+                backoff_us: 500.0
+            }
+        );
         assert_eq!(fixed.label(), "fixed(3, 500us)");
 
         let hedged = RetryPolicy::hedged(1.5);
-        assert_eq!(hedged.kind(), RetryKind::Hedged);
-        assert_eq!(hedged.hedge_factor(), 1.5);
+        assert_eq!(hedged, RetryPolicy::Hedged { hedge_factor: 1.5 });
         assert_eq!(hedged.label(), "hedged(1.5x)");
     }
 
@@ -314,19 +226,22 @@ mod tests {
     }
 
     #[test]
-    fn admission_constructors_and_accessors() {
+    fn admission_constructors_carry_their_parameters() {
         let none = AdmissionPolicy::none();
-        assert!(none.is_none());
+        assert_eq!(none, AdmissionPolicy::None);
         assert_eq!(none.label(), "none");
 
         let depth = AdmissionPolicy::queue_depth(256);
-        assert_eq!(depth.kind(), AdmissionKind::QueueDepth);
-        assert_eq!(depth.max_queue_depth(), 256);
+        assert_eq!(
+            depth,
+            AdmissionPolicy::QueueDepth {
+                max_queue_depth: 256
+            }
+        );
         assert_eq!(depth.label(), "queue_depth(256)");
 
         let sla = AdmissionPolicy::sla_aware(0.9);
-        assert_eq!(sla.kind(), AdmissionKind::SlaAware);
-        assert_eq!(sla.sla_headroom(), 0.9);
+        assert_eq!(sla, AdmissionPolicy::SlaAware { sla_headroom: 0.9 });
         assert_eq!(sla.label(), "sla_aware(0.9x)");
     }
 
@@ -340,16 +255,6 @@ mod tests {
     #[should_panic(expected = "finite and > 0")]
     fn sla_headroom_rejects_zero() {
         let _ = AdmissionPolicy::sla_aware(0.0);
-    }
-
-    #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(RetryKind::None.name(), "none");
-        assert_eq!(RetryKind::Fixed.name(), "fixed");
-        assert_eq!(RetryKind::Hedged.name(), "hedged");
-        assert_eq!(AdmissionKind::None.name(), "none");
-        assert_eq!(AdmissionKind::QueueDepth.name(), "queue_depth");
-        assert_eq!(AdmissionKind::SlaAware.name(), "sla_aware");
     }
 
     #[test]

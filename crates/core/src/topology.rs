@@ -38,7 +38,7 @@
 //!
 //! # Adding a sharding strategy
 //!
-//! Add a variant to [`ShardingSpec`] with its `name`/`from_name` entries,
+//! Add a variant to [`ShardingSpec`] with its `name` entry,
 //! and a match arm in [`ShardingSpec::plan`] calling a private function
 //! that maps a [`HeterogeneousMix`] and a device count to per-device lists
 //! of the mix's canonical table indices (`table_profiles` expands that
@@ -336,23 +336,6 @@ impl StreamConfig {
         } else {
             format!("{}_{}", self.partition.name(), self.streams)
         }
-    }
-
-    /// Parses a [`StreamConfig::name`] back (leniently: an explicit
-    /// `"<partition>_1"` canonicalizes to `"single"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        if name == "single" {
-            return Some(StreamConfig::single());
-        }
-        let (partition, streams) = name.rsplit_once('_')?;
-        let streams: u32 = streams.parse().ok()?;
-        if streams == 0 {
-            return None;
-        }
-        Some(StreamConfig::new(
-            streams,
-            StreamPartition::from_name(partition)?,
-        ))
     }
 }
 
@@ -699,16 +682,6 @@ impl ShardingSpec {
         }
     }
 
-    /// Parses a [`ShardingSpec::name`] back.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "round_robin" => Some(ShardingSpec::RoundRobin),
-            "size_balanced" => Some(ShardingSpec::SizeBalanced),
-            "hot_cold" => Some(ShardingSpec::HotCold),
-            _ => None,
-        }
-    }
-
     /// Plans `mix` over `num_devices` devices with this strategy.
     ///
     /// # Panics
@@ -962,12 +935,13 @@ mod tests {
     }
 
     #[test]
-    fn spec_names_round_trip() {
+    fn spec_names_are_distinct() {
+        let names: std::collections::BTreeSet<&str> =
+            ShardingSpec::ALL.iter().map(|spec| spec.name()).collect();
+        assert_eq!(names.len(), ShardingSpec::ALL.len());
         for spec in ShardingSpec::ALL {
-            assert_eq!(ShardingSpec::from_name(spec.name()), Some(spec));
             assert_eq!(format!("{spec}"), spec.name());
         }
-        assert_eq!(ShardingSpec::from_name("nope"), None);
     }
 
     #[test]
@@ -986,22 +960,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_config_names_round_trip() {
+    fn stream_config_names_are_distinct() {
+        let mut names = std::collections::BTreeSet::new();
         for partition in StreamPartition::ALL {
-            for k in [1u32, 2, 3, 4, 7] {
+            for k in [2u32, 3, 4, 7] {
                 let config = StreamConfig::new(k, partition);
-                assert_eq!(StreamConfig::from_name(&config.name()), Some(config));
                 assert_eq!(format!("{config}"), config.name());
+                assert!(names.insert(config.name()), "{config} named twice");
             }
         }
-        // Lenient parse: an explicit K=1 canonicalizes to "single".
-        assert_eq!(
-            StreamConfig::from_name("interleaved_1"),
-            Some(StreamConfig::single())
-        );
-        assert_eq!(StreamConfig::from_name("interleaved_0"), None);
-        assert_eq!(StreamConfig::from_name("nope_2"), None);
-        assert_eq!(StreamConfig::from_name("interleaved"), None);
+        assert!(!names.contains(&StreamConfig::single().name()));
     }
 
     #[test]

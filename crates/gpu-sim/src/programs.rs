@@ -1,6 +1,5 @@
-//! Simple synthetic kernels used by unit tests, documentation examples and
-//! the `cache_model` benchmark. The DLRM embedding-bag kernels live in the
-//! `embedding-kernels` crate.
+//! Simple synthetic kernels used by unit tests and documentation examples.
+//! The DLRM embedding-bag kernels live in the `embedding-kernels` crate.
 
 use crate::decode::InstSink;
 use crate::isa::{Instruction, LineSet, MemSpace, SrcSet};
