@@ -11,6 +11,10 @@
 //! on, so campaigns over sharded workloads nest naturally and per-shard
 //! cells hit an attached [`CampaignCache`] individually.
 //!
+//! The calling thread is worker 0 of that pool: an N-worker run starts
+//! N − 1 threads, so a one-worker grid or shard fan-out starts none and
+//! runs every job on the caller.
+//!
 //! ```
 //! use dlrm::WorkloadScale;
 //! use dlrm_datasets::AccessPattern;
@@ -39,9 +43,13 @@ use crate::scheme::Scheme;
 use crate::topology::Cluster;
 use crate::workload::Workload;
 
-/// Resolves a requested worker-thread count (`0` = available parallelism)
-/// against the number of independent jobs.
+/// Resolves a requested worker count (`0` = available parallelism)
+/// against the number of independent jobs. At most one job needs one
+/// worker, so the OS is not asked how many cores there are.
 pub(crate) fn resolve_worker_count(threads: usize, jobs: usize) -> usize {
+    if jobs <= 1 {
+        return 1;
+    }
     match threads {
         0 => std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -49,34 +57,36 @@ pub(crate) fn resolve_worker_count(threads: usize, jobs: usize) -> usize {
         n => n,
     }
     .min(jobs)
-    .max(1)
 }
 
-/// Executes `count` independent jobs over at most `threads` workers (`0` =
-/// available parallelism) and returns the results in job order, whatever
-/// the worker count. The worker-pool machinery shared by [`Campaign::run`]
+/// Executes `count` independent jobs over `workers` workers (as resolved
+/// by [`resolve_worker_count`]) and returns the results in job order,
+/// whatever the worker count. The calling thread is worker 0: it spawns
+/// `workers - 1` helpers and claims jobs alongside them, so one worker
+/// starts no thread. The worker-pool machinery shared by [`Campaign::run`]
 /// and the heterogeneous per-shard fan-out in
 /// [`crate::Experiment`](Experiment).
-pub(crate) fn run_jobs<T, F>(threads: usize, count: usize, job: F) -> Vec<T>
+pub(crate) fn run_jobs<T, F>(workers: usize, count: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let worker_count = resolve_worker_count(threads, count);
     let next_job = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count {
-            scope.spawn(|| loop {
-                // audit:allow(thread_accumulation): index allocator; every
-                // result lands in its per-index slot, not in claim order
-                let index = next_job.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                *slots[index].lock().expect("worker panicked") = Some(job(index));
-            });
+    let work = || loop {
+        // audit:allow(thread_accumulation): index allocator; every
+        // result lands in its per-index slot, not in claim order
+        let index = next_job.fetch_add(1, Ordering::Relaxed);
+        if index >= count {
+            break;
         }
+        *slots[index].lock().expect("worker panicked") = Some(job(index));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -157,8 +167,10 @@ impl Campaign {
         self
     }
 
-    /// Sets the number of worker threads; `0` uses the machine's available
-    /// parallelism. The default is inherited from the base experiment.
+    /// Sets the number of workers; `0` uses the machine's available
+    /// parallelism. The calling thread is worker 0, so `n` workers start
+    /// `n - 1` threads and one worker starts none. The default is
+    /// inherited from the base experiment.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -204,10 +216,12 @@ impl Campaign {
 
     /// Executes every cell and returns the reports in grid order.
     ///
-    /// Cells are distributed over worker threads; each cell clones the base
-    /// experiment, applies its seed and pooling factor, and calls
-    /// [`Experiment::run`]. Because cells share no mutable state, the
-    /// resulting reports are bit-identical for any thread count.
+    /// Cells are distributed over the workers, the calling thread first; a
+    /// one-worker (or one-cell) grid runs on the caller and starts no
+    /// thread. Each cell clones the base experiment, applies its seed and
+    /// pooling factor, and calls [`Experiment::run`]. Because cells share
+    /// no mutable state, the resulting reports are bit-identical for any
+    /// worker count.
     pub fn run(&self) -> CampaignRun {
         let seeds = if self.seeds.is_empty() {
             vec![self.base.seed()]
@@ -230,12 +244,9 @@ impl Campaign {
         // serially so worker counts do not multiply past the configured
         // cap; a single-worker campaign hands its thread budget down
         // instead.
-        let cell_threads = if resolve_worker_count(self.threads, cells.len()) > 1 {
-            1
-        } else {
-            self.threads
-        };
-        let reports = run_jobs(self.threads, cells.len(), |index| {
+        let workers = resolve_worker_count(self.threads, cells.len());
+        let cell_threads = if workers > 1 { 1 } else { self.threads };
+        let reports = run_jobs(workers, cells.len(), |index| {
             let (workload, scheme, seed, pooling) = cells[index];
             let mut experiment = self.base.clone().with_threads(cell_threads).with_seed(seed);
             if let Some(pooling) = pooling {
@@ -428,6 +439,92 @@ mod tests {
             .run();
         let cluster = run.reports()[0].devices.as_ref().unwrap();
         assert_eq!(cluster.num_devices(), 2);
+    }
+
+    #[test]
+    fn one_worker_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = run_jobs(1, 5, |_| std::thread::current().id());
+        assert_eq!(ids, vec![caller; 5]);
+    }
+
+    #[test]
+    fn results_come_back_in_job_order_at_any_worker_count() {
+        for threads in 0..=4 {
+            for jobs in 0..=7 {
+                let workers = resolve_worker_count(threads, jobs);
+                let results = run_jobs(workers, jobs, |index| index * 10);
+                let expected: Vec<usize> = (0..jobs).map(|index| index * 10).collect();
+                assert_eq!(results, expected, "{threads} threads, {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller() {
+        for workers in [1, 2] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_jobs(workers, 4, |index| {
+                    assert_ne!(index, 2, "job 2 fails");
+                    index
+                })
+            });
+            assert!(outcome.is_err(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn cached_sharded_grids_count_the_same_at_any_worker_count() {
+        use crate::topology::{InterconnectConfig, ShardingSpec};
+        use dlrm_datasets::HeterogeneousMix;
+        let mix = HeterogeneousMix::paper_mix(dlrm_datasets::MixKind::Mix2, 0.02);
+        let grid = |specs: &[ShardingSpec], seeds: &[u64]| {
+            Campaign::new(base())
+                .on_cluster(Cluster::homogeneous(
+                    GpuConfig::test_small(),
+                    4,
+                    InterconnectConfig::nvlink3(),
+                ))
+                .workloads(
+                    specs
+                        .iter()
+                        .map(|&spec| Workload::stage(mix.clone()).with_sharding(spec)),
+                )
+                .scheme(Scheme::optmt())
+                .seeds(seeds.iter().copied())
+        };
+        // A many-cell grid runs its cells in parallel; a one-cell grid
+        // hands its workers to the cell's shard fan-out instead.
+        let grids = [
+            (
+                &[ShardingSpec::RoundRobin, ShardingSpec::SizeBalanced][..],
+                &[1, 2][..],
+            ),
+            (&[ShardingSpec::SizeBalanced][..], &[3][..]),
+        ];
+        for (specs, seeds) in grids {
+            let run_at = |workers: usize| {
+                let cache = CampaignCache::new();
+                let run = grid(specs, seeds)
+                    .threads(workers)
+                    .with_cache(cache.clone())
+                    .run();
+                let rerun = grid(specs, seeds)
+                    .threads(workers)
+                    .with_cache(cache.clone())
+                    .run();
+                assert_eq!(run, rerun);
+                (run, cache.hits(), cache.misses(), cache.len())
+            };
+            let serial = run_at(1);
+            for workers in [2, 4] {
+                assert_eq!(
+                    run_at(workers),
+                    serial,
+                    "{workers} workers, {specs:?}, seeds {seeds:?}"
+                );
+            }
+        }
     }
 
     #[test]

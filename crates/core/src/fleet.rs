@@ -143,11 +143,23 @@ impl RoutingPolicy {
     /// # Panics
     /// Panics unless `alpha` is in `(0, 1]`.
     pub fn latency_aware(alpha: f64) -> RoutingPolicy {
-        assert!(
-            alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
-            "the EWMA smoothing factor must be in (0, 1]"
-        );
-        RoutingPolicy::LatencyAware { alpha }
+        let policy = RoutingPolicy::LatencyAware { alpha };
+        policy.validate();
+        policy
+    }
+
+    /// Checks the rules the constructors enforce, for a policy that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        if let RoutingPolicy::LatencyAware { alpha } = *self {
+            assert!(
+                alpha.is_finite() && alpha > 0.0 && alpha <= 1.0,
+                "the EWMA smoothing factor must be in (0, 1]"
+            );
+        }
     }
 
     /// Human-readable label, e.g. `"latency_aware(0.3)"`.
@@ -259,23 +271,42 @@ impl AutoscalePolicy {
         min_replicas: u32,
         max_replicas: u32,
     ) -> AutoscalePolicy {
-        assert!(
-            scale_in_threshold.is_finite()
-                && scale_out_threshold.is_finite()
-                && scale_in_threshold > 0.0
-                && scale_in_threshold < scale_out_threshold,
-            "thresholds must satisfy 0 < scale_in < scale_out"
-        );
-        assert!(
-            min_replicas >= 1 && min_replicas <= max_replicas,
-            "replica bounds must satisfy 1 <= min <= max"
-        );
-        AutoscalePolicy::Reactive {
+        let policy = AutoscalePolicy::Reactive {
             scale_out_threshold,
             scale_in_threshold,
             cooldown_intervals,
             min_replicas,
             max_replicas,
+        };
+        policy.validate();
+        policy
+    }
+
+    /// Checks the rules the constructors enforce, for a policy that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        if let AutoscalePolicy::Reactive {
+            scale_out_threshold,
+            scale_in_threshold,
+            min_replicas,
+            max_replicas,
+            ..
+        } = *self
+        {
+            assert!(
+                scale_in_threshold.is_finite()
+                    && scale_out_threshold.is_finite()
+                    && scale_in_threshold > 0.0
+                    && scale_in_threshold < scale_out_threshold,
+                "thresholds must satisfy 0 < scale_in < scale_out"
+            );
+            assert!(
+                min_replicas >= 1 && min_replicas <= max_replicas,
+                "replica bounds must satisfy 1 <= min <= max"
+            );
         }
     }
 
@@ -409,9 +440,11 @@ impl Fleet {
     /// default autoscale interval.
     ///
     /// # Panics
-    /// Panics if `requests` is zero.
+    /// Panics if `requests` is zero or the traffic model breaks its
+    /// constructor's rules ([`TrafficModel::validate`]).
     pub fn new(traffic: TrafficModel, requests: u32, seed: u64) -> Fleet {
         assert!(requests > 0, "a fleet needs at least one request");
+        traffic.validate();
         Fleet {
             traffic,
             requests,
@@ -443,13 +476,23 @@ impl Fleet {
     }
 
     /// Replaces the routing policy.
+    ///
+    /// # Panics
+    /// Panics if the policy breaks its constructor's rules
+    /// ([`RoutingPolicy::validate`]).
     pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
+        routing.validate();
         self.routing = routing;
         self
     }
 
     /// Replaces the autoscale policy.
+    ///
+    /// # Panics
+    /// Panics if the policy breaks its constructor's rules
+    /// ([`AutoscalePolicy::validate`]).
     pub fn with_autoscale(mut self, autoscale: AutoscalePolicy) -> Self {
+        autoscale.validate();
         self.autoscale = autoscale;
         self
     }
@@ -1291,5 +1334,23 @@ mod tests {
         ];
         assert_eq!(pareto_frontier(&points), vec![0, 1, 3]);
         assert!(pareto_frontier(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "the EWMA smoothing factor must be in (0, 1]")]
+    fn a_direct_invalid_routing_policy_panics_at_the_builder() {
+        let _ = test_fleet(2).with_routing(RoutingPolicy::LatencyAware { alpha: 0.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "replica bounds must satisfy 1 <= min <= max")]
+    fn a_direct_invalid_autoscale_policy_panics_at_the_builder() {
+        let _ = test_fleet(2).with_autoscale(AutoscalePolicy::Reactive {
+            scale_out_threshold: 0.8,
+            scale_in_threshold: 0.4,
+            cooldown_intervals: 1,
+            min_replicas: 3,
+            max_replicas: 2,
+        });
     }
 }

@@ -222,10 +222,11 @@ impl Experiment {
         self.seed
     }
 
-    /// Sets the preferred worker-thread count for [`crate::Campaign`]s built
-    /// over this experiment (including the DSE sweeps and the per-shard
-    /// fan-out of sharded workloads); `0` (the default) uses the machine's
-    /// available parallelism. An unsharded `run` call is unaffected —
+    /// Sets the preferred worker count for [`crate::Campaign`]s built over
+    /// this experiment (including the DSE sweeps and the per-shard fan-out
+    /// of sharded workloads); `0` (the default) uses the machine's
+    /// available parallelism. The calling thread is worker 0, so one
+    /// worker starts no thread. An unsharded `run` call is unaffected —
     /// tables on one GPU execute sequentially by design.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -615,12 +616,15 @@ impl Experiment {
         }
 
         // Fan the distinct shards out over the Campaign worker-pool
-        // machinery (`campaign::run_jobs`): parallel workers bounded by the
-        // experiment's thread setting, results in deterministic device
-        // order whatever the worker count. Each shard is a single-device
-        // `Experiment::run` call and therefore hits the cache individually.
+        // machinery (`campaign::run_jobs`): workers bounded by the
+        // experiment's thread setting, the calling thread first (one
+        // worker, or one distinct shard, starts no thread), results in
+        // deterministic device order whatever the worker count. Each shard
+        // is a single-device `Experiment::run` call and therefore hits the
+        // cache individually.
+        let workers = crate::campaign::resolve_worker_count(self.threads, distinct.len());
         let distinct_reports: Vec<RunReport> =
-            crate::campaign::run_jobs(self.threads, distinct.len(), |i| {
+            crate::campaign::run_jobs(workers, distinct.len(), |i| {
                 let d = distinct[i];
                 self.shard_experiment(d).run(&shard_workloads[d], scheme)
             });

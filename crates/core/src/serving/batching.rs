@@ -67,8 +67,9 @@ impl BatchingPolicy {
     /// # Panics
     /// Panics if `batch` is zero.
     pub fn fixed_size(batch: u32) -> Self {
-        assert!(batch > 0, "the batch size must be at least one");
-        BatchingPolicy::FixedSize { batch }
+        let policy = BatchingPolicy::FixedSize { batch };
+        policy.validate();
+        policy
     }
 
     /// A timeout-bounded policy.
@@ -77,15 +78,12 @@ impl BatchingPolicy {
     /// Panics if `max_batch` is zero or the timeout is not finite and
     /// non-negative.
     pub fn timeout(max_batch: u32, timeout_us: f64) -> Self {
-        assert!(max_batch > 0, "the batch size must be at least one");
-        assert!(
-            timeout_us.is_finite() && timeout_us >= 0.0,
-            "the timeout must be finite and non-negative"
-        );
-        BatchingPolicy::Timeout {
+        let policy = BatchingPolicy::Timeout {
             max_batch,
             timeout_us,
-        }
+        };
+        policy.validate();
+        policy
     }
 
     /// An adaptive (work-conserving) policy.
@@ -93,14 +91,44 @@ impl BatchingPolicy {
     /// # Panics
     /// Panics unless `0 < min_batch <= max_batch`.
     pub fn adaptive(min_batch: u32, max_batch: u32) -> Self {
-        assert!(min_batch > 0, "the minimum batch must be at least one");
-        assert!(
-            min_batch <= max_batch,
-            "the minimum batch must not exceed the maximum"
-        );
-        BatchingPolicy::Adaptive {
+        let policy = BatchingPolicy::Adaptive {
             min_batch,
             max_batch,
+        };
+        policy.validate();
+        policy
+    }
+
+    /// Checks the rules the constructors enforce, for a policy that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        match *self {
+            BatchingPolicy::FixedSize { batch } => {
+                assert!(batch > 0, "the batch size must be at least one");
+            }
+            BatchingPolicy::Timeout {
+                max_batch,
+                timeout_us,
+            } => {
+                assert!(max_batch > 0, "the batch size must be at least one");
+                assert!(
+                    timeout_us.is_finite() && timeout_us >= 0.0,
+                    "the timeout must be finite and non-negative"
+                );
+            }
+            BatchingPolicy::Adaptive {
+                min_batch,
+                max_batch,
+            } => {
+                assert!(min_batch > 0, "the minimum batch must be at least one");
+                assert!(
+                    min_batch <= max_batch,
+                    "the minimum batch must not exceed the maximum"
+                );
+            }
         }
     }
 

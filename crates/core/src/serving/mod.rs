@@ -151,7 +151,14 @@ pub struct ServingScenario {
 impl ServingScenario {
     /// Creates a scenario with 1024 requests, a 25 ms SLA and the default
     /// arrival seed.
+    ///
+    /// # Panics
+    /// Panics if the traffic model or the batching policy breaks its
+    /// constructor's rules ([`TrafficModel::validate`],
+    /// [`BatchingPolicy::validate`]).
     pub fn new(traffic: TrafficModel, policy: BatchingPolicy) -> Self {
+        traffic.validate();
+        policy.validate();
         ServingScenario {
             traffic,
             policy,
@@ -166,7 +173,12 @@ impl ServingScenario {
 
     /// Replaces the traffic model (used by the capacity search to sweep the
     /// offered rate while keeping the traffic shape).
+    ///
+    /// # Panics
+    /// Panics if the model breaks its constructor's rules
+    /// ([`TrafficModel::validate`]).
     pub fn with_traffic(mut self, traffic: TrafficModel) -> Self {
+        traffic.validate();
         self.traffic = traffic;
         self
     }
@@ -238,14 +250,24 @@ impl ServingScenario {
     /// Sets what happens to batches lost to a crash (and, for hedging,
     /// batches running slow). [`RetryPolicy::none`] — the default — fails
     /// them permanently.
+    ///
+    /// # Panics
+    /// Panics if the policy breaks its constructor's rules
+    /// ([`RetryPolicy::validate`]).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        retry.validate();
         self.retry = retry;
         self
     }
 
     /// Sets the overload-shedding policy. [`AdmissionPolicy::none`] — the
     /// default — admits every request.
+    ///
+    /// # Panics
+    /// Panics if the policy breaks its constructor's rules
+    /// ([`AdmissionPolicy::validate`]).
     pub fn with_admission(mut self, admission: AdmissionPolicy) -> Self {
+        admission.validate();
         self.admission = admission;
         self
     }
@@ -1561,5 +1583,42 @@ mod tests {
             (report.availability * report.requests as f64).round() as usize
         });
         assert_eq!(report.fault_events.len(), 2);
+    }
+
+    fn scenario() -> ServingScenario {
+        ServingScenario::new(
+            TrafficModel::poisson(1_000.0),
+            BatchingPolicy::fixed_size(8),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "a burst must contain at least one request")]
+    fn a_direct_invalid_traffic_model_panics_at_the_builder() {
+        let _ = scenario().with_traffic(TrafficModel::Bursty {
+            qps: 1_000.0,
+            burst_size: 0,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "the batch size must be at least one")]
+    fn a_direct_invalid_batching_policy_panics_at_the_builder() {
+        let _ = ServingScenario::new(
+            TrafficModel::poisson(1_000.0),
+            BatchingPolicy::FixedSize { batch: 0 },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a hedge factor must be finite and >= 1 (got 0.5)")]
+    fn a_direct_invalid_retry_policy_panics_at_the_builder() {
+        let _ = scenario().with_retry(RetryPolicy::Hedged { hedge_factor: 0.5 });
+    }
+
+    #[test]
+    #[should_panic(expected = "queue-depth admission needs max_queue_depth >= 1")]
+    fn a_direct_invalid_admission_policy_panics_at_the_builder() {
+        let _ = scenario().with_admission(AdmissionPolicy::QueueDepth { max_queue_depth: 0 });
     }
 }

@@ -5,7 +5,9 @@
 //! Both are written in the [`BatchingPolicy`](super::BatchingPolicy)
 //! idiom: an enum whose variants carry exactly their own parameters,
 //! built through validating constructors that panic on invalid values,
-//! and read by matching on the variant. The serving dispatch loop matches
+//! and read by matching on the variant. The constructors' rules live in
+//! one `validate` per enum, which the scenario builders call too, so a
+//! variant built directly is checked where a scenario takes it. The serving dispatch loop matches
 //! once per decision and binds the parameters it needs.
 //!
 //! Both are pure dispatch-time decision rules — they never touch the
@@ -86,15 +88,12 @@ impl RetryPolicy {
     /// Panics unless `max_retries >= 1` and `backoff_us` is finite and
     /// `>= 0`.
     pub fn fixed(max_retries: u32, backoff_us: f64) -> RetryPolicy {
-        assert!(max_retries >= 1, "fixed retry needs max_retries >= 1");
-        assert!(
-            backoff_us.is_finite() && backoff_us >= 0.0,
-            "retry backoff must be finite and >= 0 (got {backoff_us})"
-        );
-        RetryPolicy::Fixed {
+        let policy = RetryPolicy::Fixed {
             max_retries,
             backoff_us,
-        }
+        };
+        policy.validate();
+        policy
     }
 
     /// Hedge a batch once its completion runs past `hedge_factor` times
@@ -103,11 +102,34 @@ impl RetryPolicy {
     /// # Panics
     /// Panics unless `hedge_factor` is finite and `>= 1`.
     pub fn hedged(hedge_factor: f64) -> RetryPolicy {
-        assert!(
-            hedge_factor.is_finite() && hedge_factor >= 1.0,
-            "a hedge factor must be finite and >= 1 (got {hedge_factor})"
-        );
-        RetryPolicy::Hedged { hedge_factor }
+        let policy = RetryPolicy::Hedged { hedge_factor };
+        policy.validate();
+        policy
+    }
+
+    /// Checks the rules the constructors enforce, for a policy that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        match *self {
+            RetryPolicy::None => {}
+            RetryPolicy::Fixed {
+                max_retries,
+                backoff_us,
+            } => {
+                assert!(max_retries >= 1, "fixed retry needs max_retries >= 1");
+                assert!(
+                    backoff_us.is_finite() && backoff_us >= 0.0,
+                    "retry backoff must be finite and >= 0 (got {backoff_us})"
+                );
+            }
+            RetryPolicy::Hedged { hedge_factor } => assert!(
+                hedge_factor.is_finite() && hedge_factor >= 1.0,
+                "a hedge factor must be finite and >= 1 (got {hedge_factor})"
+            ),
+        }
     }
 
     /// Human-readable label, e.g. `"fixed(3, 500us)"`.
@@ -156,11 +178,9 @@ impl AdmissionPolicy {
     /// # Panics
     /// Panics unless `max_queue_depth >= 1`.
     pub fn queue_depth(max_queue_depth: u32) -> AdmissionPolicy {
-        assert!(
-            max_queue_depth >= 1,
-            "queue-depth admission needs max_queue_depth >= 1"
-        );
-        AdmissionPolicy::QueueDepth { max_queue_depth }
+        let policy = AdmissionPolicy::QueueDepth { max_queue_depth };
+        policy.validate();
+        policy
     }
 
     /// Shed requests whose predicted latency would exceed
@@ -169,11 +189,28 @@ impl AdmissionPolicy {
     /// # Panics
     /// Panics unless `sla_headroom` is finite and `> 0`.
     pub fn sla_aware(sla_headroom: f64) -> AdmissionPolicy {
-        assert!(
-            sla_headroom.is_finite() && sla_headroom > 0.0,
-            "an SLA headroom must be finite and > 0 (got {sla_headroom})"
-        );
-        AdmissionPolicy::SlaAware { sla_headroom }
+        let policy = AdmissionPolicy::SlaAware { sla_headroom };
+        policy.validate();
+        policy
+    }
+
+    /// Checks the rules the constructors enforce, for a policy that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        match *self {
+            AdmissionPolicy::None => {}
+            AdmissionPolicy::QueueDepth { max_queue_depth } => assert!(
+                max_queue_depth >= 1,
+                "queue-depth admission needs max_queue_depth >= 1"
+            ),
+            AdmissionPolicy::SlaAware { sla_headroom } => assert!(
+                sla_headroom.is_finite() && sla_headroom > 0.0,
+                "an SLA headroom must be finite and > 0 (got {sla_headroom})"
+            ),
+        }
     }
 
     /// Human-readable label, e.g. `"queue_depth(256)"`.

@@ -124,8 +124,9 @@ impl TrafficModel {
     /// # Panics
     /// Panics unless `qps` is finite and positive.
     pub fn uniform(qps: f64) -> Self {
-        assert_rate(qps, "the offered QPS");
-        TrafficModel::Uniform { qps }
+        let model = TrafficModel::Uniform { qps };
+        model.validate();
+        model
     }
 
     /// Poisson arrivals at a mean of `qps` requests per second.
@@ -133,8 +134,9 @@ impl TrafficModel {
     /// # Panics
     /// Panics unless `qps` is finite and positive.
     pub fn poisson(qps: f64) -> Self {
-        assert_rate(qps, "the offered QPS");
-        TrafficModel::Poisson { qps }
+        let model = TrafficModel::Poisson { qps };
+        model.validate();
+        model
     }
 
     /// Bursts of `burst_size` simultaneous requests at a mean request rate
@@ -144,9 +146,9 @@ impl TrafficModel {
     /// Panics unless `qps` is finite and positive and `burst_size` is
     /// non-zero.
     pub fn bursty(qps: f64, burst_size: u32) -> Self {
-        assert_rate(qps, "the offered QPS");
-        assert!(burst_size > 0, "a burst must contain at least one request");
-        TrafficModel::Bursty { qps, burst_size }
+        let model = TrafficModel::Bursty { qps, burst_size };
+        model.validate();
+        model
     }
 
     /// A sinusoidal day/night cycle between `trough_qps` and `peak_qps`
@@ -156,20 +158,45 @@ impl TrafficModel {
     /// Panics unless both rates are finite and positive, the trough does
     /// not exceed the peak, and the period is finite and positive.
     pub fn diurnal(peak_qps: f64, trough_qps: f64, period_s: f64) -> Self {
-        assert_rate(peak_qps, "the peak QPS");
-        assert_rate(trough_qps, "the trough QPS");
-        assert!(
-            trough_qps <= peak_qps,
-            "the trough rate must not exceed the peak rate"
-        );
-        assert!(
-            period_s.is_finite() && period_s > 0.0,
-            "the period must be finite and positive"
-        );
-        TrafficModel::Diurnal {
+        let model = TrafficModel::Diurnal {
             peak_qps,
             trough_qps,
             period_s,
+        };
+        model.validate();
+        model
+    }
+
+    /// Checks the rules the constructors enforce, for a model that may
+    /// have been built directly from its variant.
+    ///
+    /// # Panics
+    /// Panics where the variant's constructor would.
+    pub fn validate(&self) {
+        match *self {
+            TrafficModel::Uniform { qps } | TrafficModel::Poisson { qps } => {
+                assert_rate(qps, "the offered QPS");
+            }
+            TrafficModel::Bursty { qps, burst_size } => {
+                assert_rate(qps, "the offered QPS");
+                assert!(burst_size > 0, "a burst must contain at least one request");
+            }
+            TrafficModel::Diurnal {
+                peak_qps,
+                trough_qps,
+                period_s,
+            } => {
+                assert_rate(peak_qps, "the peak QPS");
+                assert_rate(trough_qps, "the trough QPS");
+                assert!(
+                    trough_qps <= peak_qps,
+                    "the trough rate must not exceed the peak rate"
+                );
+                assert!(
+                    period_s.is_finite() && period_s > 0.0,
+                    "the period must be finite and positive"
+                );
+            }
         }
     }
 
