@@ -10,9 +10,6 @@
 //! [`Campaign`], so its cells execute in parallel (`--jobs` controls the
 //! worker count).
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
 use dlrm::WorkloadScale;
 use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
 use embedding_kernels::BufferStation;
@@ -92,7 +89,7 @@ pub fn figure1(opts: &HarnessOptions) -> String {
     for (w, pattern) in AccessPattern::ALL.into_iter().enumerate() {
         for (s, scheme) in schemes.into_iter().enumerate() {
             let report = run.get(w, s, 0, 0);
-            let latency = report.batch_latency().expect("end-to-end run");
+            let latency = report.end_to_end.expect("end-to-end run");
             rows.push(vec![
                 pattern.paper_name().to_string(),
                 scheme.paper_label(),
@@ -230,29 +227,17 @@ pub fn figure11(opts: &HarnessOptions) -> String {
 
 /// The headline grid shared by Figures 12, 13 and 14: every evaluated
 /// dataset end-to-end under base (scheme index 0) and the four presented
-/// schemes (indices 1..=4). It is the most expensive grid in the harness,
-/// so `--all` memoizes the run per option set instead of simulating the
-/// identical grid three times.
+/// schemes (indices 1..=4). It is the most expensive grid in the harness;
+/// when `--all` renders all three figures, the options' shared cache serves
+/// the second and third runs, so the grid is simulated once.
 fn headline_campaign(opts: &HarnessOptions) -> CampaignRun {
-    static CACHE: OnceLock<Mutex<HashMap<String, CampaignRun>>> = OnceLock::new();
-    let key = format!("{}|jobs={}", opts.banner(), opts.jobs);
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(run) = cache.lock().expect("headline cache poisoned").get(&key) {
-        return run.clone();
-    }
     let schemes: Vec<Scheme> = std::iter::once(Scheme::base())
         .chain(Scheme::figure12_schemes())
         .collect();
-    let run = opts
-        .campaign()
+    opts.campaign()
         .workloads(AccessPattern::EVALUATED.map(Workload::end_to_end))
         .schemes(schemes)
-        .run();
-    cache
-        .lock()
-        .expect("headline cache poisoned")
-        .insert(key, run.clone());
-    run
+        .run()
 }
 
 /// Figure 12: embedding-only speedup of OptMT, RPF+OptMT, L2P+OptMT and
@@ -318,7 +303,7 @@ pub fn figure14(opts: &HarnessOptions) -> String {
         for s in 0..=Scheme::figure12_schemes().len() {
             let share = run
                 .get(w, s, 0, 0)
-                .batch_latency()
+                .end_to_end
                 .expect("end-to-end run")
                 .embedding_share_pct();
             row.push(format!("{share:.1}"));

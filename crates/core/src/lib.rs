@@ -10,7 +10,8 @@
 //! * [`Experiment`]: **how** to run it — device, model, scale, seed — with
 //!   the single entry point [`Experiment::run`]`(&Workload, &Scheme) ->`
 //!   [`RunReport`], a unified result carrying latency, per-table breakdown,
-//!   NCU-style counters and full metadata, serializable to JSON,
+//!   NCU-style counters, the end-to-end embedding/dense split as a
+//!   [`dlrm::BatchLatency`] and full metadata, serializable to JSON,
 //! * [`Campaign`]: **how many** to run — a declarative grid of schemes ×
 //!   workloads × seeds × pooling factors, executed in parallel across
 //!   threads with deterministic, thread-count-independent results, with
@@ -122,17 +123,14 @@ pub use fleet::{
     FleetReplicaReport, FleetReport, ReplicaGroup, ReplicaView, RoutingPolicy, FLEET_REPORT_SCHEMA,
 };
 pub use profiler::{ProfilerReport, ProfilingStep, StaticProfiler, WorkloadHint};
-pub use report::{
-    ClusterBreakdown, DeviceBreakdown, EndToEndBreakdown, RunReport, TableBreakdown,
-    RUN_REPORT_SCHEMA,
-};
+pub use report::{ClusterBreakdown, DeviceBreakdown, RunReport, TableBreakdown, RUN_REPORT_SCHEMA};
 pub use runner::Experiment;
 pub use scheme::{Multithreading, Scheme};
 pub use serving::{
-    best_stream_config, max_sustainable_qps, select_scheme, stream_capacity_sweep, AdmissionPolicy,
-    BatchShapeStats, BatchingPolicy, CapacityResult, DeviceUtilization, FaultEvent, FaultKind,
-    FaultPlan, FaultTimelineEntry, LatencyStats, RetryPolicy, SchemeChoice, ServingReport,
-    ServingScenario, StreamCapacityPoint, StreamUtilization, TrafficModel, SERVING_REPORT_SCHEMA,
+    max_sustainable_qps, select_scheme, stream_capacity_sweep, AdmissionPolicy, BatchShapeStats,
+    BatchingPolicy, CapacityResult, DeviceUtilization, FaultEvent, FaultKind, FaultPlan,
+    FaultTimelineEntry, LatencyStats, RetryPolicy, SchemeChoice, ServingReport, ServingScenario,
+    StreamCapacityPoint, StreamUtilization, TrafficModel, SERVING_REPORT_SCHEMA,
 };
 pub use topology::{Cluster, InterconnectConfig, ShardPlan, ShardingSpec, StreamConfig};
 pub use workload::{Dataset, Workload, WorkloadKind, WorkloadTarget};

@@ -4,13 +4,16 @@
 //! `KernelStats` for kernel runs, `EmbeddingStageResult` for stage runs,
 //! `EndToEndResult` for end-to-end runs): every [`crate::Experiment::run`]
 //! call — whatever the [`crate::Workload`] — produces one `RunReport`
-//! carrying latency, the per-table breakdown, NCU-style counters, and the
-//! scheme/workload/device metadata needed to interpret the numbers later.
-//! Reports serialize to JSON ([`RunReport::to_json`]) and parse back
-//! ([`RunReport::from_json`]) so campaigns can be archived and diffed, and
-//! so a persisted [`crate::CampaignCache`] can be reloaded. Each struct here
-//! has one `write_fields` that destructures it without a `..` rest pattern,
-//! so a new field does not compile until it is written or bound to `_`.
+//! carrying latency, the per-table breakdown, the end-to-end split as a
+//! [`BatchLatency`], NCU-style counters, and the scheme/workload/device
+//! metadata needed to interpret the numbers later. Reports serialize to
+//! JSON ([`RunReport::to_json`]) and parse back ([`RunReport::from_json`])
+//! so campaigns can be archived and diffed, and so a persisted
+//! [`crate::CampaignCache`] can be reloaded. Each struct here has one
+//! `write_fields`, and each struct from another crate (`BatchLatency`,
+//! `KernelStats`, `RawCounters`) one `write_*` function, that destructures
+//! it without a `..` rest pattern, so a new field does not compile until it
+//! is written or bound to `_`.
 
 use dlrm::BatchLatency;
 use gpu_sim::stats::RawCounters;
@@ -45,31 +48,6 @@ impl TableBreakdown {
         w.set("per_table_us", per_table_us);
         w.set("tables_simulated", tables_simulated);
         w.set("tables_total", tables_total);
-    }
-}
-
-/// End-to-end latency split of an end-to-end run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EndToEndBreakdown {
-    /// Embedding-stage latency in microseconds.
-    pub embedding_us: f64,
-    /// Non-embedding (MLPs + interaction) latency in microseconds.
-    pub non_embedding_us: f64,
-}
-
-impl EndToEndBreakdown {
-    /// The equivalent [`BatchLatency`] (for its formatting/share helpers).
-    pub fn batch_latency(&self) -> BatchLatency {
-        BatchLatency::new(self.embedding_us, self.non_embedding_us)
-    }
-
-    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
-        let EndToEndBreakdown {
-            embedding_us,
-            non_embedding_us,
-        } = *self;
-        w.set("embedding_us", embedding_us);
-        w.set("non_embedding_us", non_embedding_us);
     }
 }
 
@@ -170,7 +148,7 @@ pub struct RunReport {
     /// Per-table breakdown (stage and end-to-end workloads).
     pub tables: Option<TableBreakdown>,
     /// End-to-end latency split (end-to-end workloads only).
-    pub end_to_end: Option<EndToEndBreakdown>,
+    pub end_to_end: Option<BatchLatency>,
     /// Cross-device breakdown (sharded workloads only). Unsharded runs —
     /// including any archived before sharding existed — carry `None`.
     pub devices: Option<ClusterBreakdown>,
@@ -198,12 +176,6 @@ impl RunReport {
     /// Embedding-only speedup over `baseline`.
     pub fn embedding_speedup_over(&self, baseline: &RunReport) -> f64 {
         baseline.embedding_latency_us() / self.embedding_latency_us()
-    }
-
-    /// The end-to-end latency split as a [`BatchLatency`], if this was an
-    /// end-to-end run.
-    pub fn batch_latency(&self) -> Option<BatchLatency> {
-        self.end_to_end.map(|e2e| e2e.batch_latency())
     }
 
     /// Headline latency in milliseconds.
@@ -240,7 +212,7 @@ impl RunReport {
         );
         w.set(
             "end_to_end",
-            end_to_end.map(|e| object(move |o| e.write_fields(o))),
+            end_to_end.map(|e| object(move |o| write_batch_latency(o, &e))),
         );
         w.set("kind", kind.name());
         w.set("latency_us", *latency_us);
@@ -286,7 +258,9 @@ impl RunReport {
         };
         let end_to_end = match doc.get("end_to_end") {
             None | Some(Json::Null) => None,
-            Some(e) => Some(EndToEndBreakdown {
+            // Built literally: `BatchLatency::new` panics on a negative
+            // component, and a loaded document is untrusted input.
+            Some(e) => Some(BatchLatency {
                 embedding_us: req_f64(e, "embedding_us")?,
                 non_embedding_us: req_f64(e, "non_embedding_us")?,
             }),
@@ -348,6 +322,16 @@ impl std::fmt::Display for RunReport {
             self.latency_us
         )
     }
+}
+
+/// Writes the end-to-end latency split of a report.
+fn write_batch_latency(w: &mut ObjectWriter<'_>, latency: &BatchLatency) {
+    let BatchLatency {
+        embedding_us,
+        non_embedding_us,
+    } = *latency;
+    w.set("embedding_us", embedding_us);
+    w.set("non_embedding_us", non_embedding_us);
 }
 
 /// Writes the merged kernel statistics of a report.
@@ -481,7 +465,7 @@ mod tests {
                 tables_total: 6,
                 tables_simulated: 2,
             }),
-            end_to_end: Some(EndToEndBreakdown {
+            end_to_end: Some(BatchLatency {
                 embedding_us: 1000.1,
                 non_embedding_us: 234.46779012340002,
             }),
@@ -571,13 +555,22 @@ mod tests {
         let base = sample_report();
         let mut fast = sample_report();
         fast.latency_us = base.latency_us / 2.0;
-        fast.end_to_end = Some(EndToEndBreakdown {
+        fast.end_to_end = Some(BatchLatency {
             embedding_us: 500.05,
             non_embedding_us: 234.46779012340002,
         });
         assert!((fast.speedup_over(&base) - 2.0).abs() < 1e-12);
         assert!((fast.embedding_speedup_over(&base) - 2.0).abs() < 1e-9);
-        let share = base.batch_latency().unwrap().embedding_share_pct();
+        let share = base.end_to_end.unwrap().embedding_share_pct();
         assert!(share > 0.0 && share < 100.0);
+    }
+
+    #[test]
+    fn negative_end_to_end_latencies_parse_without_panicking() {
+        let text = sample_report()
+            .to_json()
+            .replace("\"embedding_us\":1000.1", "\"embedding_us\":-1");
+        let back = RunReport::from_json(&text).unwrap();
+        assert_eq!(back.end_to_end.unwrap().embedding_us, -1.0);
     }
 }

@@ -36,9 +36,7 @@ use gpu_sim::{EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, S
 use crate::cache::CampaignCache;
 use crate::fingerprint;
 use crate::json::{array, object, write_object};
-use crate::report::{
-    ClusterBreakdown, DeviceBreakdown, EndToEndBreakdown, RunReport, TableBreakdown,
-};
+use crate::report::{ClusterBreakdown, DeviceBreakdown, RunReport, TableBreakdown};
 use crate::scheme::Scheme;
 use crate::serving::FaultPlan;
 use crate::topology::{shard_mix, Cluster, ShardPlan, StreamConfig};
@@ -386,7 +384,7 @@ impl Experiment {
                 let mut report = self.run_stage_report(workload, &mix, scheme);
                 let timing = NonEmbeddingTimingModel::new(self.gpu());
                 let non_embedding_us = timing.non_embedding_time_us(&self.model);
-                report.end_to_end = Some(EndToEndBreakdown {
+                report.end_to_end = Some(BatchLatency {
                     embedding_us: report.latency_us,
                     non_embedding_us,
                 });
@@ -698,10 +696,7 @@ impl Experiment {
                 let non_embedding_us = timing.non_embedding_time_us(&self.model);
                 let batch =
                     BatchLatency::sharded(critical_path_us, all_to_all_us, non_embedding_us);
-                report.end_to_end = Some(EndToEndBreakdown {
-                    embedding_us: batch.embedding_us,
-                    non_embedding_us: batch.non_embedding_us,
-                });
+                report.end_to_end = Some(batch);
                 report.latency_us = batch.total_us();
             }
             WorkloadKind::Kernel => unreachable!("kernel workloads are never sharded"),
@@ -813,7 +808,7 @@ mod tests {
         let e2e = r.end_to_end.unwrap();
         assert!(e2e.non_embedding_us > 0.0);
         assert!((r.latency_us - e2e.embedding_us - e2e.non_embedding_us).abs() < 1e-9);
-        let share = r.batch_latency().unwrap().embedding_share_pct();
+        let share = e2e.embedding_share_pct();
         assert!(share > 0.0 && share < 100.0);
     }
 

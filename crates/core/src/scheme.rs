@@ -12,6 +12,7 @@
 //! Schemes are named the way the paper names them, so
 //! `Scheme::combined().paper_label()` is `"RPF+L2P+OptMT"`.
 
+use embedding_kernels::spec::OPTMT_MAXRREG_A100;
 use embedding_kernels::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
 use gpu_sim::GpuConfig;
 
@@ -132,12 +133,6 @@ impl Scheme {
         self
     }
 
-    /// Removes L2 pinning.
-    pub fn without_l2_pinning(mut self) -> Self {
-        self.l2_pinning = None;
-        self
-    }
-
     /// The multithreading policy.
     pub fn multithreading(&self) -> Multithreading {
         self.multithreading
@@ -194,7 +189,7 @@ impl Scheme {
         if cfg.name.to_ascii_uppercase().contains("H100") {
             56
         } else {
-            48
+            OPTMT_MAXRREG_A100
         }
     }
 
@@ -322,13 +317,6 @@ mod tests {
             Some(32)
         );
         assert_eq!(scheme.paper_label(), "maxrreg32");
-    }
-
-    #[test]
-    fn without_l2_pinning_removes_it() {
-        let scheme = Scheme::combined().without_l2_pinning();
-        assert!(scheme.l2_pinning().is_none());
-        assert_eq!(scheme.paper_label(), "RPF+OptMT");
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! priced batch runs alongside `K - 1` co-resident kernel copies in the
 //! engine (see [`crate::StreamConfig`]), so a batch's service latency is
 //! its *contended* latency, and the K-fold dispatch overlap is what the
-//! deployment gains on top. [`stream_capacity_sweep`] /
-//! [`best_stream_config`] search that trade-off over candidate K.
+//! deployment gains on top. [`stream_capacity_sweep`] searches that
+//! trade-off over candidate K.
 //!
 //! Because pricing goes through the ordinary experiment path, a serving
 //! scenario composes with everything the experiment layer can express: a
@@ -1111,30 +1111,6 @@ pub fn stream_capacity_sweep(
         .collect()
 }
 
-/// Sweeps the candidate stream configurations and returns the point with
-/// the highest sustainable QPS; ties go to the earliest candidate.
-///
-/// # Panics
-/// Panics when `candidates` is empty (via [`stream_capacity_sweep`]).
-pub fn best_stream_config(
-    experiment: &Experiment,
-    workload: &Workload,
-    scheme: &Scheme,
-    scenario: &ServingScenario,
-    candidates: &[StreamConfig],
-) -> StreamCapacityPoint {
-    stream_capacity_sweep(experiment, workload, scheme, scenario, candidates)
-        .into_iter()
-        .reduce(|best, point| {
-            if point.capacity.max_qps > best.capacity.max_qps {
-                point
-            } else {
-                best
-            }
-        })
-        .expect("the sweep returns one point per candidate")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1297,12 +1273,6 @@ mod tests {
         assert_eq!(sweep[1].streams, candidates[1]);
         assert_eq!(sweep[0].capacity.report.streams, 1);
         assert_eq!(sweep[1].capacity.report.streams, 2);
-        let best = best_stream_config(&exp(), &stage(), &Scheme::base(), &scenario, &candidates);
-        let max = sweep
-            .iter()
-            .map(|p| p.capacity.max_qps)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(best.capacity.max_qps, max);
     }
 
     /// The fault-free service latency of one `shape`-request batch — the

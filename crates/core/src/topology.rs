@@ -93,12 +93,6 @@ impl InterconnectConfig {
         InterconnectConfig::new("NVLink3", 2.0, 300.0)
     }
 
-    /// Fourth-generation NVLink as on H100 systems: ~450 GB/s effective per
-    /// direction per device.
-    pub fn nvlink4() -> Self {
-        InterconnectConfig::new("NVLink4", 1.5, 450.0)
-    }
-
     /// PCIe Gen4 x16 fallback fabric: ~25 GB/s effective per device.
     pub fn pcie_gen4() -> Self {
         InterconnectConfig::new("PCIe4x16", 5.0, 25.0)
@@ -243,11 +237,6 @@ impl Cluster {
             "interconnect",
             object(|f| fingerprint::write_interconnect(f, interconnect)),
         );
-    }
-
-    /// Whether every device has the same configuration.
-    pub fn is_homogeneous(&self) -> bool {
-        self.devices.iter().all(|d| *d == self.devices[0])
     }
 
     /// The largest number of concurrently resident kernel streams every
@@ -735,10 +724,6 @@ mod tests {
     #[test]
     fn interconnect_presets_order_by_generation() {
         assert!(
-            InterconnectConfig::nvlink4().link_bandwidth_gbps
-                > InterconnectConfig::nvlink3().link_bandwidth_gbps
-        );
-        assert!(
             InterconnectConfig::nvlink3().link_bandwidth_gbps
                 > InterconnectConfig::pcie_gen4().link_bandwidth_gbps
         );
@@ -754,16 +739,9 @@ mod tests {
     fn cluster_accessors() {
         let c = Cluster::homogeneous(GpuConfig::test_small(), 4, InterconnectConfig::nvlink3());
         assert_eq!(c.num_devices(), 4);
-        assert!(c.is_homogeneous());
         assert!(!c.is_single());
         assert_eq!(c.root(), c.device(0));
-        let single = Cluster::single(GpuConfig::a100());
-        assert!(single.is_single() && single.is_homogeneous());
-        let hetero = Cluster::new(
-            vec![GpuConfig::a100(), GpuConfig::h100_nvl()],
-            InterconnectConfig::nvlink4(),
-        );
-        assert!(!hetero.is_homogeneous());
+        assert!(Cluster::single(GpuConfig::a100()).is_single());
     }
 
     #[test]

@@ -191,16 +191,6 @@ impl EmbeddingTrace {
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// The `count` hottest rows actually observed in this trace (an "oracle"
-    /// profiling result, used to validate the offline candidates).
-    pub fn hottest_observed_rows(&self, count: usize) -> Vec<u32> {
-        self.row_popularity()
-            .into_iter()
-            .take(count)
-            .map(|(row, _)| row)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -337,12 +327,6 @@ mod tests {
             assert!(w[0].1 >= w[1].1);
         }
         assert_eq!(pop.len() as u64, t.unique_rows());
-    }
-
-    #[test]
-    fn hottest_observed_rows_truncates() {
-        let t = cfg().generate(AccessPattern::HighHot, 17);
-        assert_eq!(t.hottest_observed_rows(10).len(), 10);
     }
 
     #[test]

@@ -40,19 +40,6 @@ impl Mlp {
         self.dims[0]
     }
 
-    /// Output width.
-    pub fn output_dim(&self) -> u32 {
-        *self.dims.last().expect("dims is non-empty")
-    }
-
-    /// Number of multiply-accumulate FLOPs for one sample (2 per MAC).
-    pub fn flops_per_sample(&self) -> u64 {
-        self.dims
-            .windows(2)
-            .map(|w| 2 * w[0] as u64 * w[1] as u64)
-            .sum()
-    }
-
     /// Weight of layer `layer` connecting input `i` to output `j`,
     /// deterministic in the seed. Scaled roughly like Xavier initialisation
     /// so deep stacks neither explode nor vanish.
@@ -150,13 +137,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].is_finite());
         assert!(out[0].abs() < 100.0);
-    }
-
-    #[test]
-    fn flops_count_matches_layer_dims() {
-        let mlp = Mlp::new(vec![1024, 512, 128, 128], 0);
-        let expected = 2 * (1024 * 512 + 512 * 128 + 128 * 128) as u64;
-        assert_eq!(mlp.flops_per_sample(), expected);
     }
 
     #[test]

@@ -332,12 +332,6 @@ impl Instruction {
             },
         }
     }
-
-    /// Whether this instruction is a load from global or local memory
-    /// (the quantity reported as "#load insts" in the paper's NCU tables).
-    pub fn is_memory_load(&self) -> bool {
-        matches!(self, Instruction::Load { .. })
-    }
 }
 
 #[cfg(test)]
@@ -399,14 +393,6 @@ mod tests {
         assert!(MemSpace::Global.is_long_scoreboard());
         assert!(MemSpace::Local.is_long_scoreboard());
         assert!(!MemSpace::Shared.is_long_scoreboard());
-    }
-
-    #[test]
-    fn instruction_helpers() {
-        let ld = Instruction::global_load(1024, 5, 128);
-        assert!(ld.is_memory_load());
-        let add = Instruction::fadd(1, 1, 2);
-        assert!(!add.is_memory_load());
     }
 
     #[test]

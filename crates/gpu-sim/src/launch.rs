@@ -67,11 +67,6 @@ impl KernelLaunch {
         self
     }
 
-    /// Total number of threads in the grid.
-    pub fn total_threads(&self) -> u64 {
-        self.grid_blocks as u64 * self.threads_per_block as u64
-    }
-
     /// Total number of warps in the grid (assuming 32-thread warps).
     pub fn total_warps(&self) -> u64 {
         self.grid_blocks as u64 * (self.threads_per_block as u64).div_ceil(32)
@@ -162,7 +157,6 @@ mod tests {
     #[test]
     fn launch_totals() {
         let l = KernelLaunch::new("k", 1024, 256);
-        assert_eq!(l.total_threads(), 262_144);
         assert_eq!(l.total_warps(), 8192);
     }
 

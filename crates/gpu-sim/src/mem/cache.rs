@@ -34,15 +34,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit rate in [0, 1]; zero when the cache was never accessed.
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
     /// Number of misses.
     pub fn misses(&self) -> u64 {
         self.accesses - self.hits
@@ -338,14 +329,6 @@ impl Cache {
         install_persistent
     }
 
-    /// Invalidates every line and resets persistence bookkeeping (statistics
-    /// are preserved).
-    pub fn flush(&mut self) {
-        self.tags.fill(0);
-        self.last_use.fill(0);
-        self.persistent_lines = 0;
-    }
-
     /// Number of valid lines currently resident (O(capacity); intended for
     /// tests and diagnostics).
     pub fn resident_lines(&self) -> u64 {
@@ -374,7 +357,6 @@ mod tests {
         assert!(c.access(0, 1));
         assert_eq!(c.stats.accesses, 2);
         assert_eq!(c.stats.hits, 1);
-        assert!((c.stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -436,17 +418,6 @@ mod tests {
         assert!(c.fill(0, true, 1));
         assert!(c.is_persistent(0));
         assert_eq!(c.persistent_lines(), 1);
-    }
-
-    #[test]
-    fn flush_clears_contents_but_not_stats() {
-        let mut c = small_cache(8, 2);
-        c.fill(0, true, 0);
-        c.access(0, 1);
-        c.flush();
-        assert!(!c.probe(0));
-        assert_eq!(c.persistent_lines(), 0);
-        assert_eq!(c.stats.accesses, 1);
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl Dram {
     pub fn busy_until(&self) -> u64 {
         self.next_free.ceil() as u64
     }
-
-    /// Average read bandwidth in GB/s over `elapsed_cycles` at `clock_ghz`.
-    pub fn avg_read_bandwidth_gbps(&self, elapsed_cycles: u64, clock_ghz: f64) -> f64 {
-        if elapsed_cycles == 0 {
-            return 0.0;
-        }
-        let seconds = elapsed_cycles as f64 / (clock_ghz * 1e9);
-        self.bytes_read as f64 / seconds / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -151,23 +142,5 @@ mod tests {
         let deadline = d.busy_until();
         d.read(1, deadline + 100);
         assert!(d.busy_until() >= deadline + 100);
-    }
-
-    #[test]
-    fn bandwidth_accounting() {
-        let mut d = dram();
-        for i in 0..1000u64 {
-            d.read(128, i);
-        }
-        // 128 KB over 1000 cycles at 1.41 GHz.
-        let bw = d.avg_read_bandwidth_gbps(1000, 1.41);
-        let expected = 128.0 * 1000.0 / (1000.0 / 1.41e9) / 1e9;
-        assert!((bw - expected).abs() / expected < 1e-9);
-    }
-
-    #[test]
-    fn zero_elapsed_reports_zero_bandwidth() {
-        let d = dram();
-        assert_eq!(d.avg_read_bandwidth_gbps(0, 1.41), 0.0);
     }
 }

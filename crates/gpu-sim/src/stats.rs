@@ -61,17 +61,30 @@ impl RawCounters {
 
     /// Adds another set of counters into this one.
     pub fn accumulate(&mut self, other: &RawCounters) {
-        self.insts_issued += other.insts_issued;
-        self.load_insts += other.load_insts;
-        self.local_load_insts += other.local_load_insts;
-        self.store_insts += other.store_insts;
-        self.prefetch_insts += other.prefetch_insts;
-        self.long_scoreboard_cycles += other.long_scoreboard_cycles;
-        self.short_scoreboard_cycles += other.short_scoreboard_cycles;
-        self.not_selected_cycles += other.not_selected_cycles;
-        self.resident_warp_cycles += other.resident_warp_cycles;
-        self.warps_launched += other.warps_launched;
-        self.blocks_launched += other.blocks_launched;
+        let RawCounters {
+            insts_issued,
+            load_insts,
+            local_load_insts,
+            store_insts,
+            prefetch_insts,
+            long_scoreboard_cycles,
+            short_scoreboard_cycles,
+            not_selected_cycles,
+            resident_warp_cycles,
+            warps_launched,
+            blocks_launched,
+        } = *other;
+        self.insts_issued += insts_issued;
+        self.load_insts += load_insts;
+        self.local_load_insts += local_load_insts;
+        self.store_insts += store_insts;
+        self.prefetch_insts += prefetch_insts;
+        self.long_scoreboard_cycles += long_scoreboard_cycles;
+        self.short_scoreboard_cycles += short_scoreboard_cycles;
+        self.not_selected_cycles += not_selected_cycles;
+        self.resident_warp_cycles += resident_warp_cycles;
+        self.warps_launched += warps_launched;
+        self.blocks_launched += blocks_launched;
     }
 }
 
@@ -147,11 +160,6 @@ impl KernelStats {
     /// Kernel (or stage) time in microseconds.
     pub fn kernel_time_us(&self) -> f64 {
         self.elapsed_cycles as f64 / (self.clock_ghz * 1e3)
-    }
-
-    /// Kernel time in milliseconds.
-    pub fn kernel_time_ms(&self) -> f64 {
-        self.kernel_time_us() / 1e3
     }
 
     /// Warp-level load instructions, in millions (paper: "#load insts (M)").
@@ -256,38 +264,95 @@ impl KernelStats {
     /// sharded runs carry the wall-clock answer separately as the per-device
     /// critical path.
     pub fn merge_across_devices(&mut self, other: &KernelStats) {
-        self.elapsed_cycles += other.elapsed_cycles;
-        self.counters.accumulate(&other.counters);
-        self.l1_accesses += other.l1_accesses;
-        self.l1_hits += other.l1_hits;
-        self.l2_accesses += other.l2_accesses;
-        self.l2_hits += other.l2_hits;
-        self.dram_bytes_read += other.dram_bytes_read;
-        self.dram_bytes_written += other.dram_bytes_written;
+        let KernelStats {
+            // The aggregate is reported against `self`'s kernel and device.
+            kernel_name: _,
+            device_name: _,
+            clock_ghz: _,
+            total_schedulers: _,
+            peak_dram_bandwidth_gbps: _,
+            elapsed_cycles,
+            counters,
+            l1_accesses,
+            l1_hits,
+            l2_accesses,
+            l2_hits,
+            dram_bytes_read,
+            dram_bytes_written,
+            theoretical_warps_per_sm,
+            theoretical_occupancy_pct,
+            allocated_regs_per_thread,
+        } = *other;
+        self.elapsed_cycles += elapsed_cycles;
+        self.counters.accumulate(&counters);
+        self.l1_accesses += l1_accesses;
+        self.l1_hits += l1_hits;
+        self.l2_accesses += l2_accesses;
+        self.l2_hits += l2_hits;
+        self.dram_bytes_read += dram_bytes_read;
+        self.dram_bytes_written += dram_bytes_written;
         if self.theoretical_warps_per_sm == 0 {
-            self.theoretical_warps_per_sm = other.theoretical_warps_per_sm;
-            self.theoretical_occupancy_pct = other.theoretical_occupancy_pct;
-            self.allocated_regs_per_thread = other.allocated_regs_per_thread;
+            self.theoretical_warps_per_sm = theoretical_warps_per_sm;
+            self.theoretical_occupancy_pct = theoretical_occupancy_pct;
+            self.allocated_regs_per_thread = allocated_regs_per_thread;
         }
     }
 
     /// Names the first field in which `other` differs from `self`, with both
     /// values, or `None` when the records are identical. Used by the engine
-    /// equivalence suite to turn "two 20-field structs differ" into an
-    /// actionable message.
+    /// equivalence suite to turn "two records differ" into an actionable
+    /// message. Fields are compared in declaration order.
     pub fn first_difference(&self, other: &KernelStats) -> Option<String> {
+        let KernelStats {
+            kernel_name,
+            device_name,
+            clock_ghz,
+            total_schedulers,
+            peak_dram_bandwidth_gbps,
+            elapsed_cycles,
+            counters,
+            l1_accesses,
+            l1_hits,
+            l2_accesses,
+            l2_hits,
+            dram_bytes_read,
+            dram_bytes_written,
+            theoretical_warps_per_sm,
+            theoretical_occupancy_pct,
+            allocated_regs_per_thread,
+        } = self;
+        let RawCounters {
+            insts_issued,
+            load_insts,
+            local_load_insts,
+            store_insts,
+            prefetch_insts,
+            long_scoreboard_cycles,
+            short_scoreboard_cycles,
+            not_selected_cycles,
+            resident_warp_cycles,
+            warps_launched,
+            blocks_launched,
+        } = counters;
+        // `cmp!(counters.x)` compares `self`'s bound `x` with `other.counters.x`.
         macro_rules! cmp {
-            ($($field:ident).+) => {
-                if self.$($field).+ != other.$($field).+ {
-                    return Some(format!(
-                        "{}: {:?} vs {:?}",
-                        stringify!($($field).+),
-                        self.$($field).+,
-                        other.$($field).+
-                    ));
+            ($field:ident) => {
+                cmp!(@ $field, other.$field, stringify!($field))
+            };
+            (counters.$field:ident) => {
+                cmp!(@ $field, other.counters.$field, stringify!(counters.$field))
+            };
+            (@ $mine:ident, $theirs:expr, $name:expr) => {
+                if *$mine != $theirs {
+                    return Some(format!("{}: {:?} vs {:?}", $name, $mine, $theirs));
                 }
             };
         }
+        cmp!(kernel_name);
+        cmp!(device_name);
+        cmp!(clock_ghz);
+        cmp!(total_schedulers);
+        cmp!(peak_dram_bandwidth_gbps);
         cmp!(elapsed_cycles);
         cmp!(counters.insts_issued);
         cmp!(counters.load_insts);
@@ -307,6 +372,7 @@ impl KernelStats {
         cmp!(dram_bytes_read);
         cmp!(dram_bytes_written);
         cmp!(theoretical_warps_per_sm);
+        cmp!(theoretical_occupancy_pct);
         cmp!(allocated_regs_per_thread);
         None
     }
@@ -403,7 +469,6 @@ mod tests {
     fn time_conversion() {
         let s = sample_stats();
         assert!((s.kernel_time_us() - 1000.0).abs() < 1e-9);
-        assert!((s.kernel_time_ms() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -440,6 +505,18 @@ mod tests {
         assert_eq!(a.elapsed_cycles, 2_820_000);
         assert_eq!(a.counters.insts_issued, 2_000_000);
         assert_eq!(a.dram_bytes_read, 200_000_000);
+    }
+
+    #[test]
+    fn first_difference_compares_every_field() {
+        let a = sample_stats();
+        assert_eq!(a.first_difference(&a.clone()), None);
+        let mut b = a.clone();
+        b.theoretical_occupancy_pct += 1.0;
+        assert_eq!(
+            a.first_difference(&b).as_deref(),
+            Some("theoretical_occupancy_pct: 0.0 vs 1.0")
+        );
     }
 
     #[test]

@@ -105,21 +105,6 @@ pub fn embedding_bag_forward_simt(table: &SyntheticTable, trace: &EmbeddingTrace
     out
 }
 
-/// Mean-pooled variant of the forward pass (the PyTorch operator supports
-/// `sum` and `mean` modes; DLRM uses `sum`, but the operator is provided for
-/// completeness).
-pub fn embedding_bag_forward_mean(table: &SyntheticTable, trace: &EmbeddingTrace) -> Vec<f32> {
-    let ed = table.embedding_dim as usize;
-    let mut out = embedding_bag_forward(table, trace);
-    for bag in 0..trace.num_bags() {
-        let n = trace.bag(bag).len().max(1) as f32;
-        for col in 0..ed {
-            out[bag * ed + col] /= n;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,17 +163,6 @@ mod tests {
         for col in 0..32u32 {
             let expected = t.value(row, col) * 8.0;
             assert!((out[col as usize] - expected).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn mean_pooling_divides_by_bag_size() {
-        let t = SyntheticTable::new(1_000, 32, 11);
-        let tr = trace(AccessPattern::HighHot);
-        let sum = embedding_bag_forward(&t, &tr);
-        let mean = embedding_bag_forward_mean(&t, &tr);
-        for i in 0..sum.len() {
-            assert!((mean[i] * 8.0 - sum[i]).abs() < 1e-4);
         }
     }
 

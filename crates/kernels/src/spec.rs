@@ -140,12 +140,6 @@ impl EmbeddingKernelSpec {
         self
     }
 
-    /// Removes the register cap (back to the compiler's natural allocation).
-    pub fn without_register_cap(mut self) -> Self {
-        self.max_registers = None;
-        self
-    }
-
     /// Adds software prefetching.
     pub fn with_prefetch(mut self, prefetch: PrefetchConfig) -> Self {
         self.prefetch = Some(prefetch);
@@ -368,12 +362,6 @@ mod tests {
         for s in BufferStation::ALL {
             assert_eq!(s.optimal_distance_with_optmt(), 2);
         }
-    }
-
-    #[test]
-    fn without_register_cap_restores_natural_allocation() {
-        let spec = EmbeddingKernelSpec::optmt().without_register_cap();
-        assert_eq!(spec.allocated_regs(), BASE_NATURAL_REGS);
     }
 
     #[test]

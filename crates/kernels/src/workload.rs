@@ -70,12 +70,6 @@ impl EmbeddingConfig {
         (THREADS_PER_BLOCK / self.embedding_dim).max(1)
     }
 
-    /// Data processed per table in bytes: `batch * pooling * row_bytes`
-    /// (the paper's Section III-A arithmetic).
-    pub fn data_processed_bytes(&self) -> u64 {
-        self.trace.total_lookups() * self.row_bytes()
-    }
-
     /// Total weight bytes of one table.
     pub fn table_bytes(&self) -> u64 {
         self.trace.num_rows * self.row_bytes()
@@ -162,17 +156,6 @@ impl EmbeddingWorkload {
         })
     }
 
-    /// The row index of lookup `i` of `bag`.
-    pub fn lookup_row(&self, bag: u64, i: u32) -> u64 {
-        let offset = self.trace.offsets[bag as usize] as u64 + i as u64;
-        self.trace.indices[offset as usize] as u64
-    }
-
-    /// The flat lookup position of `(bag, i)` within the indices array.
-    pub fn lookup_position(&self, bag: u64, i: u32) -> u64 {
-        self.trace.offsets[bag as usize] as u64 + i as u64
-    }
-
     /// The hottest-row candidates an offline profiling pass would pin for
     /// this table (paper Figure 10, step 1).
     pub fn hot_rows(&self, count: usize) -> Vec<u64> {
@@ -213,8 +196,6 @@ mod tests {
         assert_eq!(c.warps_per_bag(), 4);
         assert_eq!(c.bags_per_block(), 2);
         assert_eq!(c.row_bytes(), 512);
-        // 2048 * 150 * 128 * 4B = 150 MB of data processed per table.
-        assert_eq!(c.data_processed_bytes(), 2048 * 150 * 512);
     }
 
     #[test]
@@ -242,16 +223,6 @@ mod tests {
         assert_eq!(c.bags_per_block(), 4);
         assert_eq!(c.warps_per_bag(), 2);
         assert_eq!(c.grid_blocks(), 4);
-    }
-
-    #[test]
-    fn lookup_row_matches_trace() {
-        let w = EmbeddingWorkload::generate(config(), AccessPattern::HighHot, 0, 7);
-        let bag = 3u64;
-        let i = 5u32;
-        let expected = w.trace.bag(bag as usize)[i as usize] as u64;
-        assert_eq!(w.lookup_row(bag, i), expected);
-        assert_eq!(w.lookup_position(bag, i), bag * 16 + 5);
     }
 
     #[test]

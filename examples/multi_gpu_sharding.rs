@@ -99,7 +99,7 @@ fn main() {
     println!(
         "end-to-end: {:.2} ms (embedding {:.1}%, dense pipeline on the root device)",
         report.latency_ms(),
-        report.batch_latency().unwrap().embedding_share_pct()
+        e2e.embedding_share_pct()
     );
     assert!(e2e.embedding_us >= cluster.critical_path_us);
     println!(

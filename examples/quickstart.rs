@@ -35,11 +35,11 @@ fn main() {
 
         println!(
             "base          : {}",
-            base.batch_latency().expect("end-to-end run")
+            base.end_to_end.expect("end-to-end run")
         );
         println!(
             "RPF+L2P+OptMT : {}",
-            combined.batch_latency().expect("end-to-end run")
+            combined.end_to_end.expect("end-to-end run")
         );
         println!(
             "embedding-only speedup: {:.2}x, end-to-end speedup: {:.2}x",

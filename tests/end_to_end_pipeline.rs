@@ -90,8 +90,8 @@ fn optimizations_reduce_the_embedding_share_of_latency() {
     let workload = Workload::end_to_end(AccessPattern::Random);
     let base = e.run(&workload, &Scheme::base());
     let opt = e.run(&workload, &Scheme::combined());
-    let base_share = base.batch_latency().unwrap().embedding_share_pct();
-    let opt_share = opt.batch_latency().unwrap().embedding_share_pct();
+    let base_share = base.end_to_end.unwrap().embedding_share_pct();
+    let opt_share = opt.end_to_end.unwrap().embedding_share_pct();
     assert!(
         opt_share < base_share,
         "embedding share should drop ({base_share:.1}% -> {opt_share:.1}%)"

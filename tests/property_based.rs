@@ -7,7 +7,7 @@
 //! from the small [`Cases`] generator below. Failures print the case number
 //! and drawn values, which (being deterministic) reproduce exactly.
 
-use dlrm::WorkloadScale;
+use dlrm::{BatchLatency, WorkloadScale};
 use dlrm_datasets::{AccessPattern, CoverageCurve, TraceConfig, ZipfSampler};
 use embedding_kernels::{embedding_bag_forward, embedding_bag_forward_simt, SyntheticTable};
 use gpu_sim::config::CacheConfig;
@@ -22,11 +22,11 @@ use gpu_sim::{
 use perf_envelope::json::Json;
 use perf_envelope::{
     AdmissionPolicy, AutoscaleEvent, AutoscalePolicy, BatchShapeStats, BatchingPolicy,
-    CampaignCache, Cluster, ClusterBreakdown, DeviceBreakdown, DeviceUtilization,
-    EndToEndBreakdown, Experiment, FaultEvent, FaultPlan, FaultTimelineEntry, FleetCost,
-    FleetReplicaReport, FleetReport, InterconnectConfig, LatencyStats, RetryPolicy, RoutingPolicy,
-    RunReport, Scheme, ServingReport, ServingScenario, StreamConfig, StreamUtilization,
-    TableBreakdown, TrafficModel, Workload, WorkloadKind,
+    CampaignCache, Cluster, ClusterBreakdown, DeviceBreakdown, DeviceUtilization, Experiment,
+    FaultEvent, FaultPlan, FaultTimelineEntry, FleetCost, FleetReplicaReport, FleetReport,
+    InterconnectConfig, LatencyStats, RetryPolicy, RoutingPolicy, RunReport, Scheme, ServingReport,
+    ServingScenario, StreamConfig, StreamUtilization, TableBreakdown, TrafficModel, Workload,
+    WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -377,7 +377,7 @@ fn run_reports_with_cluster_breakdowns_round_trip() {
                 tables_total: g.range(1, 256) as u32,
                 tables_simulated: g.range(1, 16) as u32,
             }),
-            end_to_end: Some(EndToEndBreakdown {
+            end_to_end: Some(BatchLatency {
                 embedding_us,
                 non_embedding_us,
             }),
