@@ -178,19 +178,6 @@ impl EmbeddingTrace {
     pub fn coverage_curve(&self) -> CoverageCurve {
         CoverageCurve::from_indices(&self.indices)
     }
-
-    /// Per-row access counts, sorted hottest first, as `(row, count)`.
-    pub fn row_popularity(&self) -> Vec<(u32, u64)> {
-        // audit:allow(unordered_collection): drained via sort_by with an
-        // explicit row-id tie-break below, so order is canonical
-        let mut counts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-        for &idx in &self.indices {
-            *counts.entry(idx).or_insert(0) += 1;
-        }
-        let mut v: Vec<(u32, u64)> = counts.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -315,18 +302,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn row_popularity_is_sorted_and_complete() {
-        let t = cfg().generate(AccessPattern::MedHot, 13);
-        let pop = t.row_popularity();
-        let total: u64 = pop.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, t.total_lookups());
-        for w in pop.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-        assert_eq!(pop.len() as u64, t.unique_rows());
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl Mlp {
         Mlp { dims, seed }
     }
 
-    /// The layer dimensions.
-    pub fn dims(&self) -> &[u32] {
-        &self.dims
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> u32 {
         self.dims[0]

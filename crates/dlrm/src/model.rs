@@ -134,27 +134,6 @@ impl DlrmConfig {
     pub fn pooled_embedding_bytes_per_table(&self) -> u64 {
         self.batch_size() as u64 * self.embedding.embedding_dim as u64 * 4
     }
-
-    /// Parameter count of one embedding table.
-    pub fn table_parameters(&self) -> u64 {
-        self.embedding.trace.num_rows * self.embedding.embedding_dim as u64
-    }
-
-    /// Total model parameters (embedding tables plus both MLPs, including the
-    /// implicit projection of the interaction output into the top MLP).
-    pub fn total_parameters(&self) -> u64 {
-        let emb = self.table_parameters() * self.num_tables as u64;
-        let mut mlp = 0u64;
-        for w in self.bottom_mlp.windows(2) {
-            mlp += (w[0] as u64 + 1) * w[1] as u64;
-        }
-        let mut prev = self.interaction_output_dim() as u64;
-        for &n in &self.top_mlp {
-            mlp += (prev + 1) * n as u64;
-            prev = n as u64;
-        }
-        emb + mlp
-    }
 }
 
 impl Default for DlrmConfig {
@@ -177,7 +156,7 @@ mod tests {
         assert_eq!(m.embedding.embedding_dim, 128);
         // The paper quotes a ~60 GB model dominated by the embedding tables:
         // 250 * 500K * 128 * 4 B = 64 GB of embeddings.
-        let emb_bytes = m.table_parameters() * m.num_tables as u64 * 4;
+        let emb_bytes = m.embedding.table_bytes() * m.num_tables as u64;
         assert_eq!(emb_bytes, 64_000_000_000);
     }
 
@@ -210,8 +189,6 @@ mod tests {
         let paper = DlrmConfig::at_scale(WorkloadScale::Paper);
         let default = DlrmConfig::at_scale(WorkloadScale::Default);
         let test = DlrmConfig::at_scale(WorkloadScale::Test);
-        assert!(paper.total_parameters() > default.total_parameters());
-        assert!(default.total_parameters() > test.total_parameters());
         // The default scale keeps the paper's batch size (so occupancy
         // behaviour is preserved) but shrinks the per-table work.
         assert!(paper.embedding.trace.total_lookups() > default.embedding.trace.total_lookups());

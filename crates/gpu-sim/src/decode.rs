@@ -17,7 +17,7 @@
 //! whole program through it. It keeps raw ids unless built with
 //! [`InstBuffer::dense`].
 
-use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg, SrcSet};
+use crate::isa::{Instruction, LineSet, MemSpace, Reg, SrcSet};
 use crate::launch::WarpProgram;
 
 /// Packed opcodes; see [`PackedInst`].
@@ -27,10 +27,9 @@ pub(crate) const OP_LOAD_SHARED: u64 = 2;
 pub(crate) const OP_STORE_GLOBAL: u64 = 3;
 pub(crate) const OP_STORE_LOCAL: u64 = 4;
 pub(crate) const OP_STORE_SHARED: u64 = 5;
-pub(crate) const OP_PREF_L1: u64 = 6;
-pub(crate) const OP_PREF_L2: u64 = 7;
-pub(crate) const OP_ALU: u64 = 8;
-pub(crate) const OP_EXT: u64 = 9;
+pub(crate) const OP_PREF: u64 = 6;
+pub(crate) const OP_ALU: u64 = 7;
+pub(crate) const OP_EXT: u64 = 8;
 
 /// One decoded instruction packed into 16 bytes for the per-slot
 /// decode-ahead buffers. A full [`Instruction`] is 56 bytes, so buffering
@@ -112,21 +111,13 @@ impl PackedInst {
                     meta: mem_meta(op, regs.dense(src), None, bytes),
                 })
             }
-            Instruction::Prefetch {
-                target,
-                lines,
-                addr_dep,
-            } => {
+            Instruction::Prefetch { lines, addr_dep } => {
                 if lines.len() != 1 {
                     return None;
                 }
-                let op = match target {
-                    PrefetchTarget::L1 => OP_PREF_L1,
-                    PrefetchTarget::L2EvictLast => OP_PREF_L2,
-                };
                 Some(PackedInst {
                     arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, 0, addr_dep.map(|r| regs.dense(r)), 0),
+                    meta: mem_meta(OP_PREF, 0, addr_dep.map(|r| regs.dense(r)), 0),
                 })
             }
             Instruction::Alu { dst, srcs, latency } => {
@@ -165,12 +156,7 @@ impl PackedInst {
                 src: self.reg0(),
                 bytes: self.bytes(),
             },
-            op @ (OP_PREF_L1 | OP_PREF_L2) => Instruction::Prefetch {
-                target: if op == OP_PREF_L1 {
-                    PrefetchTarget::L1
-                } else {
-                    PrefetchTarget::L2EvictLast
-                },
+            OP_PREF => Instruction::Prefetch {
                 lines: line,
                 addr_dep: self.addr_dep(),
             },
@@ -531,7 +517,6 @@ mod tests {
     }
 
     const SPACES: [MemSpace; 3] = [MemSpace::Global, MemSpace::Local, MemSpace::Shared];
-    const TARGETS: [PrefetchTarget; 2] = [PrefetchTarget::L1, PrefetchTarget::L2EvictLast];
 
     #[test]
     fn every_packable_instruction_round_trips() {
@@ -560,14 +545,11 @@ mod tests {
                     }
                 }
             }
-            for target in TARGETS {
-                for addr_dep in [None, Some(reg)] {
-                    assert_packs(Instruction::Prefetch {
-                        target,
-                        lines: LineSet::single(lines[reg as usize % lines.len()]),
-                        addr_dep,
-                    });
-                }
+            for addr_dep in [None, Some(reg)] {
+                assert_packs(Instruction::Prefetch {
+                    lines: LineSet::single(lines[reg as usize % lines.len()]),
+                    addr_dep,
+                });
             }
             let (a, b) = (other, reg ^ 0xA5);
             for srcs in [
@@ -619,13 +601,10 @@ mod tests {
                 addr_dep: None,
             });
         }
-        for target in TARGETS {
-            assert_spills(Instruction::Prefetch {
-                target,
-                lines: four,
-                addr_dep: None,
-            });
-        }
+        assert_spills(Instruction::Prefetch {
+            lines: four,
+            addr_dep: None,
+        });
     }
 
     #[test]

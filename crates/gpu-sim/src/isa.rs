@@ -37,17 +37,6 @@ impl MemSpace {
     }
 }
 
-/// Destination of a software prefetch instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrefetchTarget {
-    /// `prefetch.global.L1`: bring the line into the issuing SM's L1D.
-    L1,
-    /// `prefetch.global.L2::evict_last`: bring the line into the L2
-    /// persisting carve-out and mark it evict-last (Ampere residency
-    /// control). Used by the paper's L2 pinning scheme.
-    L2EvictLast,
-}
-
 /// A small, inline (non-allocating) set of cache-line addresses touched by a
 /// warp-level memory instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,11 +223,11 @@ pub enum Instruction {
         /// Total bytes written by the warp.
         bytes: u32,
     },
-    /// A non-blocking software prefetch (`prefetch.global.L1` or
-    /// `prefetch.global.L2::evict_last`).
+    /// A non-blocking software prefetch into the issuing SM's L1D
+    /// (`prefetch.global.L1`, the paper's L1DPF). L2 pinning issues no
+    /// instruction: its cost-hidden pin pass installs lines through
+    /// [`MemorySystem::warm_l2_persistent`](crate::mem::MemorySystem::warm_l2_persistent).
     Prefetch {
-        /// Where the prefetched line should be installed.
-        target: PrefetchTarget,
         /// Cache lines to prefetch.
         lines: LineSet,
         /// Register holding the prefetch address, if it is produced by an
@@ -316,12 +305,7 @@ impl Instruction {
                 src: f(src),
                 bytes,
             },
-            Instruction::Prefetch {
-                target,
-                lines,
-                addr_dep,
-            } => Instruction::Prefetch {
-                target,
+            Instruction::Prefetch { lines, addr_dep } => Instruction::Prefetch {
                 lines,
                 addr_dep: addr_dep.map(f),
             },

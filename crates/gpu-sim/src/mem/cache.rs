@@ -13,8 +13,10 @@
 //! exactly like [`Cache::access`] followed, on a miss, by a normal
 //! [`Cache::fill`], but locates the set once and finds the hit and the
 //! first invalid way in one pass over its tags; it reads LRU stamps only
-//! when every way is valid. Persistent fills (L2 pinning) still go through
-//! `fill`, which also promotes resident lines.
+//! when every way is valid. Persistent lines have one way in: the
+//! cost-hidden pin pass
+//! ([`MemorySystem::warm_l2_persistent`](crate::mem::MemorySystem::warm_l2_persistent))
+//! calls `fill` with `persistent` set, which also promotes resident lines.
 
 use crate::config::CacheConfig;
 
@@ -31,13 +33,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Number of persistent (pinned) lines evicted.
     pub persistent_evictions: u64,
-}
-
-impl CacheStats {
-    /// Number of misses.
-    pub fn misses(&self) -> u64 {
-        self.accesses - self.hits
-    }
 }
 
 /// Valid bit packed into a way's tag word (tags are line addresses divided

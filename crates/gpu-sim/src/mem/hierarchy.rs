@@ -5,7 +5,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::config::GpuConfig;
-use crate::isa::{LineSet, MemSpace, PrefetchTarget};
+use crate::isa::{LineSet, MemSpace};
 use crate::mem::cache::Cache;
 use crate::mem::dram::Dram;
 
@@ -193,40 +193,27 @@ impl MemorySystem {
         }
     }
 
-    /// Services a software prefetch request. Prefetches never stall the warp,
-    /// but the prefetched data only becomes usable once its fill completes —
-    /// a demand load that arrives earlier waits for the in-flight fill.
-    pub fn prefetch(&mut self, sm: usize, target: PrefetchTarget, lines: &LineSet, now: u64) {
+    /// Services a software prefetch into SM `sm`'s L1 (`prefetch.global.L1`).
+    /// Prefetches never stall the warp, but the prefetched data only becomes
+    /// usable once its fill completes — a demand load that arrives earlier
+    /// waits for the in-flight fill.
+    pub fn prefetch(&mut self, sm: usize, lines: &LineSet, now: u64) {
         for line in lines.iter() {
             self.prefetch_lines += 1;
-            match target {
-                PrefetchTarget::L1 => {
-                    if self.l1[sm].probe(line) {
-                        continue;
-                    }
-                    let ready = if self.l2.access_or_fill(line, now) {
-                        now + self.l2.hit_latency()
-                    } else {
-                        let done = self.dram.read(self.l2.line_bytes(), now);
-                        self.record_l2_fill(line, done);
-                        done
-                    };
-                    self.l1[sm].fill(line, false, now);
-                    self.l1_pending[sm].insert(line, ready);
-                    self.fill_deadlines
-                        .push(Reverse((ready, FillSite::L1 { sm, line })));
-                }
-                PrefetchTarget::L2EvictLast => {
-                    if self.l2.probe(line) {
-                        // Promote an already-resident line to persistent.
-                        self.l2.fill(line, true, now);
-                        continue;
-                    }
-                    let done = self.dram.read(self.l2.line_bytes(), now);
-                    self.l2.fill(line, true, now);
-                    self.record_l2_fill(line, done);
-                }
+            if self.l1[sm].probe(line) {
+                continue;
             }
+            let ready = if self.l2.access_or_fill(line, now) {
+                now + self.l2.hit_latency()
+            } else {
+                let done = self.dram.read(self.l2.line_bytes(), now);
+                self.record_l2_fill(line, done);
+                done
+            };
+            self.l1[sm].fill(line, false, now);
+            self.l1_pending[sm].insert(line, ready);
+            self.fill_deadlines
+                .push(Reverse((ready, FillSite::L1 { sm, line })));
         }
     }
 
@@ -426,20 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn l2_evict_last_prefetch_pins_lines() {
-        let (mut m, cfg) = mem();
-        m.set_l2_persisting_carveout(64 * 1024, &cfg);
-        let lines = LineSet::single(8192);
-        m.prefetch(0, PrefetchTarget::L2EvictLast, &lines, 0);
-        assert!(m.l2().is_persistent(8192));
-        assert!(m.dram().bytes_read >= 128);
-    }
-
-    #[test]
     fn l1_prefetch_installs_into_l1() {
         let (mut m, _cfg) = mem();
         let lines = LineSet::single(2048);
-        m.prefetch(0, PrefetchTarget::L1, &lines, 0);
+        m.prefetch(0, &lines, 0);
         assert!(m.l1(0).probe(2048));
         // A subsequent demand load hits in L1.
         let (_, outcome) = m.load(0, MemSpace::Global, &lines, 128, 100);
@@ -482,7 +459,7 @@ mod tests {
     fn pending_fills_report_their_deadlines() {
         let (mut m, _cfg) = mem();
         assert_eq!(m.earliest_pending_response(), None);
-        m.prefetch(0, PrefetchTarget::L1, &LineSet::single(4096), 0);
+        m.prefetch(0, &LineSet::single(4096), 0);
         let deadline = m.earliest_pending_response().expect("fill in flight");
         assert!(deadline > 0, "a cold prefetch must take time to land");
         // Before the deadline nothing retires; after it the registry drains.
@@ -497,8 +474,8 @@ mod tests {
         let (mut m1, _) = mem();
         let (mut m2, _) = mem();
         let lines = LineSet::single(8192);
-        m1.prefetch(0, PrefetchTarget::L1, &lines, 0);
-        m2.prefetch(0, PrefetchTarget::L1, &lines, 0);
+        m1.prefetch(0, &lines, 0);
+        m2.prefetch(0, &lines, 0);
         let deadline = m1.earliest_pending_response().unwrap();
         // m1 retires eagerly (event-driven engine), m2 prunes lazily.
         m1.retire_completed_fills(deadline + 10);
@@ -509,17 +486,35 @@ mod tests {
 
     #[test]
     fn superseded_fill_deadlines_are_discarded() {
-        let (mut m, _cfg) = mem();
-        let lines = LineSet::single(1 << 16);
-        m.prefetch(0, PrefetchTarget::L2EvictLast, &lines, 0);
+        let (mut m, cfg) = mem();
+        let line = 1 << 16;
+        let lines = LineSet::single(line);
+        // A demand load on SM 1 brings the line into L2 without
+        // registering a fill, so SM 0's prefetches are L2 hits.
+        m.load(1, MemSpace::Global, &lines, 128, 0);
+        m.prefetch(0, &lines, 10);
         let first = m.earliest_pending_response().unwrap();
-        // A demand load hits the L2 line, evicting nothing; re-prefetching
-        // much later re-registers the pending fill with a later deadline
-        // only if the line left the cache. Force that by flushing.
-        m.retire_completed_fills(first);
-        m.prefetch(0, PrefetchTarget::L1, &lines, first + 1000);
-        let second = m.earliest_pending_response().unwrap();
-        assert!(second > first);
+        assert_eq!(first, 10 + cfg.l2.hit_latency);
+        // Stream twice SM 0's L1 capacity through it to evict the line
+        // before its fill lands (demand loads register no fill), then
+        // prefetch it again: the new fill supersedes the first.
+        let l1_lines = cfg.l1.capacity_bytes / 128;
+        for k in 1..=2 * l1_lines {
+            m.load(
+                0,
+                MemSpace::Global,
+                &LineSet::single(line + 128 * k),
+                128,
+                20,
+            );
+        }
+        assert!(!m.l1(0).probe(line));
+        m.prefetch(0, &lines, 100);
+        let second = 100 + cfg.l2.hit_latency;
+        // The first deadline still sits in the registry but is stale.
+        assert_eq!(m.earliest_pending_response(), Some(second));
+        m.retire_completed_fills(second);
+        assert_eq!(m.earliest_pending_response(), None);
     }
 
     #[test]

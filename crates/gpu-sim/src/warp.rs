@@ -53,10 +53,10 @@
 
 use crate::config::GpuConfig;
 use crate::decode::{
-    InstSink, PackedInst, RegMap, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED,
-    OP_PREF_L1, OP_PREF_L2, OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
+    InstSink, PackedInst, RegMap, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED, OP_PREF,
+    OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
 };
-use crate::isa::{Instruction, LineSet, MemSpace, PrefetchTarget, Reg};
+use crate::isa::{Instruction, LineSet, MemSpace, Reg};
 use crate::launch::{WarpInfo, WarpProgram};
 use crate::mem::MemorySystem;
 use crate::stats::RawCounters;
@@ -518,7 +518,7 @@ impl WarpSlots {
                     consider(p.src(i));
                 }
             }
-            OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED | OP_PREF_L1 | OP_PREF_L2 => {
+            OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED | OP_PREF => {
                 if let Some(reg) = p.addr_dep() {
                     consider(reg);
                 }
@@ -622,14 +622,9 @@ impl WarpSlots {
                 };
                 mem.store(sm, space, &LineSet::single(p.arg), p.bytes(), now);
             }
-            OP_PREF_L1 | OP_PREF_L2 => {
+            OP_PREF => {
                 counters.prefetch_insts += 1;
-                let target = if p.op() == OP_PREF_L1 {
-                    PrefetchTarget::L1
-                } else {
-                    PrefetchTarget::L2EvictLast
-                };
-                mem.prefetch(sm, target, &LineSet::single(p.arg), now);
+                mem.prefetch(sm, &LineSet::single(p.arg), now);
             }
             _ => self.execute_ext(slot, p.arg as usize, sm, now, mem, cfg, counters),
         }
@@ -704,13 +699,9 @@ impl WarpSlots {
                 counters.store_insts += 1;
                 mem.store(sm, space, &lines, bytes, now);
             }
-            Instruction::Prefetch {
-                target,
-                lines,
-                addr_dep: _,
-            } => {
+            Instruction::Prefetch { lines, addr_dep: _ } => {
                 counters.prefetch_insts += 1;
-                mem.prefetch(sm, target, &lines, now);
+                mem.prefetch(sm, &lines, now);
             }
             Instruction::Alu {
                 dst,
@@ -901,7 +892,6 @@ mod tests {
     fn prefetch_does_not_block_the_warp() {
         let insts = vec![
             Instruction::Prefetch {
-                target: crate::isa::PrefetchTarget::L1,
                 lines: LineSet::single(0),
                 addr_dep: None,
             },

@@ -29,9 +29,7 @@ use std::sync::Arc;
 
 use dlrm_datasets::EmbeddingTrace;
 use gpu_sim::isa::SrcSet;
-use gpu_sim::{
-    InstSink, Instruction, KernelProgram, LineSet, MemSpace, PrefetchTarget, WarpInfo, WarpProgram,
-};
+use gpu_sim::{InstSink, Instruction, KernelProgram, LineSet, MemSpace, WarpInfo, WarpProgram};
 
 use crate::layout::TableLayout;
 use crate::spec::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
@@ -314,7 +312,6 @@ impl EmbeddingWarp {
                         self.gather(i, window(R_TMP_BASE, k), addr_reg)
                     }
                     BufferStation::L1Cache => Instruction::Prefetch {
-                        target: PrefetchTarget::L1,
                         lines: LineSet::single(self.row_line(i)),
                         addr_dep: Some(addr_reg),
                     },
@@ -619,15 +616,7 @@ mod tests {
         let insts = drain(&spec.kernel(&w), 0, 0);
         let prefetches = insts
             .iter()
-            .filter(|i| {
-                matches!(
-                    i,
-                    Instruction::Prefetch {
-                        target: PrefetchTarget::L1,
-                        ..
-                    }
-                )
-            })
+            .filter(|i| matches!(i, Instruction::Prefetch { .. }))
             .count();
         assert_eq!(prefetches, 16);
         // Demand gathers are still issued, so global loads match the base.

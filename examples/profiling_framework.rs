@@ -3,23 +3,45 @@
 //! apply it, and verify the improvement.
 //!
 //! ```text
-//! cargo run --release --example profiling_framework -- [test|default] [dataset]
+//! cargo run --release --example profiling_framework -- [test|default|paper] [dataset]
 //! ```
+//!
+//! The dataset is one of `one_item`, `high_hot`, `med_hot` (the default),
+//! `low_hot` or `random`. An unknown scale or dataset exits with code 2.
+
+use std::process::ExitCode;
 
 use dlrm::WorkloadScale;
 use dlrm_datasets::AccessPattern;
 use gpu_sim::GpuConfig;
 use perf_envelope::{Experiment, Scheme, StaticProfiler, Workload, WorkloadHint};
 
-fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
-    let pattern = std::env::args()
-        .nth(2)
-        .and_then(|s| AccessPattern::from_cli_name(&s))
-        .unwrap_or(AccessPattern::MedHot);
+/// The scale and dataset named on the command line, each defaulting when
+/// absent; an unknown name is an error listing the accepted ones.
+fn parse_args() -> Result<(WorkloadScale, AccessPattern), String> {
+    let mut args = std::env::args().skip(1);
+    let scale = match args.next() {
+        None => WorkloadScale::Test,
+        Some(name) => WorkloadScale::from_name(&name)
+            .ok_or_else(|| format!("unknown scale '{name}' (use test|default|paper)"))?,
+    };
+    let pattern = match args.next() {
+        None => AccessPattern::MedHot,
+        Some(name) => AccessPattern::from_cli_name(&name).ok_or_else(|| {
+            format!("unknown dataset '{name}' (use one_item|high_hot|med_hot|low_hot|random)")
+        })?,
+    };
+    Ok((scale, pattern))
+}
+
+fn main() -> ExitCode {
+    let (scale, pattern) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            eprintln!("profiling_framework: {message}");
+            return ExitCode::from(2);
+        }
+    };
 
     let gpu = GpuConfig::a100();
     let experiment = Experiment::new(gpu.clone(), scale);
@@ -61,4 +83,5 @@ fn main() {
         tuned_stage.latency_ms(),
         tuned_stage.speedup_over(&base_stage)
     );
+    ExitCode::SUCCESS
 }

@@ -16,8 +16,8 @@ use gpu_sim::launch::VecProgram;
 use gpu_sim::mem::Cache;
 use gpu_sim::occupancy::Occupancy;
 use gpu_sim::{
-    GpuConfig, Instruction, KernelLaunch, KernelProgram, KernelStats, LineSet, MemSpace,
-    PrefetchTarget, Reg, Simulator, StreamPartition, WarpInfo, WarpProgram,
+    GpuConfig, Instruction, KernelLaunch, KernelProgram, KernelStats, LineSet, MemSpace, Reg,
+    Simulator, StreamPartition, WarpInfo, WarpProgram,
 };
 use perf_envelope::json::Json;
 use perf_envelope::{
@@ -894,7 +894,6 @@ fn arbitrary_instruction(g: &mut Cases, pool: &[Reg]) -> Instruction {
             bytes: 128,
         },
         2 => Instruction::Prefetch {
-            target: [PrefetchTarget::L1, PrefetchTarget::L2EvictLast][g.range(0, 2) as usize],
             lines,
             addr_dep: (g.range(0, 2) == 0).then(|| reg(g)),
         },

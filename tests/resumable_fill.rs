@@ -12,7 +12,7 @@
 
 use dlrm_datasets::{AccessPattern, TraceConfig};
 use embedding_kernels::{
-    BufferStation, EmbeddingConfig, EmbeddingKernelSpec, EmbeddingWorkload, PinPlan, PrefetchConfig,
+    BufferStation, EmbeddingConfig, EmbeddingKernelSpec, EmbeddingWorkload, PrefetchConfig,
 };
 use gpu_sim::decode::drain;
 use gpu_sim::isa::SrcSet;
@@ -112,13 +112,6 @@ fn synthetic_kernels_resume_anywhere() {
 fn workload() -> EmbeddingWorkload {
     let cfg = EmbeddingConfig::new(TraceConfig::new(5_000, 16, 20), 64);
     EmbeddingWorkload::generate(cfg, AccessPattern::MedHot, 0, 3)
-}
-
-#[test]
-fn l2_pin_warps_resume_anywhere() {
-    // Pin warps emit four-line prefetches, all through the side table.
-    let (_, kernel) = PinPlan::for_workload(&workload(), 64 * 1024).kernel();
-    assert_kernel_resumable("l2_pin", &kernel, &[(0, 0), (0, 3)]);
 }
 
 #[test]
