@@ -4,7 +4,9 @@
 //! [`crate::warp`]). A [`WarpProgram`] refills it through an [`InstSink`]:
 //! a window over the buffer that packs each pushed [`Instruction`] in place
 //! into a 16-byte packed entry, so an instruction is generated, encoded
-//! and stored in one step, with no intermediate queue.
+//! and stored in one step, with no intermediate queue. A warp-level memory
+//! instruction touches one cache line, so every instruction fits an entry
+//! and the buffer is the only place the engine keeps one.
 //!
 //! The sink also renames registers. Hazards depend only on register
 //! identity, so the engine packs each raw [`Reg`] id as a dense id from its
@@ -17,150 +19,142 @@
 //! whole program through it. It keeps raw ids unless built with
 //! [`InstBuffer::dense`].
 
-use crate::isa::{Instruction, LineSet, MemSpace, Reg, SrcSet};
+use crate::isa::{Instruction, MemSpace, Reg, SrcSet};
 use crate::launch::WarpProgram;
 
-/// Packed opcodes; see [`PackedInst`].
-pub(crate) const OP_LOAD_GLOBAL: u64 = 0;
-pub(crate) const OP_LOAD_LOCAL: u64 = 1;
-pub(crate) const OP_LOAD_SHARED: u64 = 2;
-pub(crate) const OP_STORE_GLOBAL: u64 = 3;
-pub(crate) const OP_STORE_LOCAL: u64 = 4;
-pub(crate) const OP_STORE_SHARED: u64 = 5;
-pub(crate) const OP_PREF: u64 = 6;
-pub(crate) const OP_ALU: u64 = 7;
-pub(crate) const OP_EXT: u64 = 8;
+/// What a packed entry does; a memory access also names its address space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Load(MemSpace),
+    Store(MemSpace),
+    Prefetch,
+    Alu,
+}
+
+/// Each [`Op`] at the index of its 3-bit opcode; [`Op::code`] is the
+/// inverse.
+const OPS: [Op; 8] = [
+    Op::Load(MemSpace::Global),
+    Op::Load(MemSpace::Local),
+    Op::Load(MemSpace::Shared),
+    Op::Store(MemSpace::Global),
+    Op::Store(MemSpace::Local),
+    Op::Store(MemSpace::Shared),
+    Op::Prefetch,
+    Op::Alu,
+];
+
+impl Op {
+    /// The 3-bit opcode of this op: its index in [`OPS`].
+    #[inline]
+    fn code(self) -> u64 {
+        let space = |s| match s {
+            MemSpace::Global => 0,
+            MemSpace::Local => 1,
+            MemSpace::Shared => 2,
+        };
+        match self {
+            Op::Load(s) => space(s),
+            Op::Store(s) => 3 + space(s),
+            Op::Prefetch => 6,
+            Op::Alu => 7,
+        }
+    }
+}
 
 /// One decoded instruction packed into 16 bytes for the per-slot
-/// decode-ahead buffers. A full [`Instruction`] is 56 bytes, so buffering
-/// it directly made the decode buffers the largest per-issue working set in
-/// the engine; the packed form keeps them 3.5x smaller and copies one
-/// sixteenth of a host cache line per issue instead of one full line.
+/// decode-ahead buffers. A full [`Instruction`] is 24 bytes, so the packed
+/// form keeps the decode buffers, the largest per-issue working set in the
+/// engine, a third smaller, and a slot's [`IBUF`](crate::warp::IBUF)
+/// entries fill exactly two host cache lines.
 ///
-/// `meta` bit layout: `[0,4)` opcode, `[4,12)` primary register (load
-/// destination / store source / ALU destination); memory ops add bit 12 =
-/// "has address dependence", `[13,21)` the dependence register and
-/// `[21,42)` the byte count; ALU ops add `[12,14)` source count and
-/// `[16,40)` three source registers. `arg` holds the line address (memory
-/// ops), the latency (ALU), or a side-table index (`OP_EXT`).
+/// `meta` bit layout: `[0,3)` opcode (see [`OPS`]), `[4,12)` primary
+/// register (load destination / store source / ALU destination); memory
+/// ops add bit 12 = "has address dependence", `[13,21)` the dependence
+/// register and `[21,53)` the byte count; ALU ops add `[12,14)` source
+/// count and `[16,40)` three source registers. `arg` holds the line
+/// address (memory ops) or the latency (ALU). Every field is as wide as
+/// the [`Instruction`] field it holds, so every instruction packs.
 ///
-/// Instructions that do not fit (multi-line accesses, byte counts of 2 MiB
-/// or more) are stored in the slot's side table and referenced by an
-/// `OP_EXT` entry, so the packing is an encoding, never a restriction.
-///
-/// Every register field, in the packed bits and in the side table alike,
-/// holds the id the sink's [`RegMap`] gave it: a dense id in the engine's
-/// decode buffers, the raw id in an [`InstBuffer::new`] buffer.
+/// Every register field holds the id the sink's [`RegMap`] gave it: a
+/// dense id in the engine's decode buffers, the raw id in an
+/// [`InstBuffer::new`] buffer.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PackedInst {
     pub(crate) arg: u64,
     meta: u64,
 }
 
-/// Largest byte count a packed memory instruction can carry.
-const PACK_MAX_BYTES: u32 = 1 << 21;
-
 impl PackedInst {
-    /// Packs `inst` with its registers renamed through `regs`, or returns
-    /// `None` (touching no register) if it does not fit the encoding.
+    /// Packs `inst` with its registers renamed through `regs`.
     #[inline]
-    fn encode(inst: &Instruction, regs: &mut RegMap) -> Option<PackedInst> {
+    fn encode(inst: &Instruction, regs: &mut RegMap) -> PackedInst {
         // `reg0` and `dep` are already renamed.
-        let mem_meta = |op: u64, reg0: Reg, dep: Option<Reg>, bytes: u32| -> u64 {
-            op | (reg0 as u64) << 4
+        let mem = |op: Op, line: u64, reg0: Reg, dep: Option<Reg>, bytes: u32| PackedInst {
+            arg: line,
+            meta: op.code()
+                | (reg0 as u64) << 4
                 | dep.map_or(0, |r| 1 << 12 | (r as u64) << 13)
-                | (bytes as u64) << 21
+                | (bytes as u64) << 21,
         };
         match *inst {
             Instruction::Load {
                 space,
-                lines,
+                line,
                 dst,
                 bytes,
                 addr_dep,
-            } => {
-                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
-                    return None;
-                }
-                let op = match space {
-                    MemSpace::Global => OP_LOAD_GLOBAL,
-                    MemSpace::Local => OP_LOAD_LOCAL,
-                    MemSpace::Shared => OP_LOAD_SHARED,
-                };
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, regs.dense(dst), addr_dep.map(|r| regs.dense(r)), bytes),
-                })
-            }
+            } => mem(
+                Op::Load(space),
+                line,
+                regs.dense(dst),
+                addr_dep.map(|r| regs.dense(r)),
+                bytes,
+            ),
             Instruction::Store {
                 space,
-                lines,
+                line,
                 src,
                 bytes,
-            } => {
-                if lines.len() != 1 || bytes >= PACK_MAX_BYTES {
-                    return None;
-                }
-                let op = match space {
-                    MemSpace::Global => OP_STORE_GLOBAL,
-                    MemSpace::Local => OP_STORE_LOCAL,
-                    MemSpace::Shared => OP_STORE_SHARED,
-                };
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(op, regs.dense(src), None, bytes),
-                })
-            }
-            Instruction::Prefetch { lines, addr_dep } => {
-                if lines.len() != 1 {
-                    return None;
-                }
-                Some(PackedInst {
-                    arg: lines.iter().next().unwrap(),
-                    meta: mem_meta(OP_PREF, 0, addr_dep.map(|r| regs.dense(r)), 0),
-                })
+            } => mem(Op::Store(space), line, regs.dense(src), None, bytes),
+            Instruction::Prefetch { line, addr_dep } => {
+                mem(Op::Prefetch, line, 0, addr_dep.map(|r| regs.dense(r)), 0)
             }
             Instruction::Alu { dst, srcs, latency } => {
-                let mut meta = OP_ALU | (regs.dense(dst) as u64) << 4 | (srcs.len() as u64) << 12;
+                let mut meta =
+                    Op::Alu.code() | (regs.dense(dst) as u64) << 4 | (srcs.len() as u64) << 12;
                 for (i, r) in srcs.iter().enumerate() {
                     meta |= (regs.dense(r) as u64) << (16 + 8 * i);
                 }
-                Some(PackedInst {
+                PackedInst {
                     arg: latency as u64,
                     meta,
-                })
+                }
             }
         }
     }
 
-    /// The instruction this entry encodes; `ext` is the side table of the
-    /// buffer it came from. Exact inverse of the packing.
-    pub(crate) fn decode(self, ext: &[Instruction]) -> Instruction {
-        let line = LineSet::single(self.arg);
-        let space = |op| match op {
-            OP_LOAD_GLOBAL | OP_STORE_GLOBAL => MemSpace::Global,
-            OP_LOAD_LOCAL | OP_STORE_LOCAL => MemSpace::Local,
-            _ => MemSpace::Shared,
-        };
+    /// The instruction this entry encodes. Exact inverse of the packing.
+    pub(crate) fn decode(self) -> Instruction {
         match self.op() {
-            op @ (OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED) => Instruction::Load {
-                space: space(op),
-                lines: line,
+            Op::Load(space) => Instruction::Load {
+                space,
+                line: self.arg,
                 dst: self.reg0(),
                 bytes: self.bytes(),
                 addr_dep: self.addr_dep(),
             },
-            op @ (OP_STORE_GLOBAL | OP_STORE_LOCAL | OP_STORE_SHARED) => Instruction::Store {
-                space: space(op),
-                lines: line,
+            Op::Store(space) => Instruction::Store {
+                space,
+                line: self.arg,
                 src: self.reg0(),
                 bytes: self.bytes(),
             },
-            OP_PREF => Instruction::Prefetch {
-                lines: line,
+            Op::Prefetch => Instruction::Prefetch {
+                line: self.arg,
                 addr_dep: self.addr_dep(),
             },
-            OP_ALU => Instruction::Alu {
+            Op::Alu => Instruction::Alu {
                 dst: self.reg0(),
                 srcs: match self.nsrcs() {
                     0 => SrcSet::none(),
@@ -170,13 +164,12 @@ impl PackedInst {
                 },
                 latency: self.arg as u32,
             },
-            _ => ext[self.arg as usize],
         }
     }
 
     #[inline]
-    pub(crate) fn op(self) -> u64 {
-        self.meta & 0xF
+    pub(crate) fn op(self) -> Op {
+        OPS[(self.meta & 0x7) as usize]
     }
 
     #[inline]
@@ -195,7 +188,7 @@ impl PackedInst {
 
     #[inline]
     pub(crate) fn bytes(self) -> u32 {
-        ((self.meta >> 21) & (PACK_MAX_BYTES as u64 - 1)) as u32
+        (self.meta >> 21) as u32
     }
 
     #[inline]
@@ -311,36 +304,19 @@ impl RegMap {
 /// A write window over one decode buffer, handed to
 /// [`WarpProgram::fill`]. Each [`InstSink::push`] packs its instruction
 /// straight into the next free entry, with its registers renamed through
-/// the sink's [`RegMap`]; instructions that do not fit the packing go,
-/// renamed the same way, to the buffer's side table.
+/// the sink's [`RegMap`].
 pub struct InstSink<'a> {
     buf: &'a mut [PackedInst],
     len: usize,
-    ext: &'a mut Vec<Instruction>,
     regs: &'a mut RegMap,
-    /// Whether this fill has spilled yet. The side table is cleared on the
-    /// first spill rather than up front, so a fill that never spills (every
-    /// embedding-kernel fill) never touches it; entries left by an earlier
-    /// fill are only referenced by buffer entries this fill overwrites.
-    ext_claimed: bool,
 }
 
 impl<'a> InstSink<'a> {
-    /// A sink over `buf` (its whole length is the capacity) with side
-    /// table `ext`, renaming registers through `regs`.
+    /// A sink over `buf` (its whole length is the capacity), renaming
+    /// registers through `regs`.
     #[inline]
-    pub(crate) fn new(
-        buf: &'a mut [PackedInst],
-        ext: &'a mut Vec<Instruction>,
-        regs: &'a mut RegMap,
-    ) -> Self {
-        InstSink {
-            buf,
-            len: 0,
-            ext,
-            regs,
-            ext_claimed: false,
-        }
+    pub(crate) fn new(buf: &'a mut [PackedInst], regs: &'a mut RegMap) -> Self {
+        InstSink { buf, len: 0, regs }
     }
 
     /// Appends `inst`.
@@ -349,26 +325,8 @@ impl<'a> InstSink<'a> {
     /// Panics if the sink is full.
     #[inline]
     pub fn push(&mut self, inst: Instruction) {
-        let packed = match PackedInst::encode(&inst, self.regs) {
-            Some(p) => p,
-            None => self.spill(inst),
-        };
-        self.buf[self.len] = packed;
+        self.buf[self.len] = PackedInst::encode(&inst, self.regs);
         self.len += 1;
-    }
-
-    #[cold]
-    fn spill(&mut self, inst: Instruction) -> PackedInst {
-        if !self.ext_claimed {
-            self.ext_claimed = true;
-            self.ext.clear();
-        }
-        let regs = &mut *self.regs;
-        self.ext.push(inst.map_regs(|r| regs.dense(r)));
-        PackedInst {
-            arg: self.ext.len() as u64 - 1,
-            meta: OP_EXT,
-        }
     }
 
     /// Whether no more instructions fit.
@@ -401,7 +359,6 @@ impl<'a> InstSink<'a> {
 #[derive(Debug)]
 pub struct InstBuffer {
     entries: Vec<PackedInst>,
-    ext: Vec<Instruction>,
     regs: RegMap,
     len: usize,
 }
@@ -430,7 +387,6 @@ impl InstBuffer {
         assert!(capacity > 0, "a decode buffer holds at least one entry");
         InstBuffer {
             entries: vec![PackedInst::default(); capacity],
-            ext: Vec::new(),
             regs,
             len: 0,
         }
@@ -444,7 +400,7 @@ impl InstBuffer {
     /// Replaces the buffer's contents with the next instructions of
     /// `program` and returns whether the program reported that it is done.
     pub fn fill(&mut self, program: &mut dyn WarpProgram) -> bool {
-        let mut sink = InstSink::new(&mut self.entries, &mut self.ext, &mut self.regs);
+        let mut sink = InstSink::new(&mut self.entries, &mut self.regs);
         let done = program.fill(&mut sink);
         self.len = sink.len();
         done
@@ -462,7 +418,7 @@ impl InstBuffer {
 
     /// The instructions the last fill pushed, decoded.
     pub fn instructions(&self) -> impl Iterator<Item = Instruction> + '_ {
-        self.entries[..self.len].iter().map(|p| p.decode(&self.ext))
+        self.entries[..self.len].iter().map(|p| p.decode())
     }
 }
 
@@ -498,22 +454,17 @@ mod tests {
     use super::*;
 
     /// Packs `inst` through a one-entry sink and decodes it back.
-    fn round_trip(inst: Instruction) -> (Instruction, bool) {
+    fn round_trip(inst: Instruction) -> Instruction {
         let mut entries = [PackedInst::default()];
-        let mut ext = Vec::new();
         let mut regs = RegMap::identity();
-        let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
+        let mut sink = InstSink::new(&mut entries, &mut regs);
         sink.push(inst);
         assert!(sink.is_full());
-        (entries[0].decode(&ext), entries[0].op() == OP_EXT)
+        entries[0].decode()
     }
 
     fn assert_packs(inst: Instruction) {
-        assert_eq!(round_trip(inst), (inst, false), "{inst:?}");
-    }
-
-    fn assert_spills(inst: Instruction) {
-        assert_eq!(round_trip(inst), (inst, true), "{inst:?}");
+        assert_eq!(round_trip(inst), inst, "{inst:?}");
     }
 
     const SPACES: [MemSpace; 3] = [MemSpace::Global, MemSpace::Local, MemSpace::Shared];
@@ -521,7 +472,7 @@ mod tests {
     #[test]
     fn every_packable_instruction_round_trips() {
         let lines = [0u64, 128, 0xDEAD_BE80, !127];
-        let byte_counts = [0u32, 1, 4, 128, 4096, PACK_MAX_BYTES - 1];
+        let byte_counts = [0u32, 1, 4, 128, 4096, (1 << 21) - 1, 1 << 21, u32::MAX];
         for reg in 0..=255u8 {
             let other = reg.wrapping_mul(37).wrapping_add(11);
             for space in SPACES {
@@ -530,7 +481,7 @@ mod tests {
                         for addr_dep in [None, Some(other)] {
                             assert_packs(Instruction::Load {
                                 space,
-                                lines: LineSet::single(line),
+                                line,
                                 dst: reg,
                                 bytes,
                                 addr_dep,
@@ -538,7 +489,7 @@ mod tests {
                         }
                         assert_packs(Instruction::Store {
                             space,
-                            lines: LineSet::single(line),
+                            line,
                             src: reg,
                             bytes,
                         });
@@ -547,7 +498,7 @@ mod tests {
             }
             for addr_dep in [None, Some(reg)] {
                 assert_packs(Instruction::Prefetch {
-                    lines: LineSet::single(lines[reg as usize % lines.len()]),
+                    line: lines[reg as usize % lines.len()],
                     addr_dep,
                 });
             }
@@ -570,78 +521,20 @@ mod tests {
     }
 
     #[test]
-    fn oversized_and_multi_line_accesses_spill_and_round_trip() {
-        let two = LineSet::from_byte_range(64, 128, 128);
-        let four: LineSet = [0u64, 128, 256, 384].into_iter().collect();
-        for space in SPACES {
-            for (lines, bytes) in [
-                (two, 128),
-                (four, 512),
-                (LineSet::single(0), PACK_MAX_BYTES),
-            ] {
-                assert_spills(Instruction::Load {
-                    space,
-                    lines,
-                    dst: 255,
-                    bytes,
-                    addr_dep: Some(7),
-                });
-                assert_spills(Instruction::Store {
-                    space,
-                    lines,
-                    src: 9,
-                    bytes,
-                });
-            }
-            assert_spills(Instruction::Load {
-                space,
-                lines: LineSet::single(128),
-                dst: 1,
-                bytes: u32::MAX,
-                addr_dep: None,
-            });
-        }
-        assert_spills(Instruction::Prefetch {
-            lines: four,
-            addr_dep: None,
-        });
-    }
-
-    #[test]
-    fn a_fill_clears_the_side_table_left_by_the_previous_fill() {
-        let multi: LineSet = [0u64, 128].into_iter().collect();
-        let spill = |dst| Instruction::Load {
-            space: MemSpace::Global,
-            lines: multi,
-            dst,
-            bytes: 256,
-            addr_dep: None,
-        };
-        let mut entries = [PackedInst::default(); 2];
-        let mut ext = Vec::new();
-        let mut regs = RegMap::identity();
-        for round in 0..3u8 {
-            let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
-            sink.push(Instruction::iadd(1, 2));
-            sink.push(spill(round));
-            assert_eq!(ext.len(), 1, "stale side-table entries survived a fill");
-            assert_eq!(entries[1].decode(&ext), spill(round));
-        }
-    }
-
-    #[test]
     fn a_dense_buffer_numbers_registers_in_first_sight_order() {
-        let multi: LineSet = [0u64, 128].into_iter().collect();
-        let spill = |dst, addr_dep| Instruction::Load {
+        let load = |dst, addr_dep| Instruction::Load {
             space: MemSpace::Global,
-            lines: multi,
+            line: 128,
             dst,
-            bytes: 256,
+            bytes: 128,
             addr_dep: Some(addr_dep),
         };
+        // The first load names two new registers: its destination is
+        // numbered before its address dependence.
         let program = vec![
             Instruction::fadd(200, 7, 200),
-            spill(9, 7),
+            load(9, 8),
+            load(7, 9),
             Instruction::iadd(255, 0),
         ];
         let mut buf = InstBuffer::dense(4);
@@ -651,24 +544,24 @@ mod tests {
             packed,
             [
                 Instruction::fadd(0, 1, 0),
-                spill(2, 1),
-                Instruction::iadd(3, 4)
+                load(2, 3),
+                load(1, 2),
+                Instruction::iadd(4, 5)
             ]
         );
         let map = buf.register_map();
-        assert_eq!(map.len(), 5);
-        let raw: Vec<Reg> = (0..5).map(|d| map.raw(d)).collect();
-        assert_eq!(raw, [200, 7, 9, 255, 0]);
-        assert_eq!((map.get(255), map.get(8)), (Some(3), None));
+        assert_eq!(map.len(), 6);
+        let raw: Vec<Reg> = (0..6).map(|d| map.raw(d)).collect();
+        assert_eq!(raw, [200, 7, 9, 8, 255, 0]);
+        assert_eq!((map.get(255), map.get(3)), (Some(4), None));
     }
 
     #[test]
     #[should_panic]
     fn pushing_into_a_full_sink_panics() {
         let mut entries = [PackedInst::default()];
-        let mut ext = Vec::new();
         let mut regs = RegMap::identity();
-        let mut sink = InstSink::new(&mut entries, &mut ext, &mut regs);
+        let mut sink = InstSink::new(&mut entries, &mut regs);
         sink.push(Instruction::iadd(1, 2));
         sink.push(Instruction::iadd(1, 2));
     }

@@ -122,8 +122,8 @@ pub trait KernelProgram: Sync {
     }
 }
 
-/// A [`WarpProgram`] backed by a pre-built instruction vector. Convenient for
-/// tests and for short kernels (e.g. the L2-pinning prefetch kernel).
+/// A [`WarpProgram`] backed by a pre-built instruction vector, for tests and
+/// hand-written instruction sequences.
 #[derive(Debug, Clone)]
 pub struct VecProgram {
     insts: Vec<Instruction>,

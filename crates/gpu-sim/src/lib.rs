@@ -59,7 +59,7 @@ pub(crate) mod wheel;
 pub use config::{CacheConfig, DramConfig, GpuConfig};
 pub use decode::{InstBuffer, InstSink};
 pub use engine::{EngineMode, Simulator, StreamPartition};
-pub use isa::{Instruction, LineSet, MemSpace, Reg};
+pub use isa::{Instruction, MemSpace, Reg};
 pub use launch::{KernelLaunch, KernelProgram, WarpInfo, WarpProgram};
 pub use occupancy::Occupancy;
 pub use stats::KernelStats;

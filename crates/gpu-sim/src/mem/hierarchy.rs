@@ -5,20 +5,20 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::config::GpuConfig;
-use crate::isa::{LineSet, MemSpace};
+use crate::isa::MemSpace;
 use crate::mem::cache::Cache;
 use crate::mem::dram::Dram;
 
-/// Where a load was ultimately serviced from (slowest line of the access).
+/// Where a load's line was serviced from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Serviced from shared memory.
     SharedMem,
-    /// All lines hit in the SM's L1 data cache.
+    /// The line hit in the SM's L1 data cache.
     L1Hit,
-    /// At least one line came from L2 (none from DRAM).
+    /// The line missed L1 and hit in L2.
     L2Hit,
-    /// At least one line had to be fetched from device memory.
+    /// The line had to be fetched from device memory.
     DramAccess,
 }
 
@@ -108,53 +108,28 @@ impl MemorySystem {
         self.l2.set_persisting_capacity(bytes);
     }
 
-    /// Services a warp-level load and returns `(completion_cycle, outcome)`.
+    /// Services a warp-level load of `line` and returns
+    /// `(completion_cycle, outcome)`. Each level's lookup also installs the
+    /// line on a miss ([`Cache::access_or_fill`]); the L1 and L2 caches and
+    /// DRAM hold independent state, so filling L1 before looking in L2
+    /// leaves every side effect as in a lookup-then-fill walk. An L2 miss
+    /// reads one full line from DRAM.
     #[inline]
     pub fn load(
         &mut self,
         sm: usize,
         space: MemSpace,
-        lines: &LineSet,
-        bytes: u32,
+        line: u64,
         now: u64,
     ) -> (u64, AccessOutcome) {
         match space {
             MemSpace::Shared => {
                 self.shared_accesses += 1;
-                (now + self.shared_latency, AccessOutcome::SharedMem)
+                return (now + self.shared_latency, AccessOutcome::SharedMem);
             }
-            MemSpace::Global | MemSpace::Local => {
-                if space == MemSpace::Local {
-                    self.local_load_accesses += 1;
-                }
-                let mut completion = now;
-                let mut outcome = AccessOutcome::L1Hit;
-                // Single-line accesses (the overwhelmingly common case) skip
-                // the per-line split — and its runtime division — entirely.
-                let n = lines.len() as u64;
-                let per_line_bytes = if n <= 1 {
-                    bytes as u64
-                } else {
-                    bytes as u64 / n
-                }
-                .max(1)
-                .min(self.l2.line_bytes());
-                for line in lines.iter() {
-                    let (done, line_outcome) = self.load_line(sm, line, per_line_bytes, now);
-                    completion = completion.max(done);
-                    outcome = worst_outcome(outcome, line_outcome);
-                }
-                (completion, outcome)
-            }
+            MemSpace::Local => self.local_load_accesses += 1,
+            MemSpace::Global => {}
         }
-    }
-
-    /// Services one line of a load. Each level's lookup also installs the
-    /// line on a miss ([`Cache::access_or_fill`]); the L1 and L2 caches
-    /// and DRAM hold independent state, so filling L1 before looking in L2
-    /// leaves every side effect as in a lookup-then-fill walk.
-    #[inline]
-    fn load_line(&mut self, sm: usize, line: u64, bytes: u64, now: u64) -> (u64, AccessOutcome) {
         if self.l1[sm].access_or_fill(line, now) {
             // An in-flight prefetch fill delays the hit until the data lands.
             let ready = self.pending_l1_ready(sm, line, now);
@@ -167,25 +142,21 @@ impl MemorySystem {
             let ready = self.pending_l2_ready(line, now);
             return (ready.max(now) + self.l2.hit_latency(), AccessOutcome::L2Hit);
         }
-        // L2 miss: fetch a full line from DRAM.
-        let line_bytes = self.l2.line_bytes().max(bytes);
-        let done = self.dram.read(line_bytes, now);
+        let done = self.dram.read(self.l2.line_bytes(), now);
         (done, AccessOutcome::DramAccess)
     }
 
     /// Services a warp-level store. Stores never stall the warp; global
     /// stores write through to L2 and consume DRAM write bandwidth.
-    pub fn store(&mut self, sm: usize, space: MemSpace, lines: &LineSet, bytes: u32, now: u64) {
+    pub fn store(&mut self, sm: usize, space: MemSpace, line: u64, bytes: u32, now: u64) {
         match space {
             MemSpace::Shared => {
                 self.shared_accesses += 1;
             }
             MemSpace::Global | MemSpace::Local => {
-                for line in lines.iter() {
-                    // Allocate in L1/L2 so subsequent spill reloads hit.
-                    self.l2.access_or_fill(line, now);
-                    self.l1[sm].access_or_fill(line, now);
-                }
+                // Allocate in L1/L2 so subsequent spill reloads hit.
+                self.l2.access_or_fill(line, now);
+                self.l1[sm].access_or_fill(line, now);
                 if space == MemSpace::Global {
                     self.dram.write(bytes as u64, now);
                 }
@@ -197,24 +168,22 @@ impl MemorySystem {
     /// Prefetches never stall the warp, but the prefetched data only becomes
     /// usable once its fill completes — a demand load that arrives earlier
     /// waits for the in-flight fill.
-    pub fn prefetch(&mut self, sm: usize, lines: &LineSet, now: u64) {
-        for line in lines.iter() {
-            self.prefetch_lines += 1;
-            if self.l1[sm].probe(line) {
-                continue;
-            }
-            let ready = if self.l2.access_or_fill(line, now) {
-                now + self.l2.hit_latency()
-            } else {
-                let done = self.dram.read(self.l2.line_bytes(), now);
-                self.record_l2_fill(line, done);
-                done
-            };
-            self.l1[sm].fill(line, false, now);
-            self.l1_pending[sm].insert(line, ready);
-            self.fill_deadlines
-                .push(Reverse((ready, FillSite::L1 { sm, line })));
+    pub fn prefetch(&mut self, sm: usize, line: u64, now: u64) {
+        self.prefetch_lines += 1;
+        if self.l1[sm].probe(line) {
+            return;
         }
+        let ready = if self.l2.access_or_fill(line, now) {
+            now + self.l2.hit_latency()
+        } else {
+            let done = self.dram.read(self.l2.line_bytes(), now);
+            self.record_l2_fill(line, done);
+            done
+        };
+        self.l1[sm].fill(line, false, now);
+        self.l1_pending[sm].insert(line, ready);
+        self.fill_deadlines
+            .push(Reverse((ready, FillSite::L1 { sm, line })));
     }
 
     /// Records an in-flight L2 fill completing at `done`.
@@ -346,21 +315,6 @@ impl MemorySystem {
     }
 }
 
-fn worst_outcome(a: AccessOutcome, b: AccessOutcome) -> AccessOutcome {
-    use AccessOutcome::*;
-    let rank = |o: AccessOutcome| match o {
-        SharedMem => 0,
-        L1Hit => 1,
-        L2Hit => 2,
-        DramAccess => 3,
-    };
-    if rank(b) > rank(a) {
-        b
-    } else {
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,11 +328,11 @@ mod tests {
     #[test]
     fn cold_load_goes_to_dram_then_hits_l1() {
         let (mut m, cfg) = mem();
-        let lines = LineSet::single(0);
-        let (done, outcome) = m.load(0, MemSpace::Global, &lines, 128, 0);
+        let line = 0;
+        let (done, outcome) = m.load(0, MemSpace::Global, line, 0);
         assert_eq!(outcome, AccessOutcome::DramAccess);
         assert!(done >= cfg.dram.latency);
-        let (done2, outcome2) = m.load(0, MemSpace::Global, &lines, 128, done);
+        let (done2, outcome2) = m.load(0, MemSpace::Global, line, done);
         assert_eq!(outcome2, AccessOutcome::L1Hit);
         assert_eq!(done2, done + cfg.l1.hit_latency);
     }
@@ -386,9 +340,9 @@ mod tests {
     #[test]
     fn l2_services_other_sms_after_first_miss() {
         let (mut m, cfg) = mem();
-        let lines = LineSet::single(4096);
-        m.load(0, MemSpace::Global, &lines, 128, 0);
-        let (done, outcome) = m.load(1, MemSpace::Global, &lines, 128, 1000);
+        let line = 4096;
+        m.load(0, MemSpace::Global, line, 0);
+        let (done, outcome) = m.load(1, MemSpace::Global, line, 1000);
         assert_eq!(outcome, AccessOutcome::L2Hit);
         assert_eq!(done, 1000 + cfg.l2.hit_latency);
     }
@@ -396,8 +350,8 @@ mod tests {
     #[test]
     fn shared_memory_has_fixed_latency() {
         let (mut m, cfg) = mem();
-        let lines = LineSet::single(0);
-        let (done, outcome) = m.load(0, MemSpace::Shared, &lines, 128, 50);
+        let line = 0;
+        let (done, outcome) = m.load(0, MemSpace::Shared, line, 50);
         assert_eq!(outcome, AccessOutcome::SharedMem);
         assert_eq!(done, 50 + cfg.shared_mem_latency);
         assert_eq!(m.shared_accesses, 1);
@@ -406,20 +360,20 @@ mod tests {
     #[test]
     fn local_loads_are_counted() {
         let (mut m, _cfg) = mem();
-        let lines = LineSet::single(1 << 40);
-        m.load(0, MemSpace::Local, &lines, 4, 0);
-        m.load(0, MemSpace::Local, &lines, 4, 10);
+        let line = 1 << 40;
+        m.load(0, MemSpace::Local, line, 0);
+        m.load(0, MemSpace::Local, line, 10);
         assert_eq!(m.local_load_accesses, 2);
     }
 
     #[test]
     fn l1_prefetch_installs_into_l1() {
         let (mut m, _cfg) = mem();
-        let lines = LineSet::single(2048);
-        m.prefetch(0, &lines, 0);
+        let line = 2048;
+        m.prefetch(0, line, 0);
         assert!(m.l1(0).probe(2048));
         // A subsequent demand load hits in L1.
-        let (_, outcome) = m.load(0, MemSpace::Global, &lines, 128, 100);
+        let (_, outcome) = m.load(0, MemSpace::Global, line, 100);
         assert_eq!(outcome, AccessOutcome::L1Hit);
     }
 
@@ -436,30 +390,18 @@ mod tests {
     #[test]
     fn stores_write_through_and_allocate() {
         let (mut m, _cfg) = mem();
-        let lines = LineSet::single(512);
-        m.store(0, MemSpace::Global, &lines, 128, 0);
+        let line = 512;
+        m.store(0, MemSpace::Global, line, 128, 0);
         assert!(m.dram().bytes_written >= 128);
-        let (_, outcome) = m.load(0, MemSpace::Global, &lines, 128, 10);
+        let (_, outcome) = m.load(0, MemSpace::Global, line, 10);
         assert_eq!(outcome, AccessOutcome::L1Hit);
-    }
-
-    #[test]
-    fn multi_line_load_takes_slowest_path() {
-        let (mut m, _cfg) = mem();
-        // Warm only the first line.
-        m.load(0, MemSpace::Global, &LineSet::single(0), 128, 0);
-        let mut both = LineSet::new();
-        both.push(0);
-        both.push(1 << 20);
-        let (_, outcome) = m.load(0, MemSpace::Global, &both, 256, 1000);
-        assert_eq!(outcome, AccessOutcome::DramAccess);
     }
 
     #[test]
     fn pending_fills_report_their_deadlines() {
         let (mut m, _cfg) = mem();
         assert_eq!(m.earliest_pending_response(), None);
-        m.prefetch(0, &LineSet::single(4096), 0);
+        m.prefetch(0, 4096, 0);
         let deadline = m.earliest_pending_response().expect("fill in flight");
         assert!(deadline > 0, "a cold prefetch must take time to land");
         // Before the deadline nothing retires; after it the registry drains.
@@ -473,14 +415,14 @@ mod tests {
     fn retiring_fills_does_not_change_load_timing() {
         let (mut m1, _) = mem();
         let (mut m2, _) = mem();
-        let lines = LineSet::single(8192);
-        m1.prefetch(0, &lines, 0);
-        m2.prefetch(0, &lines, 0);
+        let line = 8192;
+        m1.prefetch(0, line, 0);
+        m2.prefetch(0, line, 0);
         let deadline = m1.earliest_pending_response().unwrap();
         // m1 retires eagerly (event-driven engine), m2 prunes lazily.
         m1.retire_completed_fills(deadline + 10);
-        let a = m1.load(0, MemSpace::Global, &lines, 128, deadline + 10);
-        let b = m2.load(0, MemSpace::Global, &lines, 128, deadline + 10);
+        let a = m1.load(0, MemSpace::Global, line, deadline + 10);
+        let b = m2.load(0, MemSpace::Global, line, deadline + 10);
         assert_eq!(a, b);
     }
 
@@ -488,11 +430,10 @@ mod tests {
     fn superseded_fill_deadlines_are_discarded() {
         let (mut m, cfg) = mem();
         let line = 1 << 16;
-        let lines = LineSet::single(line);
         // A demand load on SM 1 brings the line into L2 without
         // registering a fill, so SM 0's prefetches are L2 hits.
-        m.load(1, MemSpace::Global, &lines, 128, 0);
-        m.prefetch(0, &lines, 10);
+        m.load(1, MemSpace::Global, line, 0);
+        m.prefetch(0, line, 10);
         let first = m.earliest_pending_response().unwrap();
         assert_eq!(first, 10 + cfg.l2.hit_latency);
         // Stream twice SM 0's L1 capacity through it to evict the line
@@ -500,16 +441,10 @@ mod tests {
         // prefetch it again: the new fill supersedes the first.
         let l1_lines = cfg.l1.capacity_bytes / 128;
         for k in 1..=2 * l1_lines {
-            m.load(
-                0,
-                MemSpace::Global,
-                &LineSet::single(line + 128 * k),
-                128,
-                20,
-            );
+            m.load(0, MemSpace::Global, line + 128 * k, 20);
         }
         assert!(!m.l1(0).probe(line));
-        m.prefetch(0, &lines, 100);
+        m.prefetch(0, line, 100);
         let second = 100 + cfg.l2.hit_latency;
         // The first deadline still sits in the registry but is stale.
         assert_eq!(m.earliest_pending_response(), Some(second));
@@ -520,8 +455,8 @@ mod tests {
     #[test]
     fn l1_totals_aggregate_across_sms() {
         let (mut m, _cfg) = mem();
-        m.load(0, MemSpace::Global, &LineSet::single(0), 128, 0);
-        m.load(1, MemSpace::Global, &LineSet::single(0), 128, 0);
+        m.load(0, MemSpace::Global, 0, 0);
+        m.load(1, MemSpace::Global, 0, 0);
         let (acc, _hits) = m.l1_totals();
         assert_eq!(acc, 2);
     }

@@ -2,7 +2,7 @@
 //! The DLRM embedding-bag kernels live in the `embedding-kernels` crate.
 
 use crate::decode::InstSink;
-use crate::isa::{Instruction, LineSet, MemSpace, SrcSet};
+use crate::isa::{Instruction, MemSpace, SrcSet};
 use crate::launch::{KernelProgram, WarpInfo, WarpProgram};
 
 /// Number of loads a [`StreamKernel`] warp keeps in flight: the consumer of a
@@ -63,7 +63,7 @@ impl WarpProgram for StreamWarp {
                 let dst = 1 + (self.next % STREAM_WINDOW) as u8;
                 sink.push(Instruction::Load {
                     space: MemSpace::Global,
-                    lines: LineSet::single(line),
+                    line,
                     dst,
                     bytes: 128,
                     addr_dep: None,
@@ -160,7 +160,7 @@ impl WarpProgram for ChaseWarp {
                 // returns: a true pointer chase.
                 sink.push(Instruction::Load {
                     space: MemSpace::Global,
-                    lines: LineSet::single(line),
+                    line,
                     dst: 1,
                     bytes: 128,
                     addr_dep: Some(1),
@@ -216,10 +216,8 @@ mod tests {
         };
         let mut prog = kernel.warp_program(info);
         for inst in drain(&mut *prog, 16) {
-            if let Instruction::Load { lines, .. } = inst {
-                for line in lines.iter() {
-                    assert!(line < 4096, "address {line} escaped the footprint");
-                }
+            if let Instruction::Load { line, .. } = inst {
+                assert!(line < 4096, "address {line} escaped the footprint");
             }
         }
     }
@@ -239,8 +237,8 @@ mod tests {
             let mut prog = kernel.warp_program(mk(id));
             let mut lines = Vec::new();
             for inst in drain(&mut *prog, 16) {
-                if let Instruction::Load { lines: ls, .. } = inst {
-                    lines.extend(ls.iter());
+                if let Instruction::Load { line, .. } = inst {
+                    lines.push(line);
                 }
             }
             lines

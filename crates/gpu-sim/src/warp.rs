@@ -52,11 +52,8 @@
 //! on spawn, buffer refill and retirement, not per issue.
 
 use crate::config::GpuConfig;
-use crate::decode::{
-    InstSink, PackedInst, RegMap, OP_ALU, OP_LOAD_GLOBAL, OP_LOAD_LOCAL, OP_LOAD_SHARED, OP_PREF,
-    OP_STORE_GLOBAL, OP_STORE_LOCAL, OP_STORE_SHARED,
-};
-use crate::isa::{Instruction, LineSet, MemSpace, Reg};
+use crate::decode::{InstSink, Op, PackedInst, RegMap};
+use crate::isa::{MemSpace, Reg};
 use crate::launch::{WarpInfo, WarpProgram};
 use crate::mem::MemorySystem;
 use crate::stats::RawCounters;
@@ -174,13 +171,9 @@ pub struct WarpSlots {
     ibuf_pos: Vec<u8>,
     /// Valid entries in the slot's decode-ahead buffer.
     ibuf_len: Vec<u8>,
-    /// Decode-ahead buffers, [`IBUF`] packed entries per slot.
+    /// Decode-ahead buffers, [`IBUF`] packed entries per slot: the only
+    /// copy of each warp's buffered instructions, since every one packs.
     ibuf: Vec<PackedInst>,
-    /// Side tables for instructions that do not fit the packed encoding
-    /// (multi-line accesses); indexed by `OP_EXT` entries, cleared by the
-    /// first spill of each refill. Empty — and allocation-free — for the
-    /// embedding kernels.
-    ext: Vec<Vec<Instruction>>,
     /// The run's raw-to-dense register map, which every refill packs
     /// through.
     regs: RegMap,
@@ -218,7 +211,6 @@ impl WarpSlots {
             ibuf_pos: Vec::new(),
             ibuf_len: Vec::new(),
             ibuf: Vec::new(),
-            ext: Vec::new(),
             regs: RegMap::new(),
             stride: 0,
             boards: Vec::new(),
@@ -252,8 +244,6 @@ impl WarpSlots {
         self.ibuf_len.clear();
         self.ibuf_len.resize(n, 0);
         self.ibuf.resize(n * IBUF, PackedInst::default());
-        self.ext.clear();
-        self.ext.resize_with(n, Vec::new);
         self.regs = RegMap::new();
         self.stride = 0;
         self.boards.clear();
@@ -437,7 +427,6 @@ impl WarpSlots {
         debug_assert!(!ctx.prog_done, "refilled a finished program");
         let mut sink = InstSink::new(
             &mut self.ibuf[slot * IBUF..(slot + 1) * IBUF],
-            &mut self.ext[slot],
             &mut self.regs,
         );
         ctx.prog_done = ctx.program.fill(&mut sink);
@@ -513,49 +502,19 @@ impl WarpSlots {
             }
         };
         match p.op() {
-            OP_ALU => {
+            Op::Alu => {
                 for i in 0..p.nsrcs() {
                     consider(p.src(i));
                 }
             }
-            OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED | OP_PREF => {
+            // Indirect accesses cannot issue until their address operand
+            // (e.g. the loaded embedding index) is available.
+            Op::Load(_) | Op::Prefetch => {
                 if let Some(reg) = p.addr_dep() {
                     consider(reg);
                 }
             }
-            OP_STORE_GLOBAL | OP_STORE_LOCAL | OP_STORE_SHARED => consider(p.reg0()),
-            _ => return self.operand_readiness(slot, &self.ext[slot][p.arg as usize]),
-        }
-        (ready, kind)
-    }
-
-    /// Computes when the operands of `inst` are ready for the warp in
-    /// `slot` and what kind of dependence dominates.
-    fn operand_readiness(&self, slot: usize, inst: &Instruction) -> (u64, DepKind) {
-        let mut ready = 0u64;
-        let mut kind = DepKind::None;
-        let base = slot * self.stride;
-        let mut consider = |reg: Reg| {
-            let (r, long) = self.board_get(base, reg);
-            if r > ready {
-                ready = r;
-                kind = if long { DepKind::Long } else { DepKind::Short };
-            }
-        };
-        match inst {
-            Instruction::Load { addr_dep, .. } | Instruction::Prefetch { addr_dep, .. } => {
-                // Indirect accesses cannot issue until their address operand
-                // (e.g. the loaded embedding index) is available.
-                if let Some(reg) = addr_dep {
-                    consider(*reg);
-                }
-            }
-            Instruction::Store { src, .. } => consider(*src),
-            Instruction::Alu { srcs, .. } => {
-                for s in srcs.iter() {
-                    consider(s);
-                }
-            }
+            Op::Store(_) => consider(p.reg0()),
         }
         (ready, kind)
     }
@@ -596,37 +555,26 @@ impl WarpSlots {
         // ---- execute ----
         counters.insts_issued += 1;
         match p.op() {
-            OP_ALU => {
+            Op::Alu => {
                 let lat = if p.arg == 0 { cfg.alu_latency } else { p.arg };
                 self.board_set(slot, p.reg0(), now + lat, false);
             }
-            OP_LOAD_GLOBAL | OP_LOAD_LOCAL | OP_LOAD_SHARED => {
+            Op::Load(space) => {
                 counters.load_insts += 1;
-                let space = match p.op() {
-                    OP_LOAD_GLOBAL => MemSpace::Global,
-                    OP_LOAD_LOCAL => {
-                        counters.local_load_insts += 1;
-                        MemSpace::Local
-                    }
-                    _ => MemSpace::Shared,
-                };
-                let (done, _outcome) = mem.load(sm, space, &LineSet::single(p.arg), p.bytes(), now);
+                if space == MemSpace::Local {
+                    counters.local_load_insts += 1;
+                }
+                let (done, _outcome) = mem.load(sm, space, p.arg, now);
                 self.board_set(slot, p.reg0(), done, space.is_long_scoreboard());
             }
-            OP_STORE_GLOBAL | OP_STORE_LOCAL | OP_STORE_SHARED => {
+            Op::Store(space) => {
                 counters.store_insts += 1;
-                let space = match p.op() {
-                    OP_STORE_GLOBAL => MemSpace::Global,
-                    OP_STORE_LOCAL => MemSpace::Local,
-                    _ => MemSpace::Shared,
-                };
-                mem.store(sm, space, &LineSet::single(p.arg), p.bytes(), now);
+                mem.store(sm, space, p.arg, p.bytes(), now);
             }
-            OP_PREF => {
+            Op::Prefetch => {
                 counters.prefetch_insts += 1;
-                mem.prefetch(sm, &LineSet::single(p.arg), now);
+                mem.prefetch(sm, p.arg, now);
             }
-            _ => self.execute_ext(slot, p.arg as usize, sm, now, mem, cfg, counters),
         }
 
         self.last_issue[slot] = now;
@@ -658,71 +606,12 @@ impl WarpSlots {
         self.dep[slot] = kind;
         false
     }
-
-    /// Executes an instruction that did not fit the packed encoding
-    /// (multi-line `LineSet`s or very large byte counts). Cold path: the
-    /// embedding kernels emit single-line accesses almost exclusively.
-    #[cold]
-    #[allow(clippy::too_many_arguments)]
-    fn execute_ext(
-        &mut self,
-        slot: usize,
-        at: usize,
-        sm: usize,
-        now: u64,
-        mem: &mut MemorySystem,
-        cfg: &GpuConfig,
-        counters: &mut RawCounters,
-    ) {
-        let inst = self.ext[slot][at];
-        match inst {
-            Instruction::Load {
-                space,
-                lines,
-                dst,
-                bytes,
-                addr_dep: _,
-            } => {
-                counters.load_insts += 1;
-                if space == MemSpace::Local {
-                    counters.local_load_insts += 1;
-                }
-                let (done, _outcome) = mem.load(sm, space, &lines, bytes, now);
-                self.board_set(slot, dst, done, space.is_long_scoreboard());
-            }
-            Instruction::Store {
-                space,
-                lines,
-                src: _,
-                bytes,
-            } => {
-                counters.store_insts += 1;
-                mem.store(sm, space, &lines, bytes, now);
-            }
-            Instruction::Prefetch { lines, addr_dep: _ } => {
-                counters.prefetch_insts += 1;
-                mem.prefetch(sm, &lines, now);
-            }
-            Instruction::Alu {
-                dst,
-                srcs: _,
-                latency,
-            } => {
-                let lat = if latency == 0 {
-                    cfg.alu_latency
-                } else {
-                    latency as u64
-                };
-                self.board_set(slot, dst, now + lat, false);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{Instruction, LineSet, SrcSet};
+    use crate::isa::{Instruction, SrcSet};
     use crate::launch::VecProgram;
 
     fn info() -> WarpInfo {
@@ -892,7 +781,7 @@ mod tests {
     fn prefetch_does_not_block_the_warp() {
         let insts = vec![
             Instruction::Prefetch {
-                lines: LineSet::single(0),
+                line: 0,
                 addr_dep: None,
             },
             Instruction::Alu {
@@ -916,7 +805,7 @@ mod tests {
             Instruction::global_load(0, 7, 128),
             Instruction::Store {
                 space: MemSpace::Global,
-                lines: LineSet::single(4096),
+                line: 4096,
                 src: 7,
                 bytes: 128,
             },

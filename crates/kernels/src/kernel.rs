@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use dlrm_datasets::EmbeddingTrace;
 use gpu_sim::isa::SrcSet;
-use gpu_sim::{InstSink, Instruction, KernelProgram, LineSet, MemSpace, WarpInfo, WarpProgram};
+use gpu_sim::{InstSink, Instruction, KernelProgram, MemSpace, WarpInfo, WarpProgram};
 
 use crate::layout::TableLayout;
 use crate::spec::{BufferStation, EmbeddingKernelSpec, PrefetchConfig};
@@ -205,7 +205,7 @@ impl EmbeddingWarp {
     fn index_load(&self, i: u32, dst: u8) -> Instruction {
         Instruction::Load {
             space: MemSpace::Global,
-            lines: LineSet::single(self.index_line(i)),
+            line: self.index_line(i),
             dst,
             bytes: 4,
             addr_dep: None,
@@ -215,7 +215,7 @@ impl EmbeddingWarp {
     fn gather(&self, i: u32, dst: u8, addr_reg: u8) -> Instruction {
         Instruction::Load {
             space: MemSpace::Global,
-            lines: LineSet::single(self.row_line(i)),
+            line: self.row_line(i),
             dst,
             bytes: 128,
             addr_dep: Some(addr_reg),
@@ -226,18 +226,18 @@ impl EmbeddingWarp {
     /// store then a local reload per spilled value.
     fn spill(&self, iteration: u32, j: u32) -> Instruction {
         let slot = iteration as u64 * 4 + (j / 2) as u64;
-        let line = LineSet::single(TableLayout::local_line(self.global_warp_id, slot));
+        let line = TableLayout::local_line(self.global_warp_id, slot);
         if j.is_multiple_of(2) {
             Instruction::Store {
                 space: MemSpace::Local,
-                lines: line,
+                line,
                 src: R_LOOP,
                 bytes: 128,
             }
         } else {
             Instruction::Load {
                 space: MemSpace::Local,
-                lines: line,
+                line,
                 dst: R_SPILL,
                 bytes: 128,
                 addr_dep: None,
@@ -251,7 +251,7 @@ impl EmbeddingWarp {
         match pos {
             0 => Instruction::Load {
                 space: MemSpace::Global,
-                lines: LineSet::single(self.index_line(0) & !0xFFF),
+                line: self.index_line(0) & !0xFFF,
                 dst: R_LOOP,
                 bytes: 8,
                 addr_dep: None,
@@ -312,7 +312,7 @@ impl EmbeddingWarp {
                         self.gather(i, window(R_TMP_BASE, k), addr_reg)
                     }
                     BufferStation::L1Cache => Instruction::Prefetch {
-                        lines: LineSet::single(self.row_line(i)),
+                        line: self.row_line(i),
                         addr_dep: Some(addr_reg),
                     },
                 },
@@ -334,7 +334,7 @@ impl EmbeddingWarp {
                     } else {
                         MemSpace::Local
                     },
-                    lines: LineSet::single(line),
+                    line,
                     src: window(R_TMP_BASE, k),
                     bytes: 128,
                 };
@@ -350,17 +350,14 @@ impl EmbeddingWarp {
                 return match station {
                     BufferStation::SharedMem => Instruction::Load {
                         space: MemSpace::Shared,
-                        lines: LineSet::single(0),
+                        line: 0,
                         dst: R_VAL,
                         bytes: 128,
                         addr_dep: None,
                     },
                     BufferStation::LocalMem => Instruction::Load {
                         space: MemSpace::Local,
-                        lines: LineSet::single(TableLayout::local_line(
-                            self.global_warp_id,
-                            k as u64,
-                        )),
+                        line: TableLayout::local_line(self.global_warp_id, k as u64),
                         dst: R_VAL,
                         bytes: 128,
                         addr_dep: None,
@@ -393,7 +390,7 @@ impl EmbeddingWarp {
         );
         Instruction::Store {
             space: MemSpace::Global,
-            lines: LineSet::single(line),
+            line,
             src: R_ACC,
             bytes: 128,
         }
@@ -542,10 +539,10 @@ mod tests {
                 .find_map(|i| match i {
                     Instruction::Load {
                         bytes: 128,
-                        lines,
+                        line,
                         space: MemSpace::Global,
                         ..
-                    } => Some(lines.iter().next().unwrap()),
+                    } => Some(*line),
                     _ => None,
                 })
                 .unwrap()

@@ -20,6 +20,11 @@
 //! ```text
 //! cargo run --release --example ad_serving [SCALE] [SLA_MS] [QPS]
 //! ```
+//!
+//! The defaults are `test`, 25 ms and 120,000 qps. An unknown scale, or an
+//! SLA or rate that is not a positive finite number, exits with code 2.
+
+mod args;
 
 use dlrm::{DlrmConfig, DlrmForward, WorkloadScale};
 use dlrm_datasets::{AccessPattern, HeterogeneousMix, MixKind};
@@ -30,7 +35,29 @@ use perf_envelope::{
     ServingScenario, ShardingSpec, StreamConfig, TrafficModel, Workload,
 };
 
+/// The positive finite number in command-line argument `n` (its meaning
+/// is `what`), or `default` when it is absent.
+fn positive_arg(n: usize, what: &str, default: f64) -> f64 {
+    match std::env::args().nth(n) {
+        None => default,
+        Some(text) => text
+            .parse()
+            .ok()
+            .filter(|v: &f64| v.is_finite() && *v > 0.0)
+            .unwrap_or_else(|| {
+                args::refuse(
+                    "ad_serving",
+                    &format!("{what} '{text}' is not a positive finite number"),
+                )
+            }),
+    }
+}
+
 fn main() {
+    let scale = args::scale("ad_serving", std::env::args().nth(1));
+    let sla_ms = positive_arg(2, "SLA_MS", 25.0);
+    let qps = positive_arg(3, "QPS", 120_000.0);
+
     // --- 1. Functional pass: rank ads for a small batch of requests. ------
     let config = DlrmConfig::at_scale(WorkloadScale::Test);
     let model = DlrmForward::new(config.clone(), 2024);
@@ -60,18 +87,6 @@ fn main() {
     }
 
     // --- 2. SLA-aware serving: pick the cheapest qualifying scheme. -------
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
-    let sla_ms = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25.0f64);
-    let qps = std::env::args()
-        .nth(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120_000.0f64);
     println!(
         "\nserving study at {} scale: Poisson traffic at {qps:.0} qps, \
          adaptive batching, SLA p99 <= {sla_ms:.1} ms:",

@@ -9,8 +9,11 @@
 //! ```text
 //! cargo run --release --example design_space_exploration -- [test|default]
 //! ```
+//!
+//! An unknown scale exits with code 2.
 
-use dlrm::WorkloadScale;
+mod args;
+
 use dlrm_datasets::AccessPattern;
 use embedding_kernels::BufferStation;
 use gpu_sim::GpuConfig;
@@ -20,10 +23,7 @@ use perf_envelope::{
 };
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
+    let scale = args::scale("design_space_exploration", std::env::args().nth(1));
     // One shared result cache: the sweeps below overlap (every sweep
     // re-evaluates the base scheme on the same patterns), so overlapping
     // cells execute once and later sweeps reuse them.

@@ -15,8 +15,11 @@
 //! ```text
 //! cargo run --release --example fleet_day [SCALE]
 //! ```
+//!
+//! An unknown scale exits with code 2.
 
-use dlrm::WorkloadScale;
+mod args;
+
 use dlrm_datasets::{HeterogeneousMix, MixKind};
 use gpu_sim::GpuConfig;
 use perf_envelope::{
@@ -28,10 +31,7 @@ use perf_envelope::{
 const BATCH: u32 = 64;
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
+    let scale = args::scale("fleet_day", std::env::args().nth(1));
     let cache = CampaignCache::new();
     let workload = Workload::stage(HeterogeneousMix::paper_mix(MixKind::Mix2, 0.02))
         .with_sharding(ShardingSpec::RoundRobin);

@@ -11,8 +11,11 @@
 //! ```text
 //! cargo run --release --example multi_gpu_sharding [scale]
 //! ```
+//!
+//! An unknown scale exits with code 2.
 
-use dlrm::WorkloadScale;
+mod args;
+
 use dlrm_datasets::{HeterogeneousMix, MixKind};
 use gpu_sim::GpuConfig;
 use perf_envelope::{
@@ -20,10 +23,7 @@ use perf_envelope::{
 };
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
+    let scale = args::scale("multi_gpu_sharding", std::env::args().nth(1));
     let gpu = GpuConfig::a100();
     let mix = HeterogeneousMix::paper_mix(MixKind::Mix2, 0.1);
     let workload = Workload::end_to_end(mix.clone());

@@ -9,38 +9,22 @@
 //! The dataset is one of `one_item`, `high_hot`, `med_hot` (the default),
 //! `low_hot` or `random`. An unknown scale or dataset exits with code 2.
 
-use std::process::ExitCode;
+mod args;
 
-use dlrm::WorkloadScale;
 use dlrm_datasets::AccessPattern;
 use gpu_sim::GpuConfig;
 use perf_envelope::{Experiment, Scheme, StaticProfiler, Workload, WorkloadHint};
 
-/// The scale and dataset named on the command line, each defaulting when
-/// absent; an unknown name is an error listing the accepted ones.
-fn parse_args() -> Result<(WorkloadScale, AccessPattern), String> {
-    let mut args = std::env::args().skip(1);
-    let scale = match args.next() {
-        None => WorkloadScale::Test,
-        Some(name) => WorkloadScale::from_name(&name)
-            .ok_or_else(|| format!("unknown scale '{name}' (use test|default|paper)"))?,
-    };
-    let pattern = match args.next() {
+fn main() {
+    let scale = args::scale("profiling_framework", std::env::args().nth(1));
+    let pattern = match std::env::args().nth(2) {
         None => AccessPattern::MedHot,
-        Some(name) => AccessPattern::from_cli_name(&name).ok_or_else(|| {
-            format!("unknown dataset '{name}' (use one_item|high_hot|med_hot|low_hot|random)")
-        })?,
-    };
-    Ok((scale, pattern))
-}
-
-fn main() -> ExitCode {
-    let (scale, pattern) = match parse_args() {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("profiling_framework: {message}");
-            return ExitCode::from(2);
-        }
+        Some(name) => AccessPattern::from_cli_name(&name).unwrap_or_else(|| {
+            args::refuse(
+                "profiling_framework",
+                &format!("unknown dataset '{name}' (use one_item|high_hot|med_hot|low_hot|random)"),
+            )
+        }),
     };
 
     let gpu = GpuConfig::a100();
@@ -83,5 +67,4 @@ fn main() -> ExitCode {
         tuned_stage.latency_ms(),
         tuned_stage.speedup_over(&base_stage)
     );
-    ExitCode::SUCCESS
 }

@@ -6,17 +6,17 @@
 //! cargo run --release --example quickstart            # test scale (fast)
 //! cargo run --release --example quickstart -- default # larger workload
 //! ```
+//!
+//! An unknown scale exits with code 2.
 
-use dlrm::WorkloadScale;
+mod args;
+
 use dlrm_datasets::AccessPattern;
 use gpu_sim::GpuConfig;
 use perf_envelope::{Experiment, Scheme, Workload};
 
 fn main() {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| WorkloadScale::from_name(&s))
-        .unwrap_or(WorkloadScale::Test);
+    let scale = args::scale("quickstart", std::env::args().nth(1));
     let experiment = Experiment::new(GpuConfig::a100(), scale);
     println!(
         "device: {}, workload scale: {}, batch {} x pooling {} over {} tables",

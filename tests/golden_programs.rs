@@ -109,6 +109,13 @@ impl Fnv {
         self.bytes(&[r.is_some() as u8, r.unwrap_or(0)]);
     }
 
+    /// A memory access's line, after a line count of 1: the encoding the
+    /// fixture's hashes were recorded with.
+    fn line(&mut self, line: u64) {
+        self.u64(1);
+        self.u64(line);
+    }
+
     fn inst(&mut self, inst: &Instruction) {
         let space = |s: MemSpace| match s {
             MemSpace::Global => 0u8,
@@ -118,7 +125,7 @@ impl Fnv {
         match *inst {
             Instruction::Load {
                 space: s,
-                lines,
+                line,
                 dst,
                 bytes,
                 addr_dep,
@@ -126,27 +133,24 @@ impl Fnv {
                 self.bytes(&[0, space(s), dst]);
                 self.u64(bytes as u64);
                 self.reg(addr_dep);
-                self.u64(lines.len() as u64);
-                lines.iter().for_each(|l| self.u64(l));
+                self.line(line);
             }
             Instruction::Store {
                 space: s,
-                lines,
+                line,
                 src,
                 bytes,
             } => {
                 self.bytes(&[1, space(s), src]);
                 self.u64(bytes as u64);
-                self.u64(lines.len() as u64);
-                lines.iter().for_each(|l| self.u64(l));
+                self.line(line);
             }
-            Instruction::Prefetch { lines, addr_dep } => {
+            Instruction::Prefetch { line, addr_dep } => {
                 // The second byte once tagged the prefetch target (0 = L1),
                 // kept so the fixture's hashes stay valid.
                 self.bytes(&[2, 0]);
                 self.reg(addr_dep);
-                self.u64(lines.len() as u64);
-                lines.iter().for_each(|l| self.u64(l));
+                self.line(line);
             }
             Instruction::Alu { dst, srcs, latency } => {
                 self.bytes(&[3, dst, srcs.len() as u8]);

@@ -16,8 +16,8 @@ use gpu_sim::launch::VecProgram;
 use gpu_sim::mem::Cache;
 use gpu_sim::occupancy::Occupancy;
 use gpu_sim::{
-    GpuConfig, Instruction, KernelLaunch, KernelProgram, KernelStats, LineSet, MemSpace, Reg,
-    Simulator, StreamPartition, WarpInfo, WarpProgram,
+    GpuConfig, Instruction, KernelLaunch, KernelProgram, KernelStats, MemSpace, Reg, Simulator,
+    StreamPartition, WarpInfo, WarpProgram,
 };
 use perf_envelope::json::Json;
 use perf_envelope::{
@@ -868,33 +868,27 @@ impl KernelProgram for SameProgram {
     }
 }
 
-/// A random instruction over the registers in `pool`; one in eight memory
-/// accesses spans two lines, so it takes the side-table path.
+/// A random instruction over the registers in `pool`.
 fn arbitrary_instruction(g: &mut Cases, pool: &[Reg]) -> Instruction {
     let reg = |g: &mut Cases| pool[g.range(0, pool.len() as u64) as usize];
     let line = g.range(0, 64) * 128;
-    let lines = if g.range(0, 8) == 0 {
-        LineSet::from_byte_range(line + 64, 128, 128)
-    } else {
-        LineSet::single(line)
-    };
     let space = [MemSpace::Global, MemSpace::Local, MemSpace::Shared][g.range(0, 3) as usize];
     match g.range(0, 4) {
         0 => Instruction::Load {
             space,
-            lines,
+            line,
             dst: reg(g),
             bytes: 128,
             addr_dep: (g.range(0, 2) == 0).then(|| reg(g)),
         },
         1 => Instruction::Store {
             space,
-            lines,
+            line,
             src: reg(g),
             bytes: 128,
         },
         2 => Instruction::Prefetch {
-            lines,
+            line,
             addr_dep: (g.range(0, 2) == 0).then(|| reg(g)),
         },
         _ => {

@@ -19,7 +19,7 @@ use gpu_sim::isa::SrcSet;
 use gpu_sim::launch::VecProgram;
 use gpu_sim::programs::{PointerChaseKernel, StreamKernel};
 use gpu_sim::warp::IBUF;
-use gpu_sim::{InstBuffer, Instruction, KernelProgram, LineSet, MemSpace, WarpInfo, WarpProgram};
+use gpu_sim::{InstBuffer, Instruction, KernelProgram, MemSpace, WarpInfo, WarpProgram};
 
 /// Larger than any program below, so one fill holds it whole.
 const UNBOUNDED: usize = 1 << 16;
@@ -70,13 +70,12 @@ fn assert_kernel_resumable(label: &str, kernel: &dyn KernelProgram, warps: &[(u3
 #[test]
 fn vec_programs_resume_anywhere() {
     let alu = |dst| Instruction::iadd(dst, 1);
-    // Two-line accesses do not fit the packed encoding and go through the
-    // side table, which every refill starts afresh.
-    let multi = |dst| Instruction::Load {
+    // The widest byte count must survive the packing at every cut.
+    let wide = |dst| Instruction::Load {
         space: MemSpace::Global,
-        lines: LineSet::from_byte_range(64, 128, 128),
+        line: 128,
         dst,
-        bytes: 128,
+        bytes: u32::MAX,
         addr_dep: None,
     };
     let programs: Vec<Vec<Instruction>> = vec![
@@ -84,7 +83,7 @@ fn vec_programs_resume_anywhere() {
         vec![alu(1)],
         (0..17).map(alu).collect(),
         (0..40)
-            .map(|i| if i % 3 == 0 { multi(i) } else { alu(i) })
+            .map(|i| if i % 3 == 0 { wide(i) } else { alu(i) })
             .collect(),
         (0..9)
             .map(|i| Instruction::Alu {
