@@ -59,6 +59,8 @@
 //!    in `tests/analyzer.rs` proving the rule fires and suppresses.
 //! 4. Document it in the table above.
 
+#![deny(unsafe_code)]
+
 pub mod jsonw;
 pub mod lexer;
 pub mod rules;

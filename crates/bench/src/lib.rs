@@ -17,6 +17,7 @@
 //! host throughput of the simulator, layer by layer, is measured by the
 //! separate `perfbench` package at the repository root.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

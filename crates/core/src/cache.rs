@@ -57,8 +57,10 @@
 //! assert_eq!(cache.misses(), 1);
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -95,11 +97,70 @@ pub struct CampaignCache {
     stage_runs: AtomicU64,
 }
 
-/// Single-flight slots keyed by fingerprint.
+/// Single-flight slots keyed by fingerprint, hashed by [`KeyHasher`].
+///
+/// SipHash, the standard map's default, defends a table against keys
+/// chosen to collide; it buys nothing here. Every key is a fingerprint this
+/// crate wrote, either now or, for a loaded cache, by the `to_json` of an
+/// earlier run, so a crafted file can at worst slow its own load. Hashing
+/// a 1–3 KB key a word at a time costs a fraction of SipHash's time on
+/// every lookup.
 // audit:allow(unordered_collection): keyed fingerprint lookups only;
 // to_json sorts the cells' keys before streaming them out, and the
 // stage-run memo is never iterated
-type Slots<T> = Mutex<HashMap<String, Arc<OnceLock<T>>>>;
+type Slots<T> = Mutex<HashMap<String, Arc<OnceLock<T>>, BuildHasherDefault<KeyHasher>>>;
+
+/// A deterministic multiplicative hasher that consumes a key eight bytes at
+/// a time. Each word takes the `FxHash` step (rotate, xor in the word,
+/// multiply by an odd constant), and finishing rotates the high, well-mixed
+/// bits down. Whole 32-byte blocks go to four independent lanes, which
+/// keeps four multiplies in flight where one chain would wait out each
+/// multiply's latency; the lanes then fold into the state in order.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+/// One `FxHash` step: `state` with `word` mixed in.
+fn mix(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5)
+}
+
+/// The little-endian word in eight key bytes.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("words are eight bytes"))
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut blocks = bytes.chunks_exact(32);
+        let mut lanes = [0; 4];
+        for block in &mut blocks {
+            for (lane, bytes) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(*lane, word(bytes));
+            }
+        }
+        for lane in lanes {
+            self.0 = mix(self.0, lane);
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        for bytes in &mut words {
+            self.0 = mix(self.0, word(bytes));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            self.0 = mix(self.0, u64::from_le_bytes(padded));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.0 = mix(self.0, byte.into());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// The single-flight slot for `key`, created on first request. A new key is
 /// shrunk to its length before it is stored, since fingerprints reserve
@@ -229,8 +290,9 @@ impl CampaignCache {
     /// returned cache starts with fresh hit/miss statistics.
     ///
     /// # Errors
-    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag, or
-    /// malformed cells.
+    /// Returns a [`JsonError`] on syntax errors, a wrong `schema` tag,
+    /// malformed cells, or a cell key listed twice (which `to_json` never
+    /// writes, but an edited or merged file can hold).
     pub fn from_json(text: &str) -> Result<Arc<Self>, JsonError> {
         let doc = Json::parse(text)?;
         match doc.get("schema").and_then(Json::as_str) {
@@ -247,7 +309,7 @@ impl CampaignCache {
             .and_then(Json::as_array)
             .ok_or_else(|| JsonError::schema("field 'cells' is not an array"))?;
         // audit:allow(unordered_collection): keyed lookups only (see `Slots`)
-        let mut map = HashMap::with_capacity(cells.len());
+        let mut map = HashMap::with_capacity_and_hasher(cells.len(), Default::default());
         for cell in cells {
             let key = cell
                 .get("key")
@@ -257,7 +319,16 @@ impl CampaignCache {
                 .get("report")
                 .ok_or_else(|| JsonError::schema("cell is missing its 'report'"))?;
             let report = RunReport::from_json_value(report)?;
-            map.insert(key.to_string(), Arc::new(OnceLock::from(report)));
+            match map.entry(key.to_string()) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Arc::new(OnceLock::from(report)));
+                }
+                Entry::Occupied(_) => {
+                    return Err(JsonError::schema(format!(
+                        "cell key '{key}' is listed twice"
+                    )))
+                }
+            }
         }
         Ok(Arc::new(CampaignCache {
             map: Mutex::new(map),
@@ -501,6 +572,23 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_a_cell_key_listed_twice() {
+        let cache = CampaignCache::new();
+        let w = Workload::kernel(AccessPattern::MedHot);
+        let _ = cached_experiment(&cache).run(&w, &Scheme::base());
+        let doc = Json::parse(&cache.to_json()).unwrap();
+        let cell = doc.get("cells").and_then(Json::as_array).unwrap()[0].clone();
+        let key = cell.get("key").and_then(Json::as_str).unwrap().to_string();
+        let mut twice = doc.clone();
+        twice.set("cells", Json::Arr(vec![cell.clone(), cell]));
+        let err = CampaignCache::from_json(&twice.render()).unwrap_err();
+        assert!(err.message.contains(&key), "{err}");
+        assert!(err.message.contains("listed twice"), "{err}");
+        // The document with the cell once loads.
+        assert_eq!(CampaignCache::from_json(&doc.render()).unwrap().len(), 1);
+    }
+
+    #[test]
     fn load_rejects_deeply_nested_documents_without_overflowing() {
         let nested = format!(
             "{{\"schema\":\"{CAMPAIGN_CACHE_SCHEMA}\",\"cells\":[{}",
@@ -602,6 +690,27 @@ mod tests {
             "the oracle must simulate every sequence itself"
         );
         assert_eq!(cycle_accurate, event_driven);
+    }
+
+    #[test]
+    fn the_key_hasher_separates_keys_that_differ_in_any_one_byte() {
+        let hash = |key: &[u8]| {
+            let mut h = KeyHasher::default();
+            h.write(key);
+            h.finish()
+        };
+        // An odd length: whole blocks, then loose words, then a padded tail.
+        let key = Experiment::new(GpuConfig::test_small(), WorkloadScale::Test)
+            .with_seed(3)
+            .fingerprint(&Workload::kernel(AccessPattern::MedHot), &Scheme::base());
+        let key = &key.as_bytes()[..(key.len() - 1) | 1];
+        assert_eq!(hash(key), hash(key));
+        let mut edited = key.to_vec();
+        for i in 0..edited.len() {
+            edited[i] ^= 0x20;
+            assert_ne!(hash(&edited), hash(key), "byte {i}");
+            edited[i] ^= 0x20;
+        }
     }
 
     #[test]

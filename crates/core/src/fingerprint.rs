@@ -15,6 +15,13 @@
 //! [`crate::CampaignCache::save_to`] / [`load_from`] usable for
 //! cross-process incremental re-runs.
 //!
+//! A key renders each distinct device once. The root device's object is
+//! rendered first ([`RenderedGpu`]) and its text is repeated for the `gpu`
+//! field and for every cluster device that would write the same bytes:
+//! each written field equal, floats compared by their bits, since `0.0`
+//! and `-0.0` are `==` but render differently. Any other device is
+//! rendered in place as before, so every key stays byte-identical.
+//!
 //! # Coverage by destructuring
 //!
 //! Every config struct that reaches a key has exactly one writer, and the
@@ -42,7 +49,7 @@ use dlrm_datasets::TraceConfig;
 use embedding_kernels::{EmbeddingConfig, PrefetchConfig};
 use gpu_sim::{CacheConfig, DramConfig, GpuConfig};
 
-use crate::json::{array, object, ObjectWriter};
+use crate::json::{array, object, write_object, ArrayWriter, ObjectWriter, WriteJson};
 use crate::topology::{Cluster, InterconnectConfig};
 
 /// Identifier of the fingerprint encoding; bump when the encoding changes
@@ -53,14 +60,49 @@ pub(crate) const FINGERPRINT_SCHEMA: &str = "perf-envelope/cell-fingerprint/v1";
 /// equivalent to a plain device: the interconnect is never exercised, so
 /// two experiments that differ only in how the lone device was wrapped
 /// share their cells.
-pub(crate) fn write_placement(w: &mut ObjectWriter<'_>, cluster: &Cluster) {
+pub(crate) fn write_placement(w: &mut ObjectWriter<'_>, cluster: &Cluster, root: &RenderedGpu<'_>) {
     w.set(
         "cluster",
-        (!cluster.is_single()).then(|| object(|c| cluster.write_fields(c))),
+        (!cluster.is_single()).then(|| object(|c| cluster.write_fields(c, root))),
     );
 }
 
-pub(crate) fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
+/// A device's key object, rendered once. A key writes its root device as
+/// the `gpu` field and again first in a multi-device cluster's device
+/// list, and a homogeneous cluster lists it once per device; every one of
+/// those writes repeats this text.
+pub(crate) struct RenderedGpu<'a> {
+    gpu: &'a GpuConfig,
+    text: String,
+}
+
+impl<'a> RenderedGpu<'a> {
+    pub(crate) fn new(gpu: &'a GpuConfig) -> Self {
+        // Room for any preset's object, so rendering allocates once.
+        let mut text = String::with_capacity(1024);
+        write_object(&mut text, |g| write_gpu(g, gpu));
+        RenderedGpu { gpu, text }
+    }
+
+    /// Appends `gpu`'s key object: the rendered text when `gpu` would write
+    /// the same bytes, else `gpu` rendered afresh.
+    pub(crate) fn push(&self, a: &mut ArrayWriter<'_>, gpu: &GpuConfig) {
+        if same_key(gpu, self.gpu) {
+            a.push(self);
+        } else {
+            a.push(object(|g| write_gpu(g, gpu)));
+        }
+    }
+}
+
+/// Writes the rendered device's key object verbatim.
+impl WriteJson for &RenderedGpu<'_> {
+    fn write_json(self, out: &mut String) {
+        out.push_str(&self.text);
+    }
+}
+
+fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
     let GpuConfig {
         name,
         num_sms,
@@ -100,6 +142,72 @@ pub(crate) fn write_gpu(w: &mut ObjectWriter<'_>, gpu: &GpuConfig) {
     w.set("shared_mem_per_sm", *shared_mem_per_sm);
     w.set("smsps_per_sm", *smsps_per_sm);
     w.set("warp_size", *warp_size);
+}
+
+/// Whether `a` and `b` write the same key object: every field [`write_gpu`]
+/// writes is equal, floats by their bits, since `0.0 == -0.0` yet the two
+/// render differently.
+fn same_key(a: &GpuConfig, b: &GpuConfig) -> bool {
+    let GpuConfig {
+        name,
+        num_sms,
+        smsps_per_sm,
+        max_warps_per_sm,
+        max_blocks_per_sm,
+        registers_per_sm,
+        register_alloc_granularity,
+        warp_size,
+        clock_ghz,
+        shared_mem_per_sm,
+        shared_mem_latency,
+        register_latency,
+        l1,
+        l2,
+        l2_max_persisting_fraction,
+        dram,
+        alu_latency,
+        // Not written, so it cannot tell two keys apart.
+        max_concurrent_streams: _,
+    } = a;
+    let DramConfig {
+        capacity_bytes,
+        latency,
+        peak_bandwidth_gbps,
+    } = *dram;
+    let same_bits = |x: f64, y: f64| x.to_bits() == y.to_bits();
+    *name == b.name
+        && *num_sms == b.num_sms
+        && *smsps_per_sm == b.smsps_per_sm
+        && *max_warps_per_sm == b.max_warps_per_sm
+        && *max_blocks_per_sm == b.max_blocks_per_sm
+        && *registers_per_sm == b.registers_per_sm
+        && *register_alloc_granularity == b.register_alloc_granularity
+        && *warp_size == b.warp_size
+        && same_bits(*clock_ghz, b.clock_ghz)
+        && *shared_mem_per_sm == b.shared_mem_per_sm
+        && *shared_mem_latency == b.shared_mem_latency
+        && *register_latency == b.register_latency
+        && same_cache(l1, &b.l1)
+        && same_cache(l2, &b.l2)
+        && same_bits(*l2_max_persisting_fraction, b.l2_max_persisting_fraction)
+        && capacity_bytes == b.dram.capacity_bytes
+        && latency == b.dram.latency
+        && same_bits(peak_bandwidth_gbps, b.dram.peak_bandwidth_gbps)
+        && *alu_latency == b.alu_latency
+}
+
+/// Whether `a` and `b` write the same cache object.
+fn same_cache(a: &CacheConfig, b: &CacheConfig) -> bool {
+    let CacheConfig {
+        capacity_bytes,
+        line_bytes,
+        associativity,
+        hit_latency,
+    } = *a;
+    capacity_bytes == b.capacity_bytes
+        && line_bytes == b.line_bytes
+        && associativity == b.associativity
+        && hit_latency == b.hit_latency
 }
 
 fn write_cache(w: &mut ObjectWriter<'_>, cache: &CacheConfig) {

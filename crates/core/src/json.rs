@@ -15,11 +15,14 @@
 //!   `{"k":v,...}` straight into a `String`, with nested objects and arrays
 //!   written through closures, and never builds a tree. Cache keys
 //!   (`crate::fingerprint`) and every report's `to_json` are written this
-//!   way, each struct by one `write_fields` that destructures it. The writer
-//!   checks in debug builds that keys arrive in strictly ascending byte
-//!   order, which is the order a [`Json::Obj`] renders in, and both share
-//!   one set of scalar formatters. Streaming a document therefore yields
-//!   exactly the bytes that rendering the equivalent tree would.
+//!   way, each struct by one `write_fields` that destructures it. Field
+//!   names are `&'static str` literals of this crate and are written
+//!   verbatim, without a scan for escapes. The writer checks in debug builds
+//!   that every name needs no escaping and that names arrive in strictly
+//!   ascending byte order, which is the order a [`Json::Obj`] renders in,
+//!   and both share one set of scalar formatters. Streaming a document
+//!   therefore yields exactly the bytes that rendering the equivalent tree
+//!   would.
 //!
 //! [`Json::parse`] accepts arrays and objects nested at most 128 deep and
 //! returns an error beyond that, so hostile input cannot overflow the stack.
@@ -178,7 +181,8 @@ impl Json {
     }
 }
 
-/// Writes `u` in decimal without a temporary `String`.
+/// Writes `u` in decimal without a temporary `String`, its digits pushed
+/// as one slice.
 fn write_u64(mut u: u64, out: &mut String) {
     let mut digits = [0u8; 20];
     let mut start = digits.len();
@@ -190,7 +194,7 @@ fn write_u64(mut u: u64, out: &mut String) {
             break;
         }
     }
-    out.extend(digits[start..].iter().map(|&d| d as char));
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 fn write_i64(i: i64, out: &mut String) {
@@ -216,10 +220,16 @@ fn write_f64(n: f64, out: &mut String) {
     }
 }
 
+/// Whether `s` can be written between quotes as it is: no quote, backslash
+/// or control character.
+fn needs_no_escape(s: &str) -> bool {
+    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
+}
+
 /// Writes `s` as a quoted JSON string, escaping only what must be escaped.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+    if needs_no_escape(s) {
         out.push_str(s);
     } else {
         for c in s.chars() {
@@ -329,7 +339,7 @@ pub(crate) fn write_object(out: &mut String, fields: impl FnOnce(&mut ObjectWrit
         out,
         first: true,
         #[cfg(debug_assertions)]
-        last_key: String::new(),
+        last_key: "",
     });
     out.push('}');
 }
@@ -342,35 +352,38 @@ pub(crate) fn render_object(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> Strin
 }
 
 /// Writes the fields of one object in canonical (ascending key) order.
+/// Field names are literals of this crate, written verbatim.
 pub(crate) struct ObjectWriter<'a> {
     out: &'a mut String,
     first: bool,
     #[cfg(debug_assertions)]
-    last_key: String,
+    last_key: &'static str,
 }
 
 impl ObjectWriter<'_> {
-    /// Writes the field `key: value`.
+    /// Writes the field `key: value`. `key` is a literal field name and is
+    /// written between quotes as it is, without scanning it for escapes.
     ///
     /// # Panics
     /// In debug builds, panics unless `key` sorts strictly after the
-    /// previous key of this object.
-    pub(crate) fn set(&mut self, key: &str, value: impl WriteJson) {
+    /// previous key of this object, or if `key` would need escaping.
+    pub(crate) fn set(&mut self, key: &'static str, value: impl WriteJson) {
         #[cfg(debug_assertions)]
         {
             assert!(
-                self.first || self.last_key.as_str() < key,
+                self.first || self.last_key < key,
                 "object keys must arrive in strictly ascending order: {key:?} after {:?}",
                 self.last_key
             );
-            self.last_key.clear();
-            self.last_key.push_str(key);
+            assert!(needs_no_escape(key), "field name {key:?} needs escaping");
+            self.last_key = key;
         }
         if !std::mem::take(&mut self.first) {
             self.out.push(',');
         }
-        write_str(key, self.out);
-        self.out.push(':');
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
         value.write_json(self.out);
     }
 }
@@ -965,6 +978,14 @@ mod tests {
             w.set("a", 1u64);
             w.set("a", 2u64);
         });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "needs escaping")]
+    fn field_names_that_need_escaping_trip_the_debug_assertion() {
+        let mut out = String::new();
+        write_object(&mut out, |w| w.set("a\"b", 1u64));
     }
 
     #[test]

@@ -94,6 +94,7 @@
 //! assert_eq!(reloaded, run.reports());
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

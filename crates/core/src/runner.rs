@@ -34,7 +34,7 @@ use gpu_sim::mem::MemorySystem;
 use gpu_sim::{EngineMode, GpuConfig, KernelLaunch, KernelProgram, KernelStats, Simulator};
 
 use crate::cache::CampaignCache;
-use crate::fingerprint;
+use crate::fingerprint::{self, RenderedGpu};
 use crate::json::{array, object, write_object};
 use crate::report::{ClusterBreakdown, DeviceBreakdown, RunReport, TableBreakdown};
 use crate::scheme::Scheme;
@@ -336,9 +336,10 @@ impl Experiment {
             // The cache memoizes results; it is not one of their inputs.
             cache: _,
         } = self;
+        let root = RenderedGpu::new(cluster.root());
         let mut key = String::with_capacity(2048);
         write_object(&mut key, |w| {
-            fingerprint::write_placement(w, cluster);
+            fingerprint::write_placement(w, cluster, &root);
             w.set("engine_mode", sim.mode().name());
             // The empty fault plan is canonically the fault-free experiment:
             // the key omits the axis entirely, keeping pre-fault keys
@@ -349,7 +350,7 @@ impl Experiment {
             if !faults.is_empty() {
                 w.set("faults", array(|a| faults.write_events(a)));
             }
-            w.set("gpu", object(|g| fingerprint::write_gpu(g, cluster.root())));
+            w.set("gpu", &root);
             w.set("model", object(|m| fingerprint::write_model(m, model)));
             w.set("scale", scale.name());
             w.set("schema", fingerprint::FINGERPRINT_SCHEMA);

@@ -50,7 +50,7 @@
 use dlrm_datasets::{pattern_coverage_skew, AccessPattern, HeterogeneousMix};
 use gpu_sim::{GpuConfig, StreamPartition};
 
-use crate::fingerprint;
+use crate::fingerprint::{self, RenderedGpu};
 use crate::json::{array, object, ObjectWriter};
 
 /// The inter-device fabric: one full-duplex link per device with a fixed
@@ -220,18 +220,15 @@ impl Cluster {
     }
 
     /// Writes the cluster's fields into a cell key.
-    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>) {
+    /// `root` is this cluster's root device, already rendered.
+    pub(crate) fn write_fields(&self, w: &mut ObjectWriter<'_>, root: &RenderedGpu<'_>) {
         let Cluster {
             devices,
             interconnect,
         } = self;
         w.set(
             "devices",
-            array(|a| {
-                for gpu in devices {
-                    a.push(object(|g| fingerprint::write_gpu(g, gpu)));
-                }
-            }),
+            array(|a| devices.iter().for_each(|gpu| root.push(a, gpu))),
         );
         w.set(
             "interconnect",

@@ -25,6 +25,7 @@
 //! assert!(unique < 50.0, "a hot trace reuses rows heavily");
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -28,6 +28,7 @@
 //! assert!(non_emb_us > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -39,6 +39,7 @@
 //! assert!(stats.elapsed_cycles > 0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -37,6 +37,7 @@
 //! assert!(stats.counters.load_insts > 0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -21,6 +21,7 @@
 //!   interconnect model), the DSE sweeps and the static profiling framework
 //!   build on the same surface.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dlrm;

@@ -6,7 +6,8 @@
 //! `tests/fixtures/golden_keys.txt`, one `label<TAB>key` line per cell:
 //!
 //! * kernel, stage and end-to-end workloads over every pattern and mix;
-//! * every sharding spec on 2- and 4-device NVLink3 and PCIe clusters;
+//! * every sharding spec on 2- and 4-device NVLink3 and PCIe clusters, and
+//!   heterogeneous clusters whose devices repeat or only resemble the root;
 //! * every `Scheme` constructor, every prefetch station, an explicit L2
 //!   carveout and `MaxRegisters`;
 //! * A100 and H100 devices, Default scale, seeds, pooling factors, batch
@@ -169,6 +170,36 @@ fn grid() -> Vec<(String, String)> {
                 InterconnectConfig::pcie_gen4(),
             ))
             .fingerprint(&kernel, &Scheme::base()),
+    );
+    // A key renders the root device once and repeats it for every device
+    // bit-identical to it: a root repeated after a different device, and a
+    // device that is `==` to the root but renders differently.
+    let sharded_mix2 = Workload::stage(mix(MixKind::Mix2)).with_sharding(ShardingSpec::RoundRobin);
+    cell(
+        "cluster/root-repeated".to_string(),
+        exp()
+            .with_cluster(Cluster::new(
+                vec![
+                    GpuConfig::test_small(),
+                    GpuConfig::test_small().with_num_sms(2),
+                    GpuConfig::test_small(),
+                ],
+                InterconnectConfig::nvlink3(),
+            ))
+            .fingerprint(&sharded_mix2, &Scheme::combined()),
+    );
+    let persisting = |fraction: f64| GpuConfig {
+        l2_max_persisting_fraction: fraction,
+        ..GpuConfig::test_small()
+    };
+    cell(
+        "cluster/signed-zero".to_string(),
+        exp()
+            .with_cluster(Cluster::new(
+                vec![persisting(0.0), persisting(-0.0)],
+                InterconnectConfig::nvlink3(),
+            ))
+            .fingerprint(&sharded_mix2, &Scheme::combined()),
     );
 
     // Devices, scales and experiment scalars.
